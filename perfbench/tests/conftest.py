@@ -1,0 +1,12 @@
+"""Put the package sources and the benchmark modules on the import path.
+
+    python3 -m pytest perfbench/tests
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT / "perfbench"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
