@@ -10,7 +10,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from .errors import InvalidArgumentError, InvalidConfigError, SpectralEdgeError
 from .flow import flow_derivative_check, flow_state
 from .identities import identity_residuals
 from .locallaw import locallaw_deviation, DEVIATION_CLASSES
-from .montecarlo import NOISE_DISTS, run_ensemble, sample_matrix
+from .montecarlo import NOISE_DISTS, pmap, run_ensemble, sample_matrix
 from .spectrum import check_assumption3, load_spectrum, with_size
 from .stieltjes import solve_stieltjes
 from .tracywidom import tw_table
@@ -159,13 +158,6 @@ def _load_model(args):
     return load_spectrum(config)
 
 
-def _pmap(fn, items, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _cmd_edge(args) -> list[str]:
     model = _load_model(args)
     sol = solve_edge(model)
@@ -199,12 +191,10 @@ def _cmd_density(args) -> list[str]:
         step = step if step is not None else (stop - start) / 400.0
     if step <= 0 or stop < start:
         raise InvalidArgumentError("density grid requires step > 0 and to >= from")
-    rows = []
-    E = start
-    while E <= stop + 1e-12:
-        sv = solve_stieltjes(model, E)
-        rows.append((E, max(0.0, sv.s.imag / math.pi), sv.s.imag, sv.s.real))
-        E += step
+    count = math.floor((stop - start) / step + 1e-9) + 1
+    E = start + step * np.arange(count)
+    s = solve_stieltjes(model, E).s
+    rows = zip(E, np.maximum(0.0, s.imag / math.pi), s.imag, s.real)
     emit_csv(rows, ("E", "rho0", "Im_s", "Re_s"), args.out)
     return [args.out] if args.out else []
 
@@ -242,14 +232,15 @@ def _cmd_locallaw(args) -> list[str]:
     model = _load_model(args)
     if args.N is not None:
         model = with_size(model, args.N)
+    eta = args.eta if args.eta is not None else model.N ** -0.5
     sol = solve_edge(model)
-    z = complex(sol.lambda_r + args.E_offset, args.eta)
+    z = complex(sol.lambda_r + args.E_offset, eta)
 
     def one_seed(seed):
         Y = sample_matrix(model, args.dist, seed, 0)
         return seed, locallaw_deviation(model, Y, z)
 
-    reports = _pmap(one_seed, range(args.seed, args.seed + args.seeds), args.threads)
+    reports = pmap(one_seed, range(args.seed, args.seed + args.seeds), args.threads)
     rows = []
     for seed, report in reports:
         devs = report.deviations()
@@ -370,16 +361,8 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
 
-    if getattr(args, "eta", "absent") is None and args.command == "locallaw":
-        pass  # resolved below once the model size is known
-
     started = time.time()
     try:
-        if args.command == "locallaw" and args.eta is None:
-            # default spectral resolution N^{-1/2} needs the final size
-            model = _load_model(args)
-            size = args.N if args.N is not None else model.N
-            args.eta = size ** -0.5
         written = _HANDLERS[args.command](args)
         for path in written:
             _write_manifest(args, started, path)

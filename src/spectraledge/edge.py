@@ -12,7 +12,6 @@ from .spectrum import SpectrumModel
 _GRID_POINTS = 512
 _W_MAX_DOUBLINGS = 10
 _BISECT_XTOL = 1e-13
-_NEWTON_POLISH = 4
 _DEGENERATE_REL = 1e-6
 _EDGE_EPS = 1e-8
 
@@ -46,37 +45,29 @@ class EdgeSolution:
         return self.E_plus * self.b + self.tb_resc
 
 
-def phi_family(model: SpectrumModel, w: float):
-    """Evaluate (f, f', phi, phi') at real w away from the squared signal values."""
-    dsq = model.d_sq
+def phi_family(model: SpectrumModel, w):
+    """Evaluate (f, f', phi, phi') at w away from the squared signal values.
+
+    f(w) = mean_i 1/(d_i^2 - w) and phi(w) = w (1 - c f)^2 + (1-c)(1 - c f).
+    w is a real or complex scalar, giving scalars, or an array, giving
+    arrays of its shape.
+    """
     c = model.c_N
-    diff = dsq - w
-    if np.any(diff == 0.0):
-        raise PoleError(f"w={w} coincides with a squared signal value")
-    f = float(np.mean(1.0 / diff))
-    fp = float(np.mean(1.0 / diff**2))
+    w = np.asarray(w)
+    diff = model.d_sq - w[..., None]
+    hit = diff == 0.0
+    if hit.any():
+        bad = w if w.ndim == 0 else w[hit.any(axis=-1)]
+        raise PoleError(f"w={bad} coincides with a squared signal value")
+    inv = np.reciprocal(diff, out=diff)  # the only len(w) x M temporary
+    f = inv.mean(axis=-1)
+    fp = np.square(inv, out=inv).mean(axis=-1)
     one = 1.0 - c * f
     phi = w * one**2 + (1.0 - c) * one
     phip = one**2 - 2.0 * c * w * one * fp - c * (1.0 - c) * fp
+    if w.ndim == 0:
+        return f.item(), fp.item(), phi.item(), phip.item()
     return f, fp, phi, phip
-
-
-def _phi_prime_pair(model: SpectrumModel, w: float):
-    """phi' and phi'' at w, for Newton polishing of critical points."""
-    dsq = model.d_sq
-    c = model.c_N
-    diff = dsq - w
-    f = np.mean(1.0 / diff)
-    fp = np.mean(1.0 / diff**2)
-    fpp = np.mean(2.0 / diff**3)
-    one = 1.0 - c * f
-    phip = one**2 - 2.0 * c * w * one * fp - c * (1.0 - c) * fp
-    phipp = (
-        -4.0 * c * fp * one
-        + 2.0 * c**2 * w * fp**2
-        - (2.0 * c * w * one + c * (1.0 - c)) * fpp
-    )
-    return float(phip), float(phipp)
 
 
 def _bisect(fun, lo, hi, xtol):
@@ -98,10 +89,12 @@ def _bisect(fun, lo, hi, xtol):
 def find_edge(model: SpectrumModel) -> EdgeSolution:
     """Locate the rightmost critical point xi_r and the edge lambda_r = phi(xi_r).
 
-    phi' tends to -inf just right of d_1^2 and to a positive limit at +inf, so
-    a sign change exists whenever the edge separates from the spectrum.  The
-    search scans a log-spaced grid, bisects every bracket, polishes each root
-    with Newton, and keeps the largest.
+    lambda_r is where the real branch of z = phi(w) that solve_stieltjes
+    follows turns back, so phi'(xi_r) = 0.  phi' tends to -inf just right of
+    d_1^2 and to a positive limit at +inf, so a sign change exists whenever
+    the edge separates from the spectrum.  The search evaluates phi' on a
+    log-spaced grid in one call, bisects every bracket down to _BISECT_XTOL,
+    and keeps the largest root.
     """
     c = model.c_N
     d1sq = float(model.d_sq[0])
@@ -114,8 +107,7 @@ def find_edge(model: SpectrumModel) -> EdgeSolution:
     brackets = []
     for _ in range(_W_MAX_DOUBLINGS + 1):
         grid = np.geomspace(lo, w_max, _GRID_POINTS)
-        values = np.array([phip(w) for w in grid])
-        signs = np.sign(values)
+        signs = np.sign(phi_family(model, grid)[3])
         idx = np.nonzero(np.diff(signs) != 0)[0]
         if idx.size:
             brackets = [(grid[i], grid[i + 1]) for i in idx]
@@ -126,22 +118,7 @@ def find_edge(model: SpectrumModel) -> EdgeSolution:
             "no sign change of phi' found; the spectrum may violate the edge-separation assumption"
         )
 
-    roots = []
-    for a, bnd in brackets:
-        root = _bisect(phip, a, bnd, _BISECT_XTOL)
-        for _ in range(_NEWTON_POLISH):
-            p, pp = _phi_prime_pair(model, root)
-            if pp == 0.0:
-                break
-            step = p / pp
-            cand = root - step
-            if not (a - 1e-6 <= cand <= bnd + 1e-6):
-                break
-            root = cand
-            if abs(step) < 1e-16 * max(1.0, abs(root)):
-                break
-        roots.append(root)
-    roots.sort()
+    roots = sorted(_bisect(phip, a, bnd, _BISECT_XTOL) for a, bnd in brackets)
 
     near_degenerate = any(
         abs(roots[i + 1] - roots[i]) <= _DEGENERATE_REL * abs(roots[i + 1])

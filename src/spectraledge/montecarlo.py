@@ -14,7 +14,6 @@ from .spectrum import SpectrumModel
 from .tracywidom import f1_cdf
 
 NOISE_DISTS = ("gaussian", "rademacher", "uniform")
-_EIGH_MAX_M = 400
 
 
 @dataclass(frozen=True)
@@ -57,16 +56,22 @@ def sample_matrix(model: SpectrumModel, dist: str, seed: int, trial: int) -> np.
 
 
 def largest_eigenvalue(Y: np.ndarray) -> float:
-    """mu1, the squared largest singular value of Y."""
+    """mu1, the squared largest singular value of Y: the top eigenvalue of Y Y^T."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise InvalidArgumentError("Y must be a matrix")
     try:
-        if Y.shape[0] <= _EIGH_MAX_M:
-            return float(np.linalg.eigvalsh(Y @ Y.T)[-1])
-        return float(np.linalg.svd(Y, compute_uv=False)[0] ** 2)
+        return float(np.linalg.eigvalsh(Y @ Y.T)[-1])
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue extraction failed: {exc}") from exc
+
+
+def pmap(fn, items, threads: int) -> list:
+    """[fn(item) for item in items], on a pool of the given number of threads when above 1."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def ks_distance(samples, cdf) -> float:
@@ -113,18 +118,9 @@ def run_ensemble(
         mu1 = largest_eigenvalue(Y)
         return mu1, g * N23 * (mu1 - lam)
 
-    if n_trials == 0:
-        mu1s = np.empty(0)
-        thetas = np.empty(0)
-    elif threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_trial, range(n_trials)))
-        mu1s = np.array([r[0] for r in results])
-        thetas = np.array([r[1] for r in results])
-    else:
-        pairs = [one_trial(k) for k in range(n_trials)]
-        mu1s = np.array([p[0] for p in pairs])
-        thetas = np.array([p[1] for p in pairs])
+    pairs = pmap(one_trial, range(n_trials), threads)
+    mu1s = np.array([p[0] for p in pairs], dtype=float)
+    thetas = np.array([p[1] for p in pairs], dtype=float)
 
     if n_trials:
         mean = float(np.mean(thetas))

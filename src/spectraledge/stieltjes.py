@@ -1,4 +1,15 @@
-"""Self-consistent Stieltjes transform of the limiting spectral law and its companions."""
+"""Stieltjes transform of the limiting spectral law, through the subordination map phi.
+
+With b = 1 + c s and w = z b^2 - (1-c) b, the self-consistent equation
+
+    s = mean_i 1/( d_i^2/b - z b + (1-c) )
+
+reads s = b f(w) with f(w) = mean_i 1/(d_i^2 - w).  Hence b = 1/(1 - c f(w)),
+s = f(w)/(1 - c f(w)), and z = phi(w) = w (1 - c f)^2 + (1-c)(1 - c f): the
+map of edge.phi_family, whose critical point is the spectral edge.  This is
+the subordination form of the information-plus-noise law (Dozier &
+Silverstein 2007).  The transform is found by solving phi(w) = z for w.
+"""
 
 from __future__ import annotations
 
@@ -6,24 +17,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .edge import phi_family
 from .errors import DomainError, SolverFailureError
 from .spectrum import SpectrumModel
 
 ETA_FLOOR = 1e-9
 TOL = 1e-12
-DAMPING = 0.5
-MAX_ITER = 100_000
 _ETA_STEP = 0.7
-_FP_BURST = 500
-_NEWTON_MAX = 60
+_STEPS_PER_LEVEL = 50
+# |phi(w) - z| below this multiple of eps |z| is rounding: no Newton step can
+# shrink it, and w is then as accurate as the conditioning of phi allows.
+_ROUNDOFF = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class StieltjesValue:
-    """Stieltjes transform and derived transforms at one spectral point.
+    """Stieltjes transform and derived transforms at a spectral point or an array of them.
 
-    s solves  s = mean_i 1/( d_i^2/(1+c s) - z (1+c s) + (1-c) )  on the upper
-    half plane; the companions are algebraic functions of (z, s, c).
+    s = f(w)/(1 - c f(w)) where w solves phi(w) = z on the branch with
+    Im s >= 0; the companions are algebraic functions of (z, s, c).  z, s,
+    s_tilde, b, tb and w are complex for a scalar z and arrays of its shape
+    otherwise.  residual is the largest fixed-point residual |T(s) - s| over
+    the points, iterations the total number of Newton steps.
     """
 
     z: complex
@@ -36,113 +51,90 @@ class StieltjesValue:
     iterations: int
 
 
-def _fixed_point_map(dsq: np.ndarray, c: float, z: complex, s: complex) -> complex:
-    beta = 1.0 + c * s
-    den = dsq / beta - z * beta + (1.0 - c)
-    return complex(np.mean(1.0 / den))
-
-
-def _map_derivative(dsq: np.ndarray, c: float, z: complex, s: complex) -> complex:
-    beta = 1.0 + c * s
-    den = dsq / beta - z * beta + (1.0 - c)
-    dden = -c * dsq / beta**2 - c * z
-    return complex(np.mean(-dden / den**2))
-
-
-def _admissible(z: complex, s: complex) -> bool:
-    return s.imag >= -1e-12 and (z * s).imag >= -1e-8
-
-
-def _solve_at(dsq, c, z, s0, tol, max_iter):
-    """Damped fixed-point iteration with a Newton fallback, from warm start s0."""
-    s = s0
-    total = 0
-    delta = np.inf
-    while total < max_iter:
-        burst = min(_FP_BURST, max_iter - total)
-        for _ in range(burst):
-            t = _fixed_point_map(dsq, c, z, s)
-            s_new = (1.0 - DAMPING) * s + DAMPING * t
-            delta = abs(s_new - s)
-            s = s_new
-            total += 1
-            if delta < tol:
-                return s, total
-        # fixed point is converging too slowly; try Newton on T(s) - s
-        sn = s
-        for _ in range(_NEWTON_MAX):
-            f = _fixed_point_map(dsq, c, z, sn) - sn
-            fp = _map_derivative(dsq, c, z, sn) - 1.0
-            if fp == 0:
-                break
-            step = f / fp
-            sn = sn - step
-            total += 1
-            if not _admissible(z, sn) or not np.isfinite(sn):
-                sn = None
-                break
-            if abs(step) < tol:
-                return sn, total
-        if sn is not None and _admissible(z, sn):
-            s = sn
-    residual = abs(_fixed_point_map(dsq, c, z, s) - s)
-    if residual < 10 * tol:
-        return s, total
-    raise SolverFailureError(
-        f"stieltjes solver did not converge at z={z}; last residual {residual:.3e}",
-        residual=residual,
-    )
+def _newton(model: SpectrumModel, z: np.ndarray, w: np.ndarray, tol: float):
+    """Newton's method for phi(w) = z from w, pointwise; returns (w, steps taken)."""
+    w = w.copy()
+    active = np.arange(z.size)
+    steps = 0
+    for _ in range(_STEPS_PER_LEVEL):
+        _, _, phi, phip = phi_family(model, w[active])
+        r = phi - z[active]
+        dw = r / phip
+        w[active] -= dw
+        steps += active.size
+        moving = (np.abs(dw) > tol * np.maximum(1.0, np.abs(w[active]))) & (
+            np.abs(r) > _ROUNDOFF * np.maximum(1.0, np.abs(z[active]))
+        )
+        active = active[moving]
+        if not active.size:
+            break
+    return w, steps
 
 
 def solve_stieltjes(
     model: SpectrumModel,
-    z: complex,
+    z,
     *,
     tol: float = TOL,
     eta_floor: float = ETA_FLOOR,
-    max_iter: int = MAX_ITER,
 ) -> StieltjesValue:
     """Solve the self-consistent equation at z (Im z > 0, or real E != 0 as a boundary value).
 
-    The solution is tracked by continuation in the imaginary part: start high
-    in the upper half plane where the map contracts, then shrink eta
-    geometrically down to the target, reusing the previous solution.
+    z is a scalar or an array; a real E is taken at E + i eta_floor.  Each
+    point solves phi(w) = z by Newton's method, continued in the imaginary
+    part: it starts at eta = max(10, 2|z|) from w = z - (1+c), the large-|z|
+    limit of the branch, and shrinks eta geometrically down to its target,
+    reusing the previous w; points leave the iteration once converged.
+    Raises SolverFailureError if a point ends with a fixed-point residual
+    above 10 tol or off the branch Im s >= 0, Im(z s) >= 0.
     """
-    z = complex(z)
-    if z == 0:
+    z_in = np.asarray(z, dtype=complex)
+    if np.any(z_in == 0):
         raise DomainError("stieltjes transform is not defined at z = 0")
-    if z.imag < 0:
+    if np.any(z_in.imag < 0):
         raise DomainError("spectral parameter must satisfy Im z >= 0")
-    E = z.real
-    eta_target = z.imag if z.imag > 0 else eta_floor
-
-    dsq = model.d_sq
+    flat = z_in.ravel()
+    E = flat.real
+    eta_target = np.where(flat.imag > 0, flat.imag, eta_floor)
+    eta = np.maximum(10.0, 2.0 * np.abs(flat))
     c = model.c_N
-
-    eta = max(10.0, 2.0 * abs(z))
-    s = -1.0 / complex(E, eta)
+    w = E + 1j * eta - (1.0 + c)
+    todo = np.ones(E.shape, dtype=bool)
     iterations = 0
-    while True:
-        zk = complex(E, eta)
-        s, its = _solve_at(dsq, c, zk, s, tol, max_iter)
-        iterations += its
-        if eta <= eta_target:
-            break
-        eta = max(eta * _ETA_STEP, eta_target)
+    while todo.any():
+        w[todo], steps = _newton(model, E[todo] + 1j * eta[todo], w[todo], tol)
+        iterations += steps
+        todo = eta > eta_target
+        eta = np.maximum(eta * _ETA_STEP, eta_target)
 
-    zt = complex(E, eta_target)
-    residual = abs(_fixed_point_map(dsq, c, zt, s) - s)
-    s_tilde = -(1.0 - c) / zt + c * s
+    zt = E + 1j * eta_target
+    f = phi_family(model, w)[0]
+    s = f / (1.0 - c * f)
     b = 1.0 + c * s
-    tb = zt * b - (1.0 - c)
     w = zt * b**2 - (1.0 - c) * b
+    # T(s) = mean 1/(d^2/b - z b + 1 - c) = b f(w) at the w that z and b give
+    residuals = np.abs(b * phi_family(model, w)[0] - s)
+    failed = ~(residuals <= 10 * tol) | (s.imag < -1e-12) | ((zt * s).imag < -1e-8)
+    if failed.any():
+        k = int(np.argmax(failed))
+        raise SolverFailureError(
+            f"stieltjes solver failed at z={zt[k]}: s={s[k]}, fixed-point residual "
+            f"{residuals[k]:.3e}; a solution needs a residual <= {10 * tol:g}, "
+            "Im s >= 0 and Im(z s) >= 0",
+            residual=float(residuals[k]),
+        )
+
+    def shaped(x):
+        return complex(x[0]) if z_in.ndim == 0 else x.reshape(z_in.shape)
+
     return StieltjesValue(
-        z=zt, s=s, s_tilde=s_tilde, b=b, tb=tb, w=w,
-        residual=residual, iterations=iterations,
+        z=shaped(zt), s=shaped(s), s_tilde=shaped(-(1.0 - c) / zt + c * s), b=shaped(b),
+        tb=shaped(zt * b - (1.0 - c)), w=shaped(w),
+        residual=float(residuals.max(initial=0.0)), iterations=iterations,
     )
 
 
-def density(model: SpectrumModel, E: float, **kwargs) -> float:
-    """Density of the limiting law at E != 0: (1/pi) Im s(E), clipped at 0."""
-    value = solve_stieltjes(model, float(E), **kwargs)
-    return max(0.0, value.s.imag / np.pi)
+def density(model: SpectrumModel, E, **kwargs):
+    """Density of the limiting law at E != 0: (1/pi) Im s(E), clipped at 0; E scalar or array."""
+    rho = np.maximum(0.0, solve_stieltjes(model, E, **kwargs).s.imag / np.pi)
+    return float(rho) if np.ndim(E) == 0 else rho

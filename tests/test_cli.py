@@ -64,6 +64,18 @@ def test_density_command(zeros_c_half, tmp_path):
     assert rho.max() > 0.1
 
 
+def test_density_grid_is_indexed(zeros_c_half, tmp_path):
+    # row k sits at start + k*step; adding step repeatedly drifts from row 6 on
+    out = tmp_path / "rho.csv"
+    code = run_command([
+        "density", "--spectrum", str(zeros_c_half),
+        "--from", "0.1", "--to", "1.5", "--step", "0.1", "--out", str(out),
+    ])
+    assert code == 0
+    E = [float(line.split(",")[0]) for line in out.read_text().strip().splitlines()[1:]]
+    assert E == [0.1 + k * 0.1 for k in range(15)]
+
+
 def test_simulate_zero_trials_is_config_error(const1, tmp_path):
     code = run_command([
         "simulate", "--spectrum", str(const1), "--trials", "0",

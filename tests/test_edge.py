@@ -61,6 +61,13 @@ def test_phi_prime_constant_spectrum_closed_form():
     for w in (1.5, 2.5, 4.0, 6.0):
         _, _, _, value = phi_family(model, w)
         assert value == pytest.approx(w**2 * (w - 3.0) / (w - 1.0) ** 3, abs=1e-11)
+    # one array call, complex points included, equals the scalar calls
+    ws = np.array([1.5, 2.5, 4.0, 6.0, 2.0 + 1.0j, 0.5 - 0.25j])
+    batch = phi_family(model, ws)
+    assert all(part.shape == ws.shape for part in batch)
+    for k, w in enumerate(ws):
+        assert tuple(part[k] for part in batch) == phi_family(model, w)
+        assert batch[3][k] == pytest.approx(w**2 * (w - 3.0) / (w - 1.0) ** 3, abs=1e-11)
 
 
 def test_phi_family_pole_rejected():

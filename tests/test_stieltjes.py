@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from spectraledge import DomainError, density, load_spectrum, solve_edge, solve_stieltjes
+from spectraledge import (
+    DomainError,
+    SolverFailureError,
+    density,
+    load_spectrum,
+    solve_edge,
+    solve_stieltjes,
+)
 
 from oracles import mp_density, mp_edges, mp_stieltjes
 
@@ -20,9 +27,36 @@ def test_mp_value_on_real_axis_outside_support():
 
 def test_mp_value_matches_closed_form_upper_half_plane():
     model = zero_model(40, 80)
-    for z in (2.0 + 0.5j, 0.3 + 0.05j, -1.0 + 1.0j, 4.0 + 2.0j):
+    zs = np.array([2.0 + 0.5j, 0.3 + 0.05j, -1.0 + 1.0j, 4.0 + 2.0j])
+    batch = solve_stieltjes(model, zs)
+    assert batch.s.shape == zs.shape
+    for k, z in enumerate(zs):
         sv = solve_stieltjes(model, z)
         assert sv.s == pytest.approx(mp_stieltjes(z, 0.5), abs=1e-10)
+        assert batch.s[k] == pytest.approx(mp_stieltjes(z, 0.5), abs=1e-10)
+
+
+def test_array_solve_equals_pointwise_solves():
+    # every point runs the same Newton iterates alone or in a batch, so the
+    # batch must reproduce the scalar calls exactly, across real boundary
+    # values inside, outside and at the edge and points off the axis
+    model = load_spectrum({"type": "uniform_sq", "v_min": 1, "v_max": 2, "M": 100, "N": 200})
+    lam = solve_edge(model).lambda_r
+    zs = np.array([0.5, 2.0, lam - 1e-4, lam, lam + 1e-4, lam + 3.0, 1.0 + 0.3j, lam + 1e-3j, -2.0 + 0.5j])
+    batch = solve_stieltjes(model, zs)
+    singles = [solve_stieltjes(model, z) for z in zs]
+    for field in ("z", "s", "s_tilde", "b", "tb", "w"):
+        assert getattr(batch, field).shape == zs.shape
+        assert np.array_equal(getattr(batch, field), [getattr(sv, field) for sv in singles])
+    assert isinstance(batch.residual, float) and isinstance(batch.iterations, int)
+    assert batch.residual == max(sv.residual for sv in singles) <= 1e-10
+    assert batch.iterations == sum(sv.iterations for sv in singles)
+
+
+def test_unreachable_tolerance_is_solver_failure():
+    model = zero_model(40, 80)
+    with pytest.raises(SolverFailureError):
+        solve_stieltjes(model, np.array([2.0 + 0.5j, 1.0]), tol=1e-30)
 
 
 def test_resolvent_decay_at_large_eta():
@@ -82,8 +116,10 @@ def test_density_matches_mp_inside_support():
     model = zero_model(80, 80)
     assert density(model, 2.0) == pytest.approx(1.0 / (2.0 * np.pi), abs=1e-6)
     c_half = zero_model(40, 80)
-    for E in (0.5, 1.0, 2.0):
+    Es = np.array([0.5, 1.0, 2.0])
+    for E, rho in zip(Es, density(c_half, Es)):
         assert density(c_half, E) == pytest.approx(mp_density(E, 0.5), abs=1e-6)
+        assert rho == pytest.approx(mp_density(E, 0.5), abs=1e-6)
 
 
 def test_density_vanishes_outside_support():
