@@ -74,7 +74,7 @@ def _bisect(fun, lo, hi, xtol):
     flo = fun(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo < xtol:
+        if hi - lo < xtol or not lo < mid < hi:
             return mid
         fmid = fun(mid)
         if fmid == 0.0:
@@ -93,12 +93,12 @@ def find_edge(model: SpectrumModel) -> EdgeSolution:
     follows turns back, so phi'(xi_r) = 0.  phi' tends to -inf just right of
     d_1^2 and to a positive limit at +inf, so a sign change exists whenever
     the edge separates from the spectrum.  The search evaluates phi' on a
-    log-spaced grid in one call, bisects every bracket down to _BISECT_XTOL,
-    and keeps the largest root.
+    log-spaced grid in one call, bisects every bracket down to _BISECT_XTOL
+    or until the midpoint rounds onto an endpoint, and keeps the largest root.
     """
     c = model.c_N
     d1sq = float(model.d_sq[0])
-    lo = d1sq + _EDGE_EPS
+    lo = d1sq + _EDGE_EPS * max(1.0, d1sq)
 
     def phip(w):
         return phi_family(model, w)[3]

@@ -34,11 +34,27 @@ def _nystrom_nodes(n: int):
     return x, weights
 
 
+@lru_cache(maxsize=8)
+def _upper_pairs(n: int):
+    """Index pairs i <= j of the upper triangle and the node sums x_i + x_j on them."""
+    x, _ = _nystrom_nodes(n)
+    rows, cols = np.triu_indices(n)
+    return rows, cols, x[rows] + x[cols]
+
+
 def _kernel_matrices(s: float, n: int):
-    """Symmetrized kernel sqrt(w_i w_j) Ai(x_i + x_j + s) and its s-derivative."""
-    x, w = _nystrom_nodes(n)
-    args = x[:, None] + x[None, :] + s
-    ai, aip, _, _ = _scipy_airy(args)
+    """Symmetrized kernel sqrt(w_i w_j) Ai(x_i + x_j + s) and its s-derivative.
+
+    Airy is evaluated on the upper triangle only and mirrored; x_i + x_j is
+    exactly x_j + x_i, so both matrices equal the full-grid evaluation bit for bit.
+    """
+    _, w = _nystrom_nodes(n)
+    rows, cols, pair_sums = _upper_pairs(n)
+    ai_upper, aip_upper, _, _ = _scipy_airy(pair_sums + s)
+    ai = np.empty((n, n))
+    aip = np.empty((n, n))
+    ai[rows, cols] = ai[cols, rows] = ai_upper
+    aip[rows, cols] = aip[cols, rows] = aip_upper
     sw = np.sqrt(w)
     scale = sw[:, None] * sw[None, :]
     return scale * ai, scale * aip

@@ -143,6 +143,19 @@ def test_locallaw_command(const1, tmp_path):
     assert len(lines) == 1 + 3 * 6
 
 
+def test_locallaw_determinism_across_threads(const1, tmp_path):
+    bodies = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"ll_{threads}.csv"
+        code = run_command([
+            "locallaw", "--spectrum", str(const1), "--N", "60", "--seed", "3",
+            "--seeds", "4", "--threads", threads, "--out", str(out),
+        ])
+        assert code == 0
+        bodies.append(out.read_bytes())
+    assert bodies[0] == bodies[1]
+
+
 def test_flow_check_command(const1, tmp_path):
     out = tmp_path / "flow.csv"
     code = run_command([

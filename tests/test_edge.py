@@ -180,3 +180,40 @@ def test_roots_reported_sorted():
     sol = find_edge(constant_model(1, 30, 30))
     assert sol.roots == tuple(sorted(sol.roots))
     assert sol.roots[-1] == sol.xi_r
+
+
+def _counted_find_edge(model, monkeypatch):
+    import spectraledge.edge as edge_module
+
+    calls = []
+    real = edge_module.phi_family
+
+    def counting(model, w):
+        calls.append(w)
+        return real(model, w)
+
+    monkeypatch.setattr(edge_module, "phi_family", counting)
+    return edge_module.find_edge(model), len(calls)
+
+
+@pytest.mark.parametrize("d", [30.0, 1e3, 1e4])
+def test_bisection_stops_at_rounding_level_for_large_edges(d, monkeypatch):
+    # once xi_r exceeds about 500 one ulp is wider than _BISECT_XTOL; the
+    # bisection must stop when the midpoint can no longer split the bracket
+    sol, calls = _counted_find_edge(constant_model(d, 50, 100), monkeypatch)
+    assert calls <= 60
+    assert sol.xi_r > d**2
+
+
+def test_find_edge_unit_spectrum_call_count_unchanged(monkeypatch):
+    _, calls = _counted_find_edge(constant_model(1, 50, 100), monkeypatch)
+    assert calls == 41
+
+
+def test_solve_edge_huge_constant_spectrum():
+    # the step off the pole must scale with d_1^2, or it rounds back onto it
+    model = constant_model(1e5, 50, 100)
+    sol = solve_edge(model)
+    assert sol.xi_r > model.d_sq[0]
+    res = edge_residuals(model, sol)
+    assert res["first_order"] <= 1e-9 * max(1.0, sol.lambda_r)

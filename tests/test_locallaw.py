@@ -3,6 +3,7 @@ import pytest
 
 from spectraledge import (
     InvalidArgumentError,
+    NumericError,
     build_linearization,
     load_spectrum,
     locallaw_deviation,
@@ -11,6 +12,8 @@ from spectraledge import (
     sample_matrix,
     solve_edge,
 )
+
+from oracles import dense_locallaw_report
 
 
 def constant_model(M, N):
@@ -164,3 +167,60 @@ def test_rigidity_scan_validates_sizes():
         rigidity_scan(model, [20, 100], trials=2, seed=0)
     with pytest.raises(InvalidArgumentError):
         rigidity_scan(model, [100], trials=0, seed=0)
+
+
+def _assert_matches_dense(model, Y, z, **kwargs):
+    # every report field against the dense (M+N)^2 solve, 1e-10 relative to its scale
+    report = locallaw_deviation(model, Y, z, **kwargs)
+    ref = dense_locallaw_report(model, Y, z, **kwargs)
+    assert report.z == ref["z"]
+    assert report.deviations() == pytest.approx(ref["dev"], rel=1e-10, abs=1e-10)
+    assert report.psi == pytest.approx(ref["psi"], rel=1e-10)
+    for field in ("ratios", "mean_deviations", "mean_ratios"):
+        ours = getattr(report, field)
+        assert list(ours) == list(ref[field])
+        assert ours == pytest.approx(ref[field], rel=1e-10, abs=1e-10)
+    return report
+
+
+def test_blockwise_resolvent_matches_dense_rectangular():
+    model = load_spectrum({"type": "uniform_sq", "v_min": 0.5, "v_max": 2, "M": 40, "N": 80})
+    lam = solve_edge(model).lambda_r
+    Y = sample_matrix(model, "gaussian", seed=5, trial=0)
+    for z in (complex(lam, model.N ** -0.5), complex(lam - 1.0, 0.05), complex(0.3, 2.0)):
+        _assert_matches_dense(model, Y, z)
+
+
+def test_blockwise_resolvent_matches_dense_square():
+    model = constant_model(30, 30)
+    lam = solve_edge(model).lambda_r
+    Y = sample_matrix(model, "rademacher", seed=6, trial=0)
+    report = _assert_matches_dense(model, Y, complex(lam, 0.2))
+    assert report.dev_mumu == 0.0
+
+
+def test_blockwise_resolvent_matches_dense_without_noise():
+    model = load_spectrum({"type": "uniform_sq", "v_min": 0.5, "v_max": 2, "M": 20, "N": 35})
+    R = np.zeros((model.M, model.N))
+    R[np.arange(model.M), np.arange(model.M)] = model.d
+    _assert_matches_dense(model, R, complex(solve_edge(model).lambda_r, 0.1))
+
+
+def test_blockwise_resolvent_matches_dense_rescaled():
+    model = constant_model(40, 80)
+    sol = solve_edge(model)
+    g = sol.gamma0
+    Y = np.sqrt(g) * sample_matrix(model, "gaussian", seed=7, trial=0)
+    _assert_matches_dense(model, Y, complex(sol.E_plus, g * model.N ** -0.5), rescaled=True, gamma0=g)
+
+
+def test_eigensolver_failure_is_numeric_error(monkeypatch):
+    model = constant_model(6, 12)
+    Y = sample_matrix(model, "gaussian", seed=0, trial=0)
+
+    def failing(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(NumericError):
+        locallaw_deviation(model, Y, complex(6.75, 0.2))

@@ -105,6 +105,24 @@ def test_quadrature_convergence():
         assert abs(f1_cdf(s, n=64) - f1_cdf(s, n=128)) <= 1e-8
 
 
+def test_triangle_kernel_equals_full_grid_exactly():
+    # Airy runs on the upper triangle only; the mirrored matrices must equal
+    # the full n x n evaluation bit for bit
+    from scipy.special import airy
+
+    from spectraledge.tracywidom import DEFAULT_NODES, _kernel_matrices, _nystrom_nodes
+
+    n = DEFAULT_NODES
+    x, w = _nystrom_nodes(n)
+    sw = np.sqrt(w)
+    scale = sw[:, None] * sw[None, :]
+    for s in (-6.0, -1.2065, 0.0, 3.7):
+        ai, aip, _, _ = airy(x[:, None] + x[None, :] + s)
+        K, Kp = _kernel_matrices(s, n)
+        assert np.array_equal(K, scale * ai)
+        assert np.array_equal(Kp, scale * aip)
+
+
 def test_pdf_normalization_and_tail():
     xs = np.arange(-12.0, 8.0001, 0.02)
     pdf = np.array([f1_pdf(float(x)) for x in xs])
