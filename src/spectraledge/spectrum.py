@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import InvalidArgumentError, InvalidConfigError
 
 _SPECTRUM_TYPES = ("constant", "explicit", "uniform_sq")
 
@@ -127,14 +127,19 @@ def with_size(model: SpectrumModel, N: int) -> SpectrumModel:
     """Regenerate the model at a new noise dimension N, keeping c_N and the spectral shape.
 
     Only generated spectra (constant, uniform_sq) can be resized; an explicit
-    list has no size-free description.
+    list has no size-free description.  The new M = c_N N must be a positive
+    integer (to 1e-9 relative): rounding it would quietly change c_N.
     """
     if N == model.N:
         return model
     config = model.config
     if config is None or config.get("type") == "explicit":
         raise InvalidConfigError("cannot resize an explicit spectrum")
-    M = round(model.c_N * N)
+    exact_M = model.M * N / model.N
+    M = round(exact_M)
+    if M < 1 or abs(exact_M - M) > 1e-9 * exact_M:
+        raise InvalidArgumentError(
+            f"cannot resize to N={N}: c_N={model.c_N!r} gives M = c_N N = {exact_M!r}, not a positive integer")
     new_config = dict(config)
     new_config["M"] = M
     new_config["N"] = N

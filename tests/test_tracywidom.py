@@ -1,10 +1,17 @@
+import logging
 import math
+import os
+import re
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
-from spectraledge import DomainError, airy_ai, f1_cdf, f1_pdf, tw_table
+import spectraledge
+from spectraledge import DomainError, NumericError, airy_ai, f1_cdf, f1_pdf, tw_table
+from spectraledge.tracywidom import TABLE_NODES, TABLE_RANGE, _chebyshev_f1, _f1_table, f1_cdf_tabulated
 
 from oracles import PainleveF1, airy_asymptotic_neg, airy_asymptotic_pos, airy_maclaurin
 
@@ -160,3 +167,63 @@ def test_density_moments(painleve):
     assert var == pytest.approx(ovar, abs=1e-3)
     assert mean == pytest.approx(-1.2065, abs=1e-3)
     assert var == pytest.approx(1.6078, abs=1e-3)
+
+
+def test_table_rows_equal_direct_calls_exactly():
+    # tw_table shares one kernel evaluation between F1 and f1 per point
+    for s, F, f in tw_table(-6.0, 4.0, 0.1):
+        assert F == f1_cdf(s)
+        assert f == f1_pdf(s)
+
+
+# ---------------------------------------------------------------------------
+# Tabulated F1
+# ---------------------------------------------------------------------------
+
+def test_tabulated_f1_matches_direct_determinant():
+    # 2001 points over [-14, 14] cover both clamp regions outside [-10, 12]
+    xs = np.linspace(-14.0, 14.0, 2001)
+    assert xs[0] < TABLE_RANGE[0] and xs[-1] > TABLE_RANGE[1]
+    table = np.array([f1_cdf_tabulated(float(x)) for x in xs])
+    direct = np.array([f1_cdf(float(x)) for x in xs])
+    assert np.max(np.abs(table - direct)) <= 1e-12
+
+
+def test_tabulated_f1_matches_painleve(painleve):
+    for s in np.arange(-5.0, 2.01, 0.5):
+        assert abs(f1_cdf_tabulated(float(s)) - painleve.cdf(float(s))) <= 1e-6
+
+
+def test_tabulated_f1_is_a_probability():
+    xs = np.concatenate([[-1e3, -30.0], np.linspace(-12.0, 14.0, 5201), [30.0, 1e3]])
+    values = np.array([f1_cdf_tabulated(float(x)) for x in xs])
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    assert values[0] == 0.0 and values[-1] == 1.0
+
+
+def test_table_with_too_few_nodes_is_refused():
+    # 48 nodes leave tail coefficients near 1e-7, far above the gate
+    with pytest.raises(NumericError, match="tail coefficient"):
+        _chebyshev_f1(48, *TABLE_RANGE)
+
+
+def test_table_build_logs_its_accuracy(caplog):
+    with caplog.at_level(logging.DEBUG, logger="spectraledge"):
+        table = _chebyshev_f1(TABLE_NODES, *TABLE_RANGE)
+    assert len(table.coef) == TABLE_NODES
+    [record] = [r for r in caplog.records if r.message.startswith("F1 table")]
+    assert re.fullmatch(rf"F1 table: {TABLE_NODES} Chebyshev nodes on \[-10, 12\], largest tail "
+                        r"coefficient \d\.\d\de-\d+, built in \d+\.\d+ s", record.message)
+
+
+def test_import_does_not_build_the_table():
+    src = os.path.dirname(os.path.dirname(spectraledge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import spectraledge, spectraledge.cli\n"
+            "from spectraledge.tracywidom import _f1_table\n"
+            "print(_f1_table.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "0"
+    _f1_table()
+    assert _f1_table.cache_info().currsize == 1
