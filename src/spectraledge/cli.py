@@ -127,13 +127,20 @@ def _versions() -> dict:
     }
 
 
+# the output path and the worker count change no output; the spectrum path is
+# replaced by the bytes of the file it names
+_UNHASHED_OPTIONS = ("out", "threads", "spectrum")
+
+
 def _config_hash(args) -> str:
+    """SHA-256 of every parsed option that can change an output, then the spectrum file's bytes."""
+    options = {k: v for k, v in vars(args).items() if k not in _UNHASHED_OPTIONS}
+    digest = hashlib.sha256(json.dumps(options, sort_keys=True, default=str).encode())
     spectrum_path = getattr(args, "spectrum", None)
     if spectrum_path:
         with open(spectrum_path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
-    canon = json.dumps(vars(args), sort_keys=True, default=str).encode()
-    return hashlib.sha256(canon).hexdigest()
+            digest.update(fh.read())
+    return digest.hexdigest()
 
 
 def _write_manifest(args, started: float, out_path: str) -> None:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .edge import solve_edge
 from .errors import InvalidArgumentError, NumericError
-from .montecarlo import sample_matrix
+from .montecarlo import largest_eigenvalue, sample_matrix
 from .spectrum import SpectrumModel, with_size
 from .stieltjes import solve_stieltjes
 
@@ -208,8 +208,6 @@ def rigidity_scan(model: SpectrumModel, Ns, trials: int, seed: int = 0) -> float
         raise InvalidArgumentError("trials must be positive")
     if trials == 1:
         log.warning("rigidity_scan with a single trial per size; slope is low-confidence")
-    from .montecarlo import largest_eigenvalue  # local import keeps module load cheap
-
     medians = []
     for N in Ns:
         if N < 50:

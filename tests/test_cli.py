@@ -114,8 +114,30 @@ def test_simulate_outputs_and_manifest(const1, tmp_path):
     manifest = json.loads((tmp_path / "thetas.csv.manifest.json").read_text())
     assert manifest["command"] == "simulate"
     assert manifest["seed"] == 7
-    assert manifest["config_hash"] == hashlib.sha256(const1.read_bytes()).hexdigest()
+    assert manifest["config_hash"] != hashlib.sha256(const1.read_bytes()).hexdigest()
+    assert len(manifest["config_hash"]) == 64
     assert "numpy" in manifest["versions"]
+
+
+def test_config_hash_covers_every_option_that_changes_output(const1, tmp_path):
+    def config_hash(*options, spectrum=const1):
+        out = tmp_path / f"run{len(list(tmp_path.glob('run*.csv')))}.csv"
+        argv = ["simulate", "--spectrum", str(spectrum), "--trials", "4", "--seed", "2",
+                *options, "--out", str(out)]
+        assert run_command(argv) == 0
+        return json.loads(out.with_name(out.name + ".manifest.json").read_text())["config_hash"]
+
+    base = config_hash()
+    # the last of repeated options wins, so each call overrides one setting
+    assert config_hash("--trials", "5") != base
+    assert config_hash("--dist", "rademacher") != base
+    assert config_hash("--seed", "3") != base
+    assert config_hash("--rescale") != base
+    # the worker count and the output path change no output
+    assert config_hash("--threads", "1") == config_hash("--threads", "3") == base
+    changed = tmp_path / "const1_resized.json"
+    changed.write_text(json.dumps({"type": "constant", "d": 1, "M": 40, "N": 80}))
+    assert config_hash(spectrum=changed) != base
 
 
 def test_simulate_determinism_across_threads(const1, tmp_path):

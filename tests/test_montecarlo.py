@@ -1,12 +1,20 @@
+import logging
 import math
+import os
+import re
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import spectraledge
 from spectraledge import (
     InvalidArgumentError,
     InvalidConfigError,
+    NumericError,
     f1_cdf,
     ks_distance,
     largest_eigenvalue,
@@ -15,6 +23,8 @@ from spectraledge import (
     sample_matrix,
     solve_edge,
 )
+
+from spectraledge.montecarlo import _BlasCap, _lapack, _load_lapack, _trial_rng
 
 from oracles import sym3_eigenvalues
 
@@ -88,6 +98,175 @@ def test_largest_eigenvalue_svd_path_matches_eigh():
     Y = rng.normal(size=(420, 500)) / math.sqrt(500)
     sv = np.linalg.svd(Y, compute_uv=False)[0] ** 2
     assert largest_eigenvalue(Y) == pytest.approx(sv, rel=1e-12)
+
+
+def _rank_deficient():
+    rng = np.random.default_rng(12)
+    return rng.normal(size=(8, 3)) @ rng.normal(size=(3, 20))
+
+
+def _strided():
+    # a non-contiguous view: every other column
+    return np.random.default_rng(13).normal(size=(10, 40))[:, ::2]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.random.default_rng(9).normal(size=(1, 30)),
+    lambda: np.random.default_rng(10).normal(size=(25, 25)),
+    lambda: np.random.default_rng(11).normal(size=(30, 70)) / math.sqrt(70),
+    lambda: np.zeros((6, 11)),
+    _rank_deficient,
+    _strided,
+], ids=["single_row", "square", "wide", "zero", "rank_deficient", "strided"])
+def test_largest_eigenvalue_matches_full_spectrum(make):
+    Y = make()
+    expected = np.linalg.eigvalsh(Y @ Y.T)[-1]
+    assert abs(largest_eigenvalue(Y) - expected) <= 1e-12 * max(abs(expected), 1e-300)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_largest_eigenvalue_nonfinite_input_is_numeric_error(bad):
+    Y = np.random.default_rng(14).normal(size=(6, 9))
+    Y[2, 3] = bad
+    with pytest.raises(NumericError):
+        largest_eigenvalue(Y)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (4, 0)])
+def test_largest_eigenvalue_empty_matrix_rejected(shape):
+    with pytest.raises(InvalidArgumentError):
+        largest_eigenvalue(np.zeros(shape))
+
+
+def _openblas_setter():
+    """The thread-count setter of the capped library; the test is moot without one."""
+    cap = _lapack()[2]
+    if not isinstance(cap, _BlasCap):
+        pytest.skip("scipy's bundled OpenBLAS with openblas_set_num_threads_local is not present")
+    return cap._set_threads
+
+
+def _openblas_threads(set_threads) -> int:
+    count = set_threads(1)
+    set_threads(count)
+    return count
+
+
+def test_blas_cap_is_one_thread_and_restored_after_a_worker_call():
+    set_threads = _openblas_setter()
+    original = set_threads(2)
+    try:
+        with _lapack()[2]:
+            assert _openblas_threads(set_threads) == 1
+        assert _openblas_threads(set_threads) == 2
+        Y = np.random.default_rng(15).normal(size=(40, 80))
+        worker = threading.Thread(target=largest_eigenvalue, args=(Y,))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert _openblas_threads(set_threads) == 2
+    finally:
+        set_threads(original)
+
+
+def test_blas_cap_survives_overlapping_calls():
+    # more workers than cores, switching often: every overlap of two calls
+    # must still leave the count where it was
+    set_threads = _openblas_setter()
+    original = set_threads(2)
+    interval = sys.getswitchinterval()
+    rng = np.random.default_rng(16)
+    mats = [rng.normal(size=(30, 60)) for _ in range(6)]
+    expected = [largest_eigenvalue(Y) for Y in mats]
+    results, errors = [], []
+
+    def work():
+        try:
+            for _ in range(20):
+                results.append([largest_eigenvalue(Y) for Y in mats])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    try:
+        sys.setswitchinterval(1e-6)
+        workers = [threading.Thread(target=work) for _ in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+        assert not any(w.is_alive() for w in workers)
+    finally:
+        sys.setswitchinterval(interval)
+        restored = set_threads(original)
+    assert not errors
+    assert results == [expected] * 80
+    assert restored == 2
+
+
+def test_racing_first_calls_share_one_load():
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(50):
+            _load_lapack.cache_clear()
+            barrier = threading.Barrier(4)
+            loads = []
+
+            def first_call():
+                barrier.wait(timeout=30)
+                loads.append(_lapack())
+
+            workers = [threading.Thread(target=first_call) for _ in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers)
+            assert len(loads) == 4 and all(load is loads[0] for load in loads)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_first_eigenvalue_call_logs_its_path(caplog):
+    _load_lapack.cache_clear()
+    Y = np.random.default_rng(17).normal(size=(5, 9))
+    with caplog.at_level(logging.DEBUG, logger="spectraledge"):
+        largest_eigenvalue(Y)
+        largest_eigenvalue(Y)
+    [record] = [r for r in caplog.records if r.message.startswith("largest_eigenvalue")]
+    assert record.name == "spectraledge"
+    assert re.fullmatch(r"largest_eigenvalue: dsyrk Gram, dsyevr top index; one-thread BLAS cap "
+                        r"(active \(openblas_set_num_threads_local in libscipy_openblas\S*\.so\)"
+                        r"|inactive \(no openblas_set_num_threads_local in scipy\.libs\))",
+                        record.message)
+
+
+def test_import_loads_no_lapack():
+    src = os.path.dirname(os.path.dirname(spectraledge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, spectraledge, spectraledge.cli\n"
+            "from spectraledge.montecarlo import _load_lapack\n"
+            "print('scipy.linalg' in sys.modules, _load_lapack.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.split() == ["False", "0"]
+
+
+@pytest.mark.parametrize("dist", ["gaussian", "rademacher", "uniform"])
+def test_sample_matrix_streams_are_pinned(dist):
+    # the draws rebuilt from the (seed, trial) stream: a faster sample_matrix
+    # may not move them
+    model = load_spectrum({"type": "uniform_sq", "v_min": 0.5, "v_max": 2.0, "M": 7, "N": 40})
+    rng = _trial_rng(21, 4)
+    root_n = math.sqrt(model.N)
+    if dist == "gaussian":
+        X = rng.standard_normal((7, 40)) / root_n
+    elif dist == "rademacher":
+        X = (2.0 * rng.integers(0, 2, size=(7, 40)) - 1.0) / root_n
+    else:
+        X = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(7, 40)) / root_n
+    X[np.arange(7), np.arange(7)] += model.d
+    assert np.array_equal(sample_matrix(model, dist, 21, 4), X)
 
 
 def test_rescaling_conventions_agree_per_trial():
