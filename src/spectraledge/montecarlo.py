@@ -1,22 +1,17 @@
 """Monte Carlo sampling of signal-plus-noise ensembles and the rescaled edge statistic.
 
 mu1 comes from LAPACK: `dsyrk` forms the lower triangle of Y Y^T and `dsyevr`
-returns its top eigenvalue alone (range='I', il = iu = M), both through
-scipy's bundled OpenBLAS held at one BLAS thread for the call, so a pool of
-trials does not oversubscribe the cores and the result does not depend on the
-thread count.  scipy.linalg and the library handle are loaded on the first
-call, never at import.
+returns its top eigenvalue alone (range='I', il = iu = M), both on scipy's
+bundled OpenBLAS at its own thread count.  Nothing here changes that count,
+per call or per pool: the last bits of mu1 depend on it, so a count tied to
+`threads` would let the worker count move the results.  scipy.linalg is
+loaded on the first call, never at import.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import glob
 import logging
 import math
-import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -74,90 +69,32 @@ def sample_matrix(model: SpectrumModel, dist: str, seed: int, trial: int) -> np.
     return X
 
 
-class _BlasCap:
-    """Context manager holding one OpenBLAS library at one thread while any call is inside.
-
-    In the pthreads build scipy bundles, `openblas_set_num_threads_local` sets
-    the library-wide count and returns the previous one, so concurrent calls
-    share one hold: the first in sets 1 and saves the count, the last out
-    restores it.
-    """
-
-    def __init__(self, set_threads, library: str):
-        self._set_threads = set_threads
-        self.library = library
-        self._lock = threading.Lock()
-        self._holders = 0
-        self._saved = 0
-
-    def __enter__(self):
-        with self._lock:
-            if self._holders == 0:
-                self._saved = self._set_threads(1)
-            self._holders += 1
-
-    def __exit__(self, *exc_info):
-        with self._lock:
-            self._holders -= 1
-            if self._holders == 0:
-                self._set_threads(self._saved)
-
-
-def _blas_cap():
-    """The one-thread cap on scipy's bundled OpenBLAS, or None where the library or symbol is absent."""
-    import scipy
-
-    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
-        try:
-            set_threads = ctypes.CDLL(path).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        set_threads.argtypes = [ctypes.c_int]
-        set_threads.restype = ctypes.c_int
-        return _BlasCap(set_threads, os.path.basename(path))
-    return None
-
-
 @lru_cache(maxsize=1)
-def _load_lapack():
-    """(dsyrk, dsyevr, cap) for `largest_eigenvalue`, loaded on its first call."""
+def _lapack():
+    """(dsyrk, dsyevr) for `largest_eigenvalue`, loaded on its first call."""
     from scipy.linalg.blas import dsyrk
     from scipy.linalg.lapack import dsyevr
 
-    cap = _blas_cap()
-    log.debug("largest_eigenvalue: dsyrk Gram, dsyevr top index; one-thread BLAS cap %s",
-              "inactive (no openblas_set_num_threads_local in scipy.libs)" if cap is None
-              else f"active (openblas_set_num_threads_local in {cap.library})")
-    return dsyrk, dsyevr, contextlib.nullcontext() if cap is None else cap
-
-
-_LOAD_LOCK = threading.Lock()
-
-
-def _lapack():
-    """The one load of `_load_lapack`: lru_cache alone lets racing first calls each
-    load, and trials holding different caps would restore each other's counts."""
-    with _LOAD_LOCK:
-        return _load_lapack()
+    log.debug("largest_eigenvalue: dsyrk Gram, dsyevr top index; scipy's OpenBLAS at its own thread count")
+    return dsyrk, dsyevr
 
 
 def largest_eigenvalue(Y: np.ndarray) -> float:
     """mu1, the squared largest singular value of Y: the top eigenvalue of Y Y^T.
 
     LAPACK path: `dsyrk` forms the lower triangle of Y Y^T and `dsyevr` takes
-    its top eigenvalue alone (index M), on one BLAS thread of scipy's bundled
-    OpenBLAS.  Non-finite input or any LAPACK failure raises NumericError.
+    its top eigenvalue alone (index M), on scipy's bundled OpenBLAS at the
+    library's own thread count.  Non-finite input or any LAPACK failure
+    raises NumericError.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.size == 0:
         raise InvalidArgumentError("Y must be a nonempty matrix")
     M = Y.shape[0]
-    dsyrk, dsyevr, cap = _lapack()
-    with cap:
-        # Y.T of a C-ordered Y is Fortran-ordered: trans=1 forms (Y.T)^T Y.T without a copy
-        G = dsyrk(1.0, Y.T, trans=1, lower=1)
-        w, _, m, _, info = dsyevr(G, compute_v=0, range="I", il=M, iu=M, lower=1, overwrite_a=1)
+    dsyrk, dsyevr = _lapack()
+    # Y.T of a C-ordered Y is Fortran-ordered: trans=1 forms (Y.T)^T Y.T without a copy
+    G = dsyrk(1.0, Y.T, trans=1, lower=1)
+    w, _, m, _, info = dsyevr(G, compute_v=0, range="I", il=M, iu=M, lower=1, overwrite_a=1)
     if info != 0 or m != 1:
         raise NumericError(f"eigenvalue extraction failed: dsyevr info={info}, {m} eigenvalues found")
     return float(w[0])

@@ -1,10 +1,8 @@
 import logging
 import math
 import os
-import re
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -24,7 +22,7 @@ from spectraledge import (
     solve_edge,
 )
 
-from spectraledge.montecarlo import _BlasCap, _lapack, _load_lapack, _trial_rng
+from spectraledge.montecarlo import _lapack, _trial_rng
 
 from oracles import sym3_eigenvalues
 
@@ -138,115 +136,24 @@ def test_largest_eigenvalue_empty_matrix_rejected(shape):
         largest_eigenvalue(np.zeros(shape))
 
 
-def _openblas_setter():
-    """The thread-count setter of the capped library; the test is moot without one."""
-    cap = _lapack()[2]
-    if not isinstance(cap, _BlasCap):
-        pytest.skip("scipy's bundled OpenBLAS with openblas_set_num_threads_local is not present")
-    return cap._set_threads
-
-
-def _openblas_threads(set_threads) -> int:
-    count = set_threads(1)
-    set_threads(count)
-    return count
-
-
-def test_blas_cap_is_one_thread_and_restored_after_a_worker_call():
-    set_threads = _openblas_setter()
-    original = set_threads(2)
-    try:
-        with _lapack()[2]:
-            assert _openblas_threads(set_threads) == 1
-        assert _openblas_threads(set_threads) == 2
-        Y = np.random.default_rng(15).normal(size=(40, 80))
-        worker = threading.Thread(target=largest_eigenvalue, args=(Y,))
-        worker.start()
-        worker.join(timeout=60)
-        assert not worker.is_alive()
-        assert _openblas_threads(set_threads) == 2
-    finally:
-        set_threads(original)
-
-
-def test_blas_cap_survives_overlapping_calls():
-    # more workers than cores, switching often: every overlap of two calls
-    # must still leave the count where it was
-    set_threads = _openblas_setter()
-    original = set_threads(2)
-    interval = sys.getswitchinterval()
-    rng = np.random.default_rng(16)
-    mats = [rng.normal(size=(30, 60)) for _ in range(6)]
-    expected = [largest_eigenvalue(Y) for Y in mats]
-    results, errors = [], []
-
-    def work():
-        try:
-            for _ in range(20):
-                results.append([largest_eigenvalue(Y) for Y in mats])
-        except Exception as exc:  # reported by the assertion below
-            errors.append(exc)
-
-    try:
-        sys.setswitchinterval(1e-6)
-        workers = [threading.Thread(target=work) for _ in range(4)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=120)
-        assert not any(w.is_alive() for w in workers)
-    finally:
-        sys.setswitchinterval(interval)
-        restored = set_threads(original)
-    assert not errors
-    assert results == [expected] * 80
-    assert restored == 2
-
-
-def test_racing_first_calls_share_one_load():
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-6)
-        for _ in range(50):
-            _load_lapack.cache_clear()
-            barrier = threading.Barrier(4)
-            loads = []
-
-            def first_call():
-                barrier.wait(timeout=30)
-                loads.append(_lapack())
-
-            workers = [threading.Thread(target=first_call) for _ in range(4)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=60)
-            assert not any(w.is_alive() for w in workers)
-            assert len(loads) == 4 and all(load is loads[0] for load in loads)
-    finally:
-        sys.setswitchinterval(interval)
-
-
 def test_first_eigenvalue_call_logs_its_path(caplog):
-    _load_lapack.cache_clear()
+    _lapack.cache_clear()
     Y = np.random.default_rng(17).normal(size=(5, 9))
     with caplog.at_level(logging.DEBUG, logger="spectraledge"):
         largest_eigenvalue(Y)
         largest_eigenvalue(Y)
     [record] = [r for r in caplog.records if r.message.startswith("largest_eigenvalue")]
     assert record.name == "spectraledge"
-    assert re.fullmatch(r"largest_eigenvalue: dsyrk Gram, dsyevr top index; one-thread BLAS cap "
-                        r"(active \(openblas_set_num_threads_local in libscipy_openblas\S*\.so\)"
-                        r"|inactive \(no openblas_set_num_threads_local in scipy\.libs\))",
-                        record.message)
+    assert record.message == ("largest_eigenvalue: dsyrk Gram, dsyevr top index; "
+                              "scipy's OpenBLAS at its own thread count")
 
 
 def test_import_loads_no_lapack():
     src = os.path.dirname(os.path.dirname(spectraledge.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, spectraledge, spectraledge.cli\n"
-            "from spectraledge.montecarlo import _load_lapack\n"
-            "print('scipy.linalg' in sys.modules, _load_lapack.cache_info().currsize)")
+            "from spectraledge.montecarlo import _lapack\n"
+            "print('scipy.linalg' in sys.modules, _lapack.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.split() == ["False", "0"]
@@ -298,6 +205,16 @@ def test_thread_count_does_not_change_results():
     assert np.array_equal(serial.thetas, pooled.thetas)
     assert np.array_equal(serial.mu1s, pooled.mu1s)
     assert serial.ks_distance == pooled.ks_distance
+
+
+def test_thread_count_does_not_change_results_where_blas_threads_do():
+    # at 700x1400 the last bits of dsyrk and dsyevr depend on the OpenBLAS
+    # thread count, so a pool that changed that count would move mu1
+    model = constant_model(700, 1400)
+    edge = solve_edge(model)
+    serial = run_ensemble(model, 4, seed=6, edge=edge, threads=1)
+    pooled = run_ensemble(model, 4, seed=6, edge=edge, threads=2)
+    assert np.array_equal(serial.mu1s, pooled.mu1s)
 
 
 def test_ensemble_ks_matches_direct_f1():
