@@ -206,9 +206,15 @@ def _cmd_density(args) -> list[str]:
     return [args.out] if args.out else []
 
 
+def _check_threads(args) -> None:
+    if args.threads < 1:
+        raise InvalidConfigError(f"{args.command} requires --threads >= 1, got {args.threads}")
+
+
 def _cmd_simulate(args) -> list[str]:
     if args.trials < 1:
         raise InvalidConfigError("simulate requires at least one trial")
+    _check_threads(args)
     model = _load_model(args)
     result = run_ensemble(
         model, args.trials, dist=args.dist, seed=args.seed,
@@ -236,6 +242,7 @@ def _cmd_twtable(args) -> list[str]:
 
 
 def _cmd_locallaw(args) -> list[str]:
+    _check_threads(args)
     model = _load_model(args)
     if args.N is not None:
         model = with_size(model, args.N)
@@ -317,7 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--dist", choices=NOISE_DISTS, default="gaussian")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    # mu1 runs on one BLAS thread per call, so the worker count moves no output
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--rescale", action="store_true",
                    help="scale the matrix by sqrt(gamma0) and center at E_plus instead")
     add_out(p, required=True)

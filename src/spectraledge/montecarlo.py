@@ -1,17 +1,24 @@
 """Monte Carlo sampling of signal-plus-noise ensembles and the rescaled edge statistic.
 
 mu1 comes from LAPACK: `dsyrk` forms the lower triangle of Y Y^T and `dsyevr`
-returns its top eigenvalue alone (range='I', il = iu = M), both on scipy's
-bundled OpenBLAS at its own thread count.  Nothing here changes that count,
-per call or per pool: the last bits of mu1 depend on it, so a count tied to
-`threads` would let the worker count move the results.  scipy.linalg is
-loaded on the first call, never at import.
+returns its top eigenvalue alone (range='I', il = iu = M).  Both are called by
+ctypes through the C pointers scipy exports in `cython_blas` and
+`cython_lapack`, which releases the GIL for the call, so worker threads run
+eigen steps at once.  Their first load pins scipy's bundled OpenBLAS to one
+thread for the whole process: the last bits of mu1 depend on the BLAS thread
+count, and at one BLAS thread per call neither that count nor the worker count
+can move them.  numpy's own OpenBLAS is a separate library and keeps its count.
+scipy.linalg is loaded on the first call, never at import.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import importlib
 import logging
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -69,35 +76,120 @@ def sample_matrix(model: SpectrumModel, dist: str, seed: int, trial: int) -> np.
     return X
 
 
+# argument kinds of the two routines, in order (c: char *, i: int *, d: double *)
+_ARG_KINDS = {
+    "dsyrk": "cciiddiddi",              # uplo trans n k alpha a lda beta c ldc
+    "dsyevr": "cccididdiididdiidiiii",  # jobz range uplo n a lda vl vu il iu abstol
+}                                       # m w z ldz isuppz work lwork iwork liwork info
+
+# read-only arguments shared by every call, by address: the flags 'L', 'T', 'N', 'I' and the doubles 1.0, 0.0
+_FLAGS = np.frombuffer(b"LTNI", dtype=np.uint8)
+_ONE_ZERO = np.array([1.0, 0.0])
+_ONE_ZERO.flags.writeable = False
+_L, _T, _N, _I = (_FLAGS.ctypes.data + k for k in range(4))
+_ONE, _ZERO = _ONE_ZERO.ctypes.data, _ONE_ZERO.ctypes.data + 8
+# head of the per-call int32 block: M, N, ldz = 1, lwork, liwork, m out, info out
+_HEAD = 7
+
+
+def _capsule_signature(module: str, kinds: str) -> str:
+    """The name Cython gives the capsule of a scipy.linalg.<module> routine with these argument kinds."""
+    double = f"__pyx_t_5scipy_6linalg_{len(module)}{module}_d *"
+    return "void (" + ", ".join({"c": "char *", "i": "int *"}.get(k, double) for k in kinds) + ")"
+
+
+def _capsule_routine(module: str, name: str):
+    """A ctypes foreign function over the C pointer scipy.linalg.<module> exports for `name`.
+
+    The capsule's name is its C signature; a name other than the expected one
+    raises NumericError rather than calling through a wrong prototype.  Calls
+    through the CFUNCTYPE release the GIL.
+    """
+    capsule = importlib.import_module(f"scipy.linalg.{module}").__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    kinds = _ARG_KINDS[name]
+    found, expected = get_name(capsule), _capsule_signature(module, kinds)
+    if found is None or found.decode() != expected:
+        raise NumericError(f"scipy.linalg.{module}.{name} has signature {found!r}, expected {expected!r}")
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * len(kinds))(get_pointer(capsule, found))
+
+
+def _pin_scipy_openblas() -> str:
+    """Set scipy's bundled OpenBLAS to one thread for the process; says how it went.
+
+    numpy's own OpenBLAS is a separate library and keeps its count.  A missing
+    library or symbol, or a count that does not read back as 1, logs one
+    warning, and the routines run unpinned.
+    """
+    import scipy
+
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)),
+                                  "scipy.libs", "libscipy_openblas*.so"))
+    if len(libs) != 1:
+        reason = f"{len(libs)} libscipy_openblas*.so files in scipy.libs, expected 1"
+    else:
+        name = os.path.basename(libs[0])
+        lib = ctypes.CDLL(libs[0])
+        try:
+            set_count, get_count = lib.scipy_openblas_set_num_threads, lib.scipy_openblas_get_num_threads
+        except AttributeError as exc:
+            reason = f"{name}: {exc}"
+        else:
+            set_count.argtypes, set_count.restype = [ctypes.c_int], None
+            get_count.argtypes, get_count.restype = [], ctypes.c_int
+            set_count(1)
+            count = get_count()
+            if count == 1:
+                return f"scipy's OpenBLAS {name} pinned to 1 thread"
+            reason = f"{name} reads {count} threads after being set to 1"
+    log.warning("scipy's OpenBLAS is not pinned to one thread (%s); mu1 may depend on its thread count",
+                reason)
+    return f"scipy's OpenBLAS not pinned: {reason}"
+
+
 @lru_cache(maxsize=1)
 def _lapack():
-    """(dsyrk, dsyevr) for `largest_eigenvalue`, loaded on its first call."""
-    from scipy.linalg.blas import dsyrk
-    from scipy.linalg.lapack import dsyevr
-
-    log.debug("largest_eigenvalue: dsyrk Gram, dsyevr top index; scipy's OpenBLAS at its own thread count")
-    return dsyrk, dsyevr
+    """(dsyrk, dsyevr) for `largest_eigenvalue`, loaded on its first call with the BLAS pin."""
+    routines = _capsule_routine("cython_blas", "dsyrk"), _capsule_routine("cython_lapack", "dsyevr")
+    log.debug("largest_eigenvalue: dsyrk Gram, dsyevr top index, called through the cython_blas and "
+              "cython_lapack capsules with the GIL released; %s", _pin_scipy_openblas())
+    return routines
 
 
 def largest_eigenvalue(Y: np.ndarray) -> float:
     """mu1, the squared largest singular value of Y: the top eigenvalue of Y Y^T.
 
-    LAPACK path: `dsyrk` forms the lower triangle of Y Y^T and `dsyevr` takes
-    its top eigenvalue alone (index M), on scipy's bundled OpenBLAS at the
-    library's own thread count.  Non-finite input or any LAPACK failure
-    raises NumericError.
+    `dsyrk` forms the lower triangle of Y Y^T and `dsyevr` takes its top
+    eigenvalue alone (index M), both through scipy's C pointers with the GIL
+    released and on scipy's OpenBLAS pinned to one thread.  Every call has its
+    own work arrays, so calls from several threads run at once.  Non-finite
+    input or any LAPACK failure raises NumericError.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.size == 0:
         raise InvalidArgumentError("Y must be a nonempty matrix")
-    M = Y.shape[0]
+    if not Y.flags.c_contiguous:
+        Y = np.ascontiguousarray(Y)
+    M, N = Y.shape
     dsyrk, dsyevr = _lapack()
-    # Y.T of a C-ordered Y is Fortran-ordered: trans=1 forms (Y.T)^T Y.T without a copy
-    G = dsyrk(1.0, Y.T, trans=1, lower=1)
-    w, _, m, _, info = dsyevr(G, compute_v=0, range="I", il=M, iu=M, lower=1, overwrite_a=1)
-    if info != 0 or m != 1:
-        raise NumericError(f"eigenvalue extraction failed: dsyevr info={info}, {m} eigenvalues found")
-    return float(w[0])
+    # f2py's workspace sizes: lwork = 26 M, liwork = 10 M; isuppz (2 M) and iwork follow the head
+    ints = np.empty(_HEAD + 12 * M, dtype=np.int32)
+    ints[:_HEAD] = (M, N, 1, 26 * M, 10 * M, 0, 0)
+    # G (M x M, lower triangle), w (M), z (1), work (26 M)
+    doubles = np.zeros(M * M + 27 * M + 1)
+    i, d = ints.ctypes.data, doubles.ctypes.data
+    m_, n_, ldz, lwork, liwork, m_found, info = (i + 4 * k for k in range(_HEAD))
+    w = d + 8 * M * M
+    # a C-ordered Y is Y^T in Fortran order with lda = N: trans='T' forms (Y^T)^T Y^T without a copy
+    dsyrk(_L, _T, m_, n_, _ONE, Y.ctypes.data, n_, _ZERO, d, m_)
+    dsyevr(_N, _I, _L, m_, d, m_, _ZERO, _ZERO, m_, m_, _ZERO, m_found, w, w + 8 * M, ldz,
+           i + 4 * _HEAD, w + 8 * (M + 1), lwork, i + 4 * (_HEAD + 2 * M), liwork, info)
+    found, status = ints[5:_HEAD].tolist()
+    if status != 0 or found != 1:
+        raise NumericError(f"eigenvalue extraction failed: dsyevr info={status}, {found} eigenvalues found")
+    return float(doubles[M * M])
 
 
 def pmap(fn, items, threads: int) -> list:
@@ -111,14 +203,16 @@ def pmap(fn, items, threads: int) -> list:
 def ks_distance(samples, cdf) -> float:
     """Sup-distance between the empirical CDF of samples and a continuous CDF.
 
-    `cdf` is called once per sample.  `run_ensemble` passes the tabulated F1
-    (`f1_cdf_tabulated`); pass `f1_cdf` for the direct determinant per sample.
+    `cdf` is called once, on the sorted samples as a 1-D array, and returns
+    their CDF values as an array of that shape (a scalar broadcasts).
+    `run_ensemble` passes the tabulated F1 (`f1_cdf_tabulated`); the direct
+    determinant takes one scalar per call, so pass `np.vectorize(f1_cdf)`.
     """
     samples = np.sort(np.asarray(samples, dtype=float))
     n = samples.size
     if n == 0:
         raise InvalidArgumentError("ks_distance requires at least one sample")
-    F = np.array([cdf(x) for x in samples])
+    F = np.asarray(cdf(samples), dtype=float)
     grid = np.arange(1, n + 1) / n
     return float(np.max(np.maximum(grid - F, F - (grid - 1.0 / n))))
 
@@ -152,11 +246,13 @@ def run_ensemble(
     def one_trial(trial: int):
         Y = sample_matrix(model, dist, seed, trial)
         if rescale:
-            mu_hat = largest_eigenvalue(sqrt_g * Y)
+            Y *= sqrt_g
+            mu_hat = largest_eigenvalue(Y)
             return mu_hat / g, N23 * (mu_hat - sol.E_plus)
         mu1 = largest_eigenvalue(Y)
         return mu1, g * N23 * (mu1 - lam)
 
+    _lapack()  # load and pin here, once, before any worker thread calls LAPACK
     pairs = pmap(one_trial, range(n_trials), threads)
     mu1s = np.array([p[0] for p in pairs], dtype=float)
     thetas = np.array([p[1] for p in pairs], dtype=float)

@@ -142,14 +142,15 @@ def _f1_table() -> Chebyshev:
     return _chebyshev_f1(TABLE_NODES, *TABLE_RANGE)
 
 
-def f1_cdf_tabulated(s: float) -> float:
+def f1_cdf_tabulated(s):
     """F1(s) read from the Chebyshev table (tabulated path), within about 1e-14 of `f1_cdf`.
 
-    0 below and 1 above TABLE_RANGE, where the direct F1 rounds to those values.
+    Takes a scalar or an array (one series evaluation for all points) and
+    returns the same.  0 below and 1 above TABLE_RANGE, where the direct F1
+    rounds to those values.
     """
+    arr = np.asarray(s, dtype=float)
     lo, hi = TABLE_RANGE
-    if s < lo:
-        return 0.0
-    if s > hi:
-        return 1.0
-    return min(1.0, max(0.0, float(_f1_table()(s))))
+    F = np.clip(_f1_table()(np.clip(arr, lo, hi)), 0.0, 1.0)
+    F = np.where(arr < lo, 0.0, np.where(arr > hi, 1.0, F))
+    return float(F) if F.ndim == 0 else F

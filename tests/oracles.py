@@ -3,14 +3,17 @@
 Everything here is deliberately built on different machinery than the package:
 Painleve II integration for the Tracy-Widom law, power series / asymptotic
 expansions for Airy, closed forms for the pure-noise (Marchenko-Pastur) model,
-the cubic characteristic equation for constant spectra, and a dense LU solve of
-the (M+N) x (M+N) linearization for the local-law resolvent.
+the cubic characteristic equation for constant spectra, a dense LU solve of
+the (M+N) x (M+N) linearization for the local-law resolvent, and scipy's f2py
+LAPACK wrappers for the largest eigenvalue.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dsyevr
 from scipy.special import airy as scipy_airy
 
 
@@ -184,6 +187,21 @@ def sym3_eigenvalues(A):
     lam3 = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
     lam2 = 3.0 * q - lam1 - lam3
     return np.sort(np.array([lam1, lam2, lam3]))
+
+
+# ---------------------------------------------------------------------------
+# Largest eigenvalue through scipy's f2py wrappers (GIL held, copies as f2py makes them)
+# ---------------------------------------------------------------------------
+
+def f2py_largest_eigenvalue(Y):
+    """Top eigenvalue of Y Y^T by f2py `dsyrk` (lower triangle) and `dsyevr` (index M only)."""
+    Y = np.asarray(Y, dtype=float)
+    M = Y.shape[0]
+    G = dsyrk(1.0, Y.T, trans=1, lower=1)
+    w, _, m, _, info = dsyevr(G, compute_v=0, range="I", il=M, iu=M, lower=1, overwrite_a=1)
+    if info != 0 or m != 1:
+        raise np.linalg.LinAlgError(f"dsyevr info={info}, {m} eigenvalues found")
+    return float(w[0])
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,17 @@ def test_simulate_zero_trials_is_config_error(const1, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "locallaw"])
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_thread_count_below_one_is_config_error(const1, tmp_path, capsys, command, threads):
+    extra = ["--trials", "2"] if command == "simulate" else ["--seeds", "1"]
+    code = run_command([command, "--spectrum", str(const1), *extra, "--threads", threads,
+                        "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert f"--threads >= 1, got {threads}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_unknown_command_is_usage_error():
     assert run_command(["frobnicate"]) == 2
 

@@ -1,11 +1,17 @@
+import ctypes
+import glob
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, strategies as st
 
 import spectraledge
@@ -22,9 +28,11 @@ from spectraledge import (
     solve_edge,
 )
 
+from spectraledge import montecarlo
 from spectraledge.montecarlo import _lapack, _trial_rng
+from spectraledge.tracywidom import TABLE_RANGE, _f1_table
 
-from oracles import sym3_eigenvalues
+from oracles import f2py_largest_eigenvalue, sym3_eigenvalues
 
 
 def constant_model(M, N, d=1):
@@ -108,14 +116,18 @@ def _strided():
     return np.random.default_rng(13).normal(size=(10, 40))[:, ::2]
 
 
-@pytest.mark.parametrize("make", [
+_MATRICES = [
     lambda: np.random.default_rng(9).normal(size=(1, 30)),
     lambda: np.random.default_rng(10).normal(size=(25, 25)),
     lambda: np.random.default_rng(11).normal(size=(30, 70)) / math.sqrt(70),
     lambda: np.zeros((6, 11)),
     _rank_deficient,
     _strided,
-], ids=["single_row", "square", "wide", "zero", "rank_deficient", "strided"])
+]
+_MATRIX_IDS = ["single_row", "square", "wide", "zero", "rank_deficient", "strided"]
+
+
+@pytest.mark.parametrize("make", _MATRICES, ids=_MATRIX_IDS)
 def test_largest_eigenvalue_matches_full_spectrum(make):
     Y = make()
     expected = np.linalg.eigvalsh(Y @ Y.T)[-1]
@@ -144,8 +156,9 @@ def test_first_eigenvalue_call_logs_its_path(caplog):
         largest_eigenvalue(Y)
     [record] = [r for r in caplog.records if r.message.startswith("largest_eigenvalue")]
     assert record.name == "spectraledge"
-    assert record.message == ("largest_eigenvalue: dsyrk Gram, dsyevr top index; "
-                              "scipy's OpenBLAS at its own thread count")
+    assert record.message.startswith("largest_eigenvalue: dsyrk Gram, dsyevr top index, called through "
+                                      "the cython_blas and cython_lapack capsules with the GIL released; ")
+    assert re.search(r"scipy's OpenBLAS libscipy_openblas\S*\.so pinned to 1 thread$", record.message)
 
 
 def test_import_loads_no_lapack():
@@ -157,6 +170,115 @@ def test_import_loads_no_lapack():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.split() == ["False", "0"]
+
+
+# ---------------------------------------------------------------------------
+# LAPACK through scipy's capsules, on one pinned OpenBLAS thread
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", _MATRICES + [lambda: np.random.default_rng(18).normal(size=(300, 600))],
+                         ids=_MATRIX_IDS + ["ensemble_size"])
+def test_largest_eigenvalue_equals_f2py_reference(make):
+    Y = make()
+    assert largest_eigenvalue(Y) == f2py_largest_eigenvalue(Y)
+
+
+def _scipy_openblas():
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)),
+                                  "scipy.libs", "libscipy_openblas*.so"))
+    if len(libs) != 1:
+        pytest.skip("this scipy build bundles no single libscipy_openblas*.so")
+    return ctypes.CDLL(libs[0])
+
+
+def test_first_load_pins_scipy_openblas_to_one_thread():
+    lib = _scipy_openblas()
+    lib.scipy_openblas_set_num_threads(2)
+    _lapack.cache_clear()
+    largest_eigenvalue(np.ones((3, 4)))
+    assert lib.scipy_openblas_get_num_threads() == 1
+
+
+def test_missing_openblas_warns_once_and_runs_unpinned(monkeypatch, caplog):
+    monkeypatch.setattr(montecarlo.glob, "glob", lambda pattern: [])
+    _lapack.cache_clear()
+    Y = np.random.default_rng(22).normal(size=(5, 9))
+    with caplog.at_level(logging.DEBUG, logger="spectraledge"):
+        value = largest_eigenvalue(Y)
+        largest_eigenvalue(Y)
+    _lapack.cache_clear()
+    assert value == f2py_largest_eigenvalue(Y)
+    [warning] = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert warning.message.startswith("scipy's OpenBLAS is not pinned to one thread (0 libscipy_openblas")
+    [record] = [r for r in caplog.records if r.message.startswith("largest_eigenvalue")]
+    assert record.message.endswith("scipy's OpenBLAS not pinned: 0 libscipy_openblas*.so files in "
+                                   "scipy.libs, expected 1")
+
+
+def test_capsule_with_unexpected_signature_is_numeric_error(monkeypatch):
+    # one argument short of dsyevr's prototype: the loader must refuse, not call
+    monkeypatch.setitem(montecarlo._ARG_KINDS, "dsyevr", montecarlo._ARG_KINDS["dsyevr"][:-1])
+    _lapack.cache_clear()
+    with pytest.raises(NumericError, match="cython_lapack.dsyevr has signature"):
+        largest_eigenvalue(np.ones((3, 4)))
+    assert _lapack.cache_info().currsize == 0
+
+
+def test_largest_eigenvalue_overflow_is_numeric_error():
+    # finite input whose Gram overflows: dsyevr reports info != 0 and a quiet w[0]
+    Y = np.random.default_rng(19).normal(size=(6, 9))
+    Y[1, 4] = 1e200
+    with pytest.raises(NumericError, match="info="):
+        largest_eigenvalue(Y)
+
+
+def test_concurrent_calls_equal_serial_calls():
+    # four threads inside LAPACK at once, on matrices of different sizes, must
+    # give the serial values: every call has its own work arrays
+    rng = np.random.default_rng(20)
+    mats = [rng.normal(size=(120 + 30 * k, 400)) for k in range(8)]
+    serial = [largest_eigenvalue(Y) for Y in mats]
+    for _ in range(3):
+        start = threading.Barrier(4, timeout=60)
+
+        def two_calls(k):
+            start.wait()
+            return [largest_eigenvalue(mats[k]), largest_eigenvalue(mats[k + 4])]
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            pairs = list(pool.map(two_calls, range(4)))
+        assert [pair[0] for pair in pairs] + [pair[1] for pair in pairs] == serial
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_rescaled_ensemble_equals_scaled_copy(threads):
+    # run_ensemble scales the fresh sample in place; mu1 and theta must equal
+    # the values from a scaled copy, sqrt(gamma0) * Y
+    model = load_spectrum({"type": "uniform_sq", "v_min": 0.5, "v_max": 2.0, "M": 30, "N": 60})
+    edge = solve_edge(model)
+    result = run_ensemble(model, 12, seed=8, rescale=True, edge=edge, threads=threads)
+    g, N23 = edge.gamma0, model.N ** (2.0 / 3.0)
+    mu_hat = np.array([largest_eigenvalue(math.sqrt(g) * sample_matrix(model, "gaussian", 8, k))
+                       for k in range(12)])
+    assert np.array_equal(result.mu1s, mu_hat / g)
+    assert np.array_equal(result.thetas, N23 * (mu_hat - edge.E_plus))
+
+
+def test_ensemble_ks_equals_per_sample_table_reads():
+    # the KS step reads the F1 table once for the whole sorted sample; it must
+    # equal one scalar read per sample, bit for bit
+    model = load_spectrum({"type": "uniform_sq", "v_min": 0.5, "v_max": 2.0, "M": 60, "N": 120})
+    result = run_ensemble(model, 1000, dist="rademacher", seed=3, threads=2)
+    lo, hi = TABLE_RANGE
+
+    def one_read(s):
+        return 0.0 if s < lo else 1.0 if s > hi else min(1.0, max(0.0, float(_f1_table()(s))))
+
+    thetas = np.sort(result.thetas)
+    F = np.array([one_read(x) for x in thetas])
+    grid = np.arange(1, thetas.size + 1) / thetas.size
+    expected = float(np.max(np.maximum(grid - F, F - (grid - 1.0 / thetas.size))))
+    assert result.ks_distance == expected
 
 
 @pytest.mark.parametrize("dist", ["gaussian", "rademacher", "uniform"])
@@ -223,7 +345,7 @@ def test_ensemble_ks_matches_direct_f1():
     model = constant_model(20, 40)
     serial = run_ensemble(model, 240, seed=5, threads=1)
     pooled = run_ensemble(model, 240, seed=5, threads=2)
-    assert abs(serial.ks_distance - ks_distance(serial.thetas, f1_cdf)) <= 1e-12
+    assert abs(serial.ks_distance - ks_distance(serial.thetas, np.vectorize(f1_cdf))) <= 1e-12
     assert serial.ks_distance == pooled.ks_distance
 
 
@@ -246,7 +368,7 @@ def test_ks_exact_samples_small():
     # Kolmogorov n=1e4 99% bound
     rng = np.random.default_rng(123)
     samples = rng.uniform(size=10_000)
-    assert ks_distance(samples, lambda x: min(1.0, max(0.0, x))) <= 0.02
+    assert ks_distance(samples, lambda x: np.clip(x, 0.0, 1.0)) <= 0.02
 
 
 def test_ks_empty_rejected():

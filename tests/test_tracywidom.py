@@ -227,3 +227,13 @@ def test_import_does_not_build_the_table():
     assert out.stdout.strip() == "0"
     _f1_table()
     assert _f1_table.cache_info().currsize == 1
+
+
+def test_tabulated_f1_takes_arrays():
+    # one series evaluation for an array must equal the scalar reads bit for bit,
+    # clamp regions and range ends included
+    xs = np.concatenate([[-1e3, TABLE_RANGE[0], TABLE_RANGE[1], 1e3], np.linspace(-14.0, 14.0, 5001)])
+    values = f1_cdf_tabulated(xs)
+    assert values.shape == xs.shape
+    assert np.array_equal(values, [f1_cdf_tabulated(float(x)) for x in xs])
+    assert isinstance(f1_cdf_tabulated(0.5), float)
