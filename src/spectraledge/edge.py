@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateScalingError, EdgeNotFoundError, PoleError
+from .errors import DegenerateScalingError, EdgeNotFoundError, NumericError, PoleError
 from .spectrum import SpectrumModel
+
+log = logging.getLogger("spectraledge")
 
 _GRID_POINTS = 512
 _W_MAX_DOUBLINGS = 10
-_BISECT_XTOL = 1e-13
+_NEWTON_ULPS = 4
+_NEWTON_MAX_STEPS = 200
 _DEGENERATE_REL = 1e-6
 _EDGE_EPS = 1e-8
 
@@ -24,7 +28,10 @@ class EdgeSolution:
     rightmost support edge, b the boundary value 1 + c s(lambda_r).  tb and h
     are the unrescaled companions tb = lambda_r b - (1-c), h = lambda_r b + tb.
     After scaling completes: gamma0, E_plus = gamma0 lambda_r, xi = gamma0 xi_r
-    and tb_resc = E_plus b - gamma0 (1-c).
+    and tb_resc = E_plus b - gamma0 (1-c).  bracket is the interval (lo, hi)
+    that held xi_r, and iterations counts the phi' evaluations of the Newton
+    solves, after the scan or the bracket check and before the final
+    evaluation at xi_r.
     """
 
     xi_r: float
@@ -38,6 +45,8 @@ class EdgeSolution:
     tb_resc: float | None = None
     roots: tuple = ()
     near_degenerate: bool = False
+    bracket: tuple = ()
+    iterations: int = 0
 
     @property
     def h_resc(self) -> float:
@@ -70,56 +79,102 @@ def phi_family(model: SpectrumModel, w):
     return f, fp, phi, phip
 
 
-def _bisect(fun, lo, hi, xtol):
-    flo = fun(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < xtol or not lo < mid < hi:
-            return mid
-        fmid = fun(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0) == (fmid < 0):
-            lo, flo = mid, fmid
+def _phi_newton(model: SpectrumModel, w: float) -> tuple[float, float]:
+    """phi'(w) from phi_family and phi''(w) from its f, f' and f'' = 2 mean 1/(d^2-w)^3."""
+    c = model.c_N
+    f, fp, _, phip = phi_family(model, w)
+    inv = np.reciprocal(model.d_sq - w)
+    fpp = 2.0 * float(np.mean(inv * inv * inv))
+    one = 1.0 - c * f
+    phipp = -4.0 * c * one * fp + 2.0 * c * c * w * fp * fp - c * (2.0 * w * one + 1.0 - c) * fpp
+    return phip, phipp
+
+
+def _newton_root(model, lo, hi, phip_lo, phip_hi, counts):
+    """Root of phi' in [lo, hi], given phi' at the ends with opposite signs.
+
+    Newton steps from the secant point, safeguarded by the bracket (rtsafe):
+    a step that would leave the bracket, or be longer than half the step
+    before last, becomes a bisection.  Stops when phi' is exactly 0 or the
+    step is at most _NEWTON_ULPS ulp of w.  counts = [evaluations, Newton
+    steps, bisections] is updated in place.
+    """
+    if phip_lo == 0.0:
+        return lo
+    if phip_hi == 0.0:
+        return hi
+    w = lo - phip_lo * (hi - lo) / (phip_hi - phip_lo)  # secant start
+    if phip_lo > 0.0:
+        lo, hi = hi, lo  # phi'(lo) < 0 < phi'(hi) from here on
+    step = step_old = abs(hi - lo)
+    for _ in range(_NEWTON_MAX_STEPS):
+        g, gp = _phi_newton(model, w)
+        counts[0] += 1
+        if g == 0.0:
+            return w
+        if g < 0.0:
+            lo = w
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = w
+        trial = w - g / gp if gp != 0.0 else w
+        if min(lo, hi) <= trial <= max(lo, hi) and abs(2.0 * g) <= abs(step_old * gp):
+            step_old, step = step, w - trial
+            counts[1] += 1
+        else:
+            step_old, step = step, 0.5 * (hi - lo)
+            trial = lo + step
+            counts[2] += 1
+        if abs(step) <= _NEWTON_ULPS * np.spacing(w):
+            return trial
+        w = trial
+    raise NumericError(f"Newton on phi' did not settle in [{min(lo, hi)!r}, {max(lo, hi)!r}]")
 
 
-def find_edge(model: SpectrumModel) -> EdgeSolution:
+def find_edge(model: SpectrumModel, *, bracket: tuple | None = None) -> EdgeSolution:
     """Locate the rightmost critical point xi_r and the edge lambda_r = phi(xi_r).
 
     lambda_r is where the real branch of z = phi(w) that solve_stieltjes
     follows turns back, so phi'(xi_r) = 0.  phi' tends to -inf just right of
     d_1^2 and to a positive limit at +inf, so a sign change exists whenever
-    the edge separates from the spectrum.  The search evaluates phi' on a
-    log-spaced grid in one call, bisects every bracket down to _BISECT_XTOL
-    or until the midpoint rounds onto an endpoint, and keeps the largest root.
+    the edge separates from the spectrum.  The scan evaluates phi' on a
+    log-spaced grid in one call; every cell where phi' changes sign is solved
+    by Newton's method safeguarded inside the cell (_newton_root), and the
+    largest root is xi_r.
+
+    bracket = (lo, hi), typically the bracket of a nearby model's edge, skips
+    the scan when one two-point call shows phi'(lo) < 0 < phi'(hi) right of
+    the pole; the solution then lists only that root and near_degenerate is
+    False.  Otherwise the scan runs as if no bracket were given.
     """
     c = model.c_N
     d1sq = float(model.d_sq[0])
     lo = d1sq + _EDGE_EPS * max(1.0, d1sq)
 
-    def phip(w):
-        return phi_family(model, w)[3]
-
-    w_max = 4.0 * (d1sq + 1.0) * (1.0 + np.sqrt(c)) ** 2
-    brackets = []
-    for _ in range(_W_MAX_DOUBLINGS + 1):
-        grid = np.geomspace(lo, w_max, _GRID_POINTS)
-        signs = np.sign(phi_family(model, grid)[3])
-        idx = np.nonzero(np.diff(signs) != 0)[0]
-        if idx.size:
-            brackets = [(grid[i], grid[i + 1]) for i in idx]
-            break
-        w_max *= 2.0
-    if not brackets:
+    cells = []
+    if bracket is not None and lo <= bracket[0] < bracket[1]:
+        ends = phi_family(model, np.asarray(bracket, dtype=float))[3]
+        if ends[0] < 0.0 < ends[1]:
+            cells = [(bracket[0], bracket[1], ends[0], ends[1])]
+    path = "bracket" if cells else "scan"
+    if not cells:
+        w_max = 4.0 * (d1sq + 1.0) * (1.0 + np.sqrt(c)) ** 2
+        for _ in range(_W_MAX_DOUBLINGS + 1):
+            grid = np.geomspace(lo, w_max, _GRID_POINTS)
+            phip = phi_family(model, grid)[3]
+            idx = np.nonzero(np.diff(np.sign(phip)) != 0)[0]
+            if idx.size:
+                cells = [(grid[i], grid[i + 1], phip[i], phip[i + 1]) for i in idx]
+                break
+            w_max *= 2.0
+    if not cells:
         raise EdgeNotFoundError(
             "no sign change of phi' found; the spectrum may violate the edge-separation assumption"
         )
 
-    roots = sorted(_bisect(phip, a, bnd, _BISECT_XTOL) for a, bnd in brackets)
-
+    counts = [0, 0, 0]
+    roots = [_newton_root(model, *cell, counts) for cell in cells]
+    log.debug("find_edge: %s path, %d bracket(s), %d Newton steps, %d bisection fallbacks",
+              path, len(cells), counts[1], counts[2])
     near_degenerate = any(
         abs(roots[i + 1] - roots[i]) <= _DEGENERATE_REL * abs(roots[i + 1])
         for i in range(len(roots) - 1)
@@ -133,6 +188,7 @@ def find_edge(model: SpectrumModel) -> EdgeSolution:
     return EdgeSolution(
         xi_r=xi_r, lambda_r=lambda_r, b=b, tb=tb, h=h,
         roots=tuple(roots), near_degenerate=near_degenerate,
+        bracket=tuple(float(x) for x in cells[-1][:2]), iterations=counts[0],
     )
 
 
@@ -143,11 +199,12 @@ def scaling_sums(model: SpectrumModel, edge: EdgeSolution) -> tuple[float, float
     c = model.c_N
     xi_r, lam, b = edge.xi_r, edge.lambda_r, edge.b
     diff = dsq - xi_r
-    A = float(np.sum(b**2 / diff**2) / N)
+    diff2 = diff * diff  # products, not the much slower array power diff**3
+    A = float(np.sum(b**2 / diff2) / N)
     B = float(
         -1.0 / b**3
-        - np.sum((2.0 * lam * b - (1.0 - c)) ** 2 / diff**3) / N
-        - np.sum(lam / diff**2) / N
+        - np.sum((2.0 * lam * b - (1.0 - c)) ** 2 / (diff2 * diff)) / N
+        - np.sum(lam / diff2) / N
     )
     return A, B
 
@@ -172,9 +229,9 @@ def gamma0(model: SpectrumModel, edge: EdgeSolution) -> EdgeSolution:
     return replace(edge, gamma0=g, E_plus=E_plus, xi=xi, tb_resc=tb_resc)
 
 
-def solve_edge(model: SpectrumModel) -> EdgeSolution:
-    """find_edge followed by gamma0."""
-    return gamma0(model, find_edge(model))
+def solve_edge(model: SpectrumModel, *, bracket: tuple | None = None) -> EdgeSolution:
+    """find_edge (with an optional bracket, see there) followed by gamma0."""
+    return gamma0(model, find_edge(model, bracket=bracket))
 
 
 def edge_residuals(model: SpectrumModel, edge: EdgeSolution) -> dict:

@@ -56,10 +56,10 @@ class FlowState:
         return self.model_t.c_N
 
 
-def _state(model: SpectrumModel, t: float) -> FlowState:
+def _state(model: SpectrumModel, t: float, bracket: tuple | None = None) -> FlowState:
     scale = math.exp(-t / 2.0) if math.isfinite(t) else 0.0
     model_t = SpectrumModel(d=model.d * scale, M=model.M, N=model.N)
-    return FlowState(t=t, model_t=model_t, edge_t=solve_edge(model_t))
+    return FlowState(t=t, model_t=model_t, edge_t=solve_edge(model_t, bracket=bracket))
 
 
 def flow_state(model: SpectrumModel, t: float) -> FlowState:
@@ -71,7 +71,8 @@ def flow_state(model: SpectrumModel, t: float) -> FlowState:
 
 def _varphi4(state: FlowState) -> float:
     rdiff = state.gamma * state.model_t.d_sq - state.xi
-    return float(np.sum(1.0 / rdiff**4) / state.model_t.N)
+    rdiff2 = rdiff * rdiff
+    return float(np.sum(1.0 / (rdiff2 * rdiff2)) / state.model_t.N)
 
 
 def gamma_time_derivative(state: FlowState) -> float:
@@ -104,15 +105,19 @@ def flow_derivative_check(model: SpectrumModel, t: float, step: float = DEFAULT_
 
     Returns absolute differences keyed by quantity.  The flow extends smoothly
     to slightly negative times, so t = 0 is checked with a genuine central
-    difference.
+    difference.  Only the model at t scans for its edge: the models at
+    t +- step start from its rightmost scan bracket, and find_edge falls back
+    to a scan for either of them when phi' does not change sign across that
+    bracket.  A near-degenerate edge at t makes all three models scan.
     """
     if step <= 0:
         raise InvalidArgumentError("finite-difference step must be positive")
     if t < 0:
         raise InvalidArgumentError("flow time must be nonnegative")
     state = _state(model, t)
-    plus = _state(model, t + step)
-    minus = _state(model, t - step)
+    bracket = None if state.edge_t.near_degenerate else state.edge_t.bracket
+    plus = _state(model, t + step, bracket)
+    minus = _state(model, t - step, bracket)
     analytic = analytic_derivatives(state)
     fd = {
         "b": (plus.b - minus.b) / (2 * step),

@@ -4,12 +4,14 @@ Everything here is deliberately built on different machinery than the package:
 Painleve II integration for the Tracy-Widom law, power series / asymptotic
 expansions for Airy, closed forms for the pure-noise (Marchenko-Pastur) model,
 the cubic characteristic equation for constant spectra, a dense LU solve of
-the (M+N) x (M+N) linearization for the local-law resolvent, and scipy's f2py
-LAPACK wrappers for the largest eigenvalue.
+the (M+N) x (M+N) linearization for the local-law resolvent, scipy's f2py
+LAPACK wrappers for the largest eigenvalue, and 50-digit mpmath root finding
+for the edge's critical point.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg.blas import dsyrk
@@ -159,6 +161,26 @@ def constant_spectrum_critical_points(d, c):
     ]
     roots = np.roots(coeffs)
     return sorted(float(r.real) for r in roots if abs(r.imag) < 1e-9)
+
+
+def mp_constant_spectrum_xi_r(d, c, dps=50):
+    """Largest critical point of phi right of d^2 for a constant spectrum, to dps digits.
+
+    phi'(w) = u^2 - 2 c w u f' - c (1-c) f' with f = 1/(d^2-w), f' = f^2 and
+    u = 1 - c f, solved by mpmath.findroot from the cubic oracle's root.
+    d and c are taken as the exact binary values of the given floats.
+    """
+    start = max(w for w in constant_spectrum_critical_points(d, c) if w > d**2)
+    with mpmath.workdps(dps):
+        dsq = mpmath.mpf(d) ** 2
+        cc = mpmath.mpf(c)
+
+        def phip(w):
+            f = 1 / (dsq - w)
+            u = 1 - cc * f
+            return u * u - 2 * cc * w * u * f * f - cc * (1 - cc) * f * f
+
+        return mpmath.findroot(phip, mpmath.mpf(start))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,15 @@
+import logging
+import math
+import re
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from spectraledge import (
     DegenerateScalingError,
+    NumericError,
     PoleError,
     SpectrumModel,
     edge_residuals,
@@ -14,7 +21,7 @@ from spectraledge import (
 )
 from spectraledge.edge import EdgeSolution, scaling_sums
 
-from oracles import constant_spectrum_critical_points
+from oracles import constant_spectrum_critical_points, mp_constant_spectrum_xi_r
 
 
 def constant_model(d, M, N):
@@ -198,16 +205,91 @@ def _counted_find_edge(model, monkeypatch):
 
 @pytest.mark.parametrize("d", [30.0, 1e3, 1e4])
 def test_bisection_stops_at_rounding_level_for_large_edges(d, monkeypatch):
-    # once xi_r exceeds about 500 one ulp is wider than _BISECT_XTOL; the
-    # bisection must stop when the midpoint can no longer split the bracket
+    # once xi_r exceeds about 500 one ulp is wider than 1e-13; the root solve
+    # must stop on a step relative to w, not on an absolute width
     sol, calls = _counted_find_edge(constant_model(d, 50, 100), monkeypatch)
     assert calls <= 60
     assert sol.xi_r > d**2
 
 
-def test_find_edge_unit_spectrum_call_count_unchanged(monkeypatch):
-    _, calls = _counted_find_edge(constant_model(1, 50, 100), monkeypatch)
-    assert calls == 41
+def test_find_edge_unit_spectrum_newton_call_bound(monkeypatch):
+    # one scan, the safeguarded Newton steps, one final evaluation at xi_r
+    sol, calls = _counted_find_edge(constant_model(1, 50, 100), monkeypatch)
+    assert calls <= 10
+    assert calls == sol.iterations + 2
+
+
+@pytest.mark.parametrize(
+    "d, c",
+    [(d, c) for d in (0.5, 1.0, 2.0, 5.0) for c in (0.25, 0.5, 1.0)]
+    # xi_r near sqrt(c) < 1, where a stop rule absolute in w would be loose
+    + [(d, c) for d in (0.0, 1e-3) for c in (1e-4, 1e-2)],
+)
+def test_xi_r_within_four_ulp_of_50_digit_root(d, c):
+    model = constant_model(d, 20, round(20 / c))
+    sol = find_edge(model)
+    root = mp_constant_spectrum_xi_r(d, model.c_N)
+    with mpmath.workdps(50):
+        err = float(abs(mpmath.mpf(sol.xi_r) - root))
+    assert err <= 4 * np.spacing(sol.xi_r)
+
+
+def _flowed(model, t):
+    # the flow's time-t model d_i(t) = e^{-t/2} d_i, also for t slightly below 0
+    return SpectrumModel(d=model.d * math.exp(-t / 2.0), M=model.M, N=model.N)
+
+
+@given(
+    d=st.lists(st.floats(min_value=0.0, max_value=1e2), min_size=1, max_size=30),
+    c=st.floats(min_value=1e-6, max_value=1.0),
+    t=st.floats(min_value=0.0, max_value=3.0),
+    step=st.floats(min_value=1e-6, max_value=1e-2),
+)
+def test_bracket_of_flow_centre_agrees_with_scan(d, c, t, step):
+    M = len(d)
+    model = SpectrumModel(d=np.array(d), M=M, N=max(M, round(M / c)))
+    centre = solve_edge(_flowed(model, t))
+    assume(not centre.near_degenerate)
+    for side in (t + step, t - step):
+        flowed = _flowed(model, side)
+        scan = solve_edge(flowed)
+        fast = solve_edge(flowed, bracket=centre.bracket)
+        assert abs(fast.xi_r - scan.xi_r) <= 4 * np.spacing(scan.xi_r)
+        for key in ("lambda_r", "b", "gamma0"):
+            assert getattr(fast, key) == pytest.approx(getattr(scan, key), rel=1e-13, abs=0.0)
+    # a bracket without a sign change of phi' falls back to the same scan
+    right = (centre.xi_r * (1.0 + 1e-3), centre.xi_r * (1.0 + 2e-3))
+    flowed = _flowed(model, t)
+    for bad in (right, right[::-1], (centre.xi_r, centre.xi_r)):
+        assert solve_edge(flowed, bracket=bad) == centre
+
+
+def test_bracket_across_the_pole_falls_back_to_scan():
+    model = constant_model(2.0, 40, 80)
+    ref = find_edge(model)
+    assert find_edge(model, bracket=(1.0, 4.5)) == ref  # d^2 = 4 inside
+    assert find_edge(model, bracket=ref.bracket) == ref
+
+
+def test_bracket_too_wide_to_settle_raises():
+    # phi' changes sign across (1.5, 1e300), but halving that width down to a
+    # few ulp of the root takes about 1000 steps, more than the solve allows
+    with pytest.raises(NumericError):
+        find_edge(constant_model(1, 50, 100), bracket=(1.5, 1e300))
+
+
+def test_find_edge_logs_path_and_steps(caplog):
+    model = constant_model(1, 50, 100)
+    with caplog.at_level(logging.DEBUG, logger="spectraledge"):
+        sol = find_edge(model)
+        again = find_edge(model, bracket=sol.bracket)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("find_edge")]
+    assert [line.split(",")[0] for line in lines] == ["find_edge: scan path", "find_edge: bracket path"]
+    for line, result in zip(lines, (sol, again)):
+        brackets, newton, bisections = map(int, re.findall(r"(\d+) ", line))
+        assert brackets == 1
+        assert newton + bisections == result.iterations
+    assert again.xi_r == sol.xi_r and again.bracket == sol.bracket
 
 
 def test_solve_edge_huge_constant_spectrum():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from spectraledge import (
     flow_state,
     load_spectrum,
 )
+import spectraledge.flow as flow_module
 from spectraledge.flow import DERIVATIVE_KEYS, stationary_state
 
 
@@ -80,6 +82,34 @@ def test_derivatives_match_over_flow_randomized():
         for t in np.arange(0.0, 3.01, 0.75):
             res = flow_derivative_check(model, float(t), step=1e-4)
             assert max(res.values()) <= 1e-6
+
+
+def _recorded_brackets(monkeypatch, near_degenerate=None):
+    seen = []
+    real = flow_module.solve_edge
+
+    def recording(model, *, bracket=None):
+        seen.append(bracket)
+        edge = real(model, bracket=bracket)
+        return edge if near_degenerate is None else replace(edge, near_degenerate=near_degenerate)
+
+    monkeypatch.setattr(flow_module, "solve_edge", recording)
+    return seen
+
+
+def test_shifted_models_start_from_centre_bracket(monkeypatch):
+    model = constant_model(50, 50)
+    centre = flow_state(model, 0.5).edge_t
+    seen = _recorded_brackets(monkeypatch)
+    flow_derivative_check(model, 0.5, step=1e-4)
+    assert seen == [None, centre.bracket, centre.bracket]
+    assert centre.bracket[0] < centre.xi_r < centre.bracket[1]
+
+
+def test_near_degenerate_centre_makes_every_model_scan(monkeypatch):
+    seen = _recorded_brackets(monkeypatch, near_degenerate=True)
+    flow_derivative_check(constant_model(50, 50), 0.5, step=1e-4)
+    assert seen == [None, None, None]
 
 
 def test_central_difference_is_second_order():
