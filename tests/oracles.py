@@ -2,8 +2,9 @@
 
 Everything here is deliberately built on different machinery than the package:
 Painleve II integration for the Tracy-Widom law, power series / asymptotic
-expansions for Airy, closed forms for the pure-noise (Marchenko-Pastur) model,
-the cubic characteristic equation for constant spectra, a dense LU solve of
+expansions for Airy, a Fredholm determinant whose Airy kernel is scipy's alone,
+closed forms for the pure-noise (Marchenko-Pastur) model, the cubic
+characteristic equation for constant spectra, a dense LU solve of
 the (M+N) x (M+N) linearization for the local-law resolvent, scipy's f2py
 LAPACK wrappers for the largest eigenvalue, and 50-digit mpmath root finding
 for the edge's critical point.
@@ -121,6 +122,24 @@ def airy_asymptotic_neg(x, kmax=25):
     so = np.sum(odd[: np.argmin(np.abs(odd)) + 1])
     phase = zeta - math.pi / 4.0
     return (math.cos(phase) * se + math.sin(phase) * so) / (math.sqrt(math.pi) * y**0.25)
+
+
+def scipy_f1_pair(s, n=64):
+    """(F1(s), f1(s)) from the Nystrom determinant with every kernel entry from
+    scipy's airy (cephes up to x = 10, complex AMOS above) on the full n x n grid,
+    in the package's arithmetic otherwise, so only the Airy values differ."""
+    xi, wg = np.polynomial.legendre.leggauss(n)
+    u = 0.5 * (xi + 1.0)
+    x = -2.0 * np.log(u)
+    sw = np.sqrt(0.5 * wg * 2.0 / u)
+    scale = sw[:, None] * sw[None, :]
+    ai, aip, _, _ = scipy_airy(x[:, None] + x[None, :] + s)
+    K = scale * ai
+    Kp = scale * aip
+    eye = np.eye(n)
+    det = float(np.linalg.det(eye - K))
+    trace = float(np.trace(np.linalg.solve(eye - K, Kp)))
+    return det, -det * trace
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,17 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import Chebyshev, chebpts2
+from scipy.special import airy as scipy_airy
 
 import spectraledge
 from spectraledge import DomainError, NumericError, airy_ai, f1_cdf, f1_pdf, tw_table
-from spectraledge.tracywidom import TABLE_NODES, TABLE_RANGE, _chebyshev_f1, _f1_table, f1_cdf_tabulated
+from spectraledge.tracywidom import (
+    _ASYMPTOTIC, _SERIES_FROM, TABLE_NODES, TABLE_RANGE, _airy_pair, _chebyshev_f1, _f1_table,
+    f1_cdf_tabulated,
+)
 
-from oracles import PainleveF1, airy_asymptotic_neg, airy_asymptotic_pos, airy_maclaurin
+from oracles import PainleveF1, airy_asymptotic_neg, airy_asymptotic_pos, airy_maclaurin, scipy_f1_pair
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +75,41 @@ def test_airy_against_mpmath_reference():
         assert airy_ai(float(x)) == pytest.approx(ref, rel=1e-10, abs=1e-300)
 
 
+def test_airy_pair_is_scipy_up_to_ten():
+    # the cephes branch is unchanged: bit for bit up to and including x = 10
+    xs = np.concatenate([np.linspace(-20.0, 10.0, 601), [np.nextafter(10.0, 0.0), 10.0 - 1e-9]])
+    ai, aip = _airy_pair(xs)
+    ref_ai, ref_aip, _, _ = scipy_airy(xs)
+    assert np.array_equal(ai, ref_ai) and np.array_equal(aip, ref_aip)
+
+
+def test_airy_pair_above_ten_within_conditioning_of_mpmath():
+    # e^{-zeta} turns a rounding of zeta into a relative error of about zeta eps,
+    # so the band grows with zeta; scipy's AMOS branch is held to the same band
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(8)
+    xs = np.concatenate([
+        [10.0 - 1e-9, 10.0, np.nextafter(10.0, 11.0), 10.0 + 1e-12, 10.0 + 1e-9],
+        np.linspace(10.0, 45.0, 36), rng.uniform(10.0, 45.0, 40),
+    ])
+    ai, aip = _airy_pair(xs)
+    amos_ai, amos_aip, _, _ = scipy_airy(xs)
+    with mpmath.workdps(40):
+        for k, x in enumerate(xs):
+            band = (2.0 * (2.0 / 3.0) * x**1.5 + 8.0) * eps
+            ref_ai = mpmath.airyai(mpmath.mpf(float(x)))
+            ref_aip = mpmath.airyai(mpmath.mpf(float(x)), derivative=1)
+            for value, ref in ((ai[k], ref_ai), (aip[k], ref_aip), (amos_ai[k], ref_ai), (amos_aip[k], ref_aip)):
+                assert abs((mpmath.mpf(float(value)) - ref) / ref) <= band, x
+
+
+def test_asymptotic_series_ends_at_first_term_below_half_ulp_at_ten():
+    zeta = (2.0 / 3.0) * _SERIES_FROM**1.5
+    terms = np.abs(_ASYMPTOTIC[:, :, 0]) / zeta ** np.arange(len(_ASYMPTOTIC))[:, None]
+    assert np.all(terms[-1] < 2.0**-53)
+    assert np.any(terms[-2] >= 2.0**-53)
+
+
 def test_airy_range_enforced():
     with pytest.raises(DomainError):
         airy_ai(41.0)
@@ -115,8 +155,6 @@ def test_quadrature_convergence():
 def test_triangle_kernel_equals_full_grid_exactly():
     # Airy runs on the upper triangle only; the mirrored matrices must equal
     # the full n x n evaluation bit for bit
-    from scipy.special import airy
-
     from spectraledge.tracywidom import DEFAULT_NODES, _kernel_matrices, _nystrom_nodes
 
     n = DEFAULT_NODES
@@ -124,7 +162,7 @@ def test_triangle_kernel_equals_full_grid_exactly():
     sw = np.sqrt(w)
     scale = sw[:, None] * sw[None, :]
     for s in (-6.0, -1.2065, 0.0, 3.7):
-        ai, aip, _, _ = airy(x[:, None] + x[None, :] + s)
+        ai, aip = _airy_pair(x[:, None] + x[None, :] + s)
         K, Kp = _kernel_matrices(s, n)
         assert np.array_equal(K, scale * ai)
         assert np.array_equal(Kp, scale * aip)
@@ -169,6 +207,14 @@ def test_density_moments(painleve):
     assert var == pytest.approx(1.6078, abs=1e-3)
 
 
+def test_direct_f1_matches_scipy_kernel_reference():
+    # the series above x = 10 moves F1 and f1 by less than 1e-15 from a kernel
+    # taken wholly from scipy's airy
+    for s, F, f in tw_table(-12.0, 12.0, 0.05):
+        ref_F, ref_f = scipy_f1_pair(s)
+        assert abs(F - ref_F) <= 1e-15 and abs(f - ref_f) <= 1e-15, s
+
+
 def test_table_rows_equal_direct_calls_exactly():
     # tw_table shares one kernel evaluation between F1 and f1 per point
     for s, F, f in tw_table(-6.0, 4.0, 0.1):
@@ -199,6 +245,17 @@ def test_tabulated_f1_is_a_probability():
     values = np.array([f1_cdf_tabulated(float(x)) for x in xs])
     assert np.all((values >= 0.0) & (values <= 1.0))
     assert values[0] == 0.0 and values[-1] == 1.0
+
+
+def test_f1_table_matches_scipy_kernel_reference():
+    table = _chebyshev_f1(TABLE_NODES, *TABLE_RANGE)
+    lo, hi = TABLE_RANGE
+    nodes = lo + (chebpts2(TABLE_NODES) + 1.0) * (0.5 * (hi - lo))
+    reference = Chebyshev.fit(nodes, [scipy_f1_pair(float(x))[0] for x in nodes], TABLE_NODES - 1,
+                              domain=[lo, hi])
+    xs = np.linspace(lo, hi, 2001)
+    assert np.max(np.abs(table(xs) - reference(xs))) <= 1e-15
+    assert np.max(np.abs(table.coef - reference.coef)) <= 1e-15
 
 
 def test_table_with_too_few_nodes_is_refused():
