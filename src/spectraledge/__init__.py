@@ -19,7 +19,7 @@ from .errors import (
     SolverFailureError,
     SpectralEdgeError,
 )
-from .flow import FlowState, analytic_derivatives, flow_derivative_check, flow_state
+from .flow import FlowState, analytic_derivatives, flow_derivative_check, flow_derivative_checks, flow_state
 from .identities import EdgeFunctionals, edge_functionals, identity_residuals
 from .locallaw import (
     LocalLawReport,
@@ -38,7 +38,7 @@ __all__ = [
     "SpectrumModel", "load_spectrum", "with_size", "check_assumption3",
     "StieltjesValue", "solve_stieltjes", "density",
     "EdgeSolution", "phi_family", "find_edge", "gamma0", "solve_edge", "edge_residuals",
-    "FlowState", "flow_state", "flow_derivative_check", "analytic_derivatives",
+    "FlowState", "flow_state", "flow_derivative_check", "flow_derivative_checks", "analytic_derivatives",
     "EdgeFunctionals", "edge_functionals", "identity_residuals",
     "airy_ai", "f1_cdf", "f1_pdf", "tw_table",
     "EnsembleResult", "sample_matrix", "largest_eigenvalue", "run_ensemble", "ks_distance",

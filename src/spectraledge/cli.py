@@ -18,7 +18,7 @@ import scipy
 from . import __version__
 from .edge import edge_residuals, solve_edge
 from .errors import InvalidArgumentError, InvalidConfigError, SpectralEdgeError
-from .flow import flow_derivative_check, flow_state
+from .flow import flow_derivative_checks, flow_state
 from .identities import identity_residuals
 from .locallaw import locallaw_deviation, DEVIATION_CLASSES
 from .montecarlo import NOISE_DISTS, pmap, run_ensemble, sample_matrix
@@ -236,6 +236,8 @@ def _cmd_simulate(args) -> list[str]:
 
 
 def _cmd_twtable(args) -> list[str]:
+    if not (0 < args.step < math.inf and -math.inf < args.start <= args.stop < math.inf):
+        raise InvalidArgumentError("twtable grid requires finite bounds, step > 0 and to >= from")
     rows = tw_table(args.start, args.stop, args.step)
     emit_csv(rows, ("s", "F1", "f1"), args.out)
     return [args.out] if args.out else []
@@ -265,12 +267,14 @@ def _cmd_locallaw(args) -> list[str]:
 
 
 def _cmd_flow_check(args) -> list[str]:
+    if not (0 < args.t_step < math.inf and 0 <= args.t_max < math.inf):
+        raise InvalidArgumentError("flow-check grid requires finite --t-step > 0 and --t-max >= 0")
     model = _load_model(args)
     times = np.arange(0.0, args.t_max + 1e-12, args.t_step)
-    rows = []
-    for t in times:
-        res = flow_derivative_check(model, float(t), step=args.step)
-        rows.append((float(t), res["b"], res["gamma"], res["E_plus"], res["xi"], res["h"]))
+    rows = [
+        (float(t), res["b"], res["gamma"], res["E_plus"], res["xi"], res["h"])
+        for t, res in zip(times, flow_derivative_checks(model, times, step=args.step))
+    ]
     emit_csv(rows, ("t", "res_b", "res_gamma", "res_E_plus", "res_xi", "res_h"), args.out)
     return [args.out] if args.out else []
 

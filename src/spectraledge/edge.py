@@ -18,6 +18,11 @@ _NEWTON_ULPS = 4
 _NEWTON_MAX_STEPS = 200
 _DEGENERATE_REL = 1e-6
 _EDGE_EPS = 1e-8
+# certificate grid: hi, then 24 offsets growing geometrically from the first cell to the last point
+_CERT_FRACTIONS = np.linspace(0.0, 1.0, 24)
+# relative margin of every certificate comparison; the rounding of g^2 and Q
+# is a few tens of eps even for a million signal values
+_CERT_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -54,23 +59,30 @@ class EdgeSolution:
         return self.E_plus * self.b + self.tb_resc
 
 
+def _reciprocals(model: SpectrumModel, w: np.ndarray) -> np.ndarray:
+    """1/(d_i^2 - w) over a last axis of length M; d^2 - w is the only len(w) x M temporary."""
+    diff = model.d_sq - w[..., None]
+    if not diff.all():
+        bad = w if w.ndim == 0 else w[(diff == 0.0).any(axis=-1)]
+        raise PoleError(f"w={bad} coincides with a squared signal value")
+    return np.reciprocal(diff, out=diff)
+
+
 def phi_family(model: SpectrumModel, w):
     """Evaluate (f, f', phi, phi') at w away from the squared signal values.
 
     f(w) = mean_i 1/(d_i^2 - w) and phi(w) = w (1 - c f)^2 + (1-c)(1 - c f).
     w is a real or complex scalar, giving scalars, or an array, giving
-    arrays of its shape.
+    arrays of its shape.  Each mean is np.add.reduce(., axis=-1) / M: the
+    bits of .mean(axis=-1) without its Python wrapper, which cost as much as
+    the arithmetic at these sizes.
     """
     c = model.c_N
     w = np.asarray(w)
-    diff = model.d_sq - w[..., None]
-    hit = diff == 0.0
-    if hit.any():
-        bad = w if w.ndim == 0 else w[hit.any(axis=-1)]
-        raise PoleError(f"w={bad} coincides with a squared signal value")
-    inv = np.reciprocal(diff, out=diff)  # the only len(w) x M temporary
-    f = inv.mean(axis=-1)
-    fp = np.square(inv, out=inv).mean(axis=-1)
+    inv = _reciprocals(model, w)
+    m = inv.shape[-1]
+    f = np.add.reduce(inv, axis=-1) / m
+    fp = np.add.reduce(np.square(inv, out=inv), axis=-1) / m
     one = 1.0 - c * f
     phi = w * one**2 + (1.0 - c) * one
     phip = one**2 - 2.0 * c * w * one * fp - c * (1.0 - c) * fp
@@ -80,12 +92,21 @@ def phi_family(model: SpectrumModel, w):
 
 
 def _phi_newton(model: SpectrumModel, w: float) -> tuple[float, float]:
-    """phi'(w) from phi_family and phi''(w) from its f, f' and f'' = 2 mean 1/(d^2-w)^3."""
+    """phi'(w) and phi''(w) at the real scalar w, from one d^2 - w and f'' = 2 mean 1/(d^2-w)^3.
+
+    Scalar arithmetic in Python floats: the same operations as phi_family,
+    so phi' has the same bits, without numpy's cost per 0-d operation.
+    """
     c = model.c_N
-    f, fp, _, phip = phi_family(model, w)
-    inv = np.reciprocal(model.d_sq - w)
-    fpp = 2.0 * float(np.mean(inv * inv * inv))
+    w = float(w)
+    inv = _reciprocals(model, np.asarray(w))
+    m = inv.size
+    sq = inv * inv
+    f = float(np.add.reduce(inv)) / m
+    fp = float(np.add.reduce(sq)) / m
+    fpp = 2.0 * (float(np.add.reduce(sq * inv)) / m)
     one = 1.0 - c * f
+    phip = one * one - 2.0 * c * w * one * fp - c * (1.0 - c) * fp
     phipp = -4.0 * c * one * fp + 2.0 * c * c * w * fp * fp - c * (2.0 * w * one + 1.0 - c) * fpp
     return phip, phipp
 
@@ -130,7 +151,71 @@ def _newton_root(model, lo, hi, phip_lo, phip_hi, counts):
     raise NumericError(f"Newton on phi' did not settle in [{min(lo, hi)!r}, {max(lo, hi)!r}]")
 
 
-def find_edge(model: SpectrumModel, *, bracket: tuple | None = None) -> EdgeSolution:
+def _no_root_right_of(model: SpectrumModel, hi: float, f_hi: float, fp_hi: float) -> bool:
+    """Prove that phi' > 0 on [hi, inf), given f and f' at hi > d_1^2; False if the proof fails.
+
+    With g = 1 - c f and Q = c f' (2 w g + 1 - c), phi' = g^2 - Q.  Right of
+    d_1^2, term by term, g - 1, f' and w f' are positive, decreasing and
+    convex (d(w/(w-a)^2)/dw = -(w+a)/(w-a)^3, d^2/dw^2 = (2w+4a)/(w-a)^4), so
+    g^2 and Q are too.  On a cell [a, b], g^2 lies above its tangent at b and
+    Q below its chord, so phi' is at least the line through
+    g(b)^2 + 2 c g(b) f'(b) (b - a) - Q(a) at a and phi'(b) at b; both
+    positive prove phi' > 0 on the cell.  This holds whenever the cruder
+    g(b)^2 > Q(a) does.  Since f < 0 there, g > 1, and Q(last) < 1 covers
+    [last, inf).  One phi_family call evaluates a grid that starts at hi
+    with a first cell short enough for phi'(hi) to pay for the fall of g^2
+    across it, grows geometrically, and ends where Q < 1 whatever the
+    spectrum (w - d_1^2 >= max(4, 2 d_1^2)).  Q is raised and the tangent
+    term lowered by the relative margin _CERT_MARGIN, far above their
+    rounding; the logged margin is the smallest of the lines' end values.
+    """
+    c = model.c_N
+    d1sq = float(model.d_sq[0])
+    g = 1.0 - c * f_hi
+    q = c * fp_hi * (2.0 * hi * g + 1.0 - c)
+    cells, margin = 0, g * g - q * (1.0 + _CERT_MARGIN)
+    if margin > 0.0:
+        last = d1sq + max(4.0, 2.0 * d1sq, 2.0 * (hi - d1sq))
+        # g^2 falls at rate 2 c g f' at hi, so across this first cell by at most phi'(hi)/2
+        slope = 4.0 * c * g * fp_hi
+        first = last - hi if g * g - q >= slope * (last - hi) else (g * g - q) / slope
+        grid = np.empty(_CERT_FRACTIONS.size + 1)
+        grid[0] = hi
+        grid[1:] = hi + first * ((last - hi) / first) ** _CERT_FRACTIONS
+        f, fp = phi_family(model, grid)[:2]
+        g = 1.0 - c * f
+        sq = g * g
+        q = c * fp * (2.0 * grid * g + 1.0 - c) * (1.0 + _CERT_MARGIN)
+        tangent = 2.0 * c * g[1:] * fp[1:] * (grid[1:] - grid[:-1]) * (1.0 - _CERT_MARGIN)
+        margin = min((sq[1:] + tangent - q[:-1]).min(), (sq[1:] - q[1:]).min(), 1.0 - q[-1])
+        cells = grid.size - 1
+    ok = bool(margin > 0.0)
+    log.debug("edge certificate: %d cells right of %r, smallest margin %.3e, %s",
+              cells, hi, margin, "accepted" if ok else "fell back to the scan")
+    return ok
+
+
+def _bracket_cell(model: SpectrumModel, points, lo: float) -> list:
+    """[(a, b, phi'(a), phi'(b))] for the rightmost -/+ sign change of phi' over points, or [].
+
+    points must increase strictly from lo or beyond, phi' must be positive at
+    every point right of the cell, and _no_root_right_of must prove it
+    positive on [b, inf); otherwise the result is empty.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 1 or points.size < 2 or not lo <= points[0] or not (points[1:] > points[:-1]).all():
+        return []
+    f, fp, _, phip = phi_family(model, points)
+    neg = np.flatnonzero(phip < 0.0)
+    if not neg.size or neg[-1] == points.size - 1:
+        return []
+    i = int(neg[-1])
+    if not (phip[i + 1:] > 0.0).all() or not _no_root_right_of(model, points[i + 1], f[i + 1], fp[i + 1]):
+        return []
+    return [(points[i], points[i + 1], phip[i], phip[i + 1])]
+
+
+def find_edge(model: SpectrumModel, *, bracket=None) -> EdgeSolution:
     """Locate the rightmost critical point xi_r and the edge lambda_r = phi(xi_r).
 
     lambda_r is where the real branch of z = phi(w) that solve_stieltjes
@@ -141,20 +226,21 @@ def find_edge(model: SpectrumModel, *, bracket: tuple | None = None) -> EdgeSolu
     by Newton's method safeguarded inside the cell (_newton_root), and the
     largest root is xi_r.
 
-    bracket = (lo, hi), typically the bracket of a nearby model's edge, skips
-    the scan when one two-point call shows phi'(lo) < 0 < phi'(hi) right of
-    the pole; the solution then lists only that root and near_degenerate is
-    False.  Otherwise the scan runs as if no bracket were given.
+    bracket = (lo, hi), typically the bracket of a nearby model's edge, or a
+    longer increasing ladder of points, such as one around a nearby model's
+    xi_r, skips the scan.  One call evaluates phi' at every point; the cell
+    is the rightmost -/+ sign change, phi' must be positive at every point
+    right of it, and a certificate (_no_root_right_of: one more call on
+    about 25 points) must prove phi' > 0 from the cell's right end to
+    infinity, so the root found is the rightmost one.  The solution then
+    lists only that root and near_degenerate is False.  Otherwise the scan
+    runs as if no bracket were given.
     """
     c = model.c_N
     d1sq = float(model.d_sq[0])
     lo = d1sq + _EDGE_EPS * max(1.0, d1sq)
 
-    cells = []
-    if bracket is not None and lo <= bracket[0] < bracket[1]:
-        ends = phi_family(model, np.asarray(bracket, dtype=float))[3]
-        if ends[0] < 0.0 < ends[1]:
-            cells = [(bracket[0], bracket[1], ends[0], ends[1])]
+    cells = [] if bracket is None else _bracket_cell(model, bracket, lo)
     path = "bracket" if cells else "scan"
     if not cells:
         w_max = 4.0 * (d1sq + 1.0) * (1.0 + np.sqrt(c)) ** 2
@@ -229,7 +315,7 @@ def gamma0(model: SpectrumModel, edge: EdgeSolution) -> EdgeSolution:
     return replace(edge, gamma0=g, E_plus=E_plus, xi=xi, tb_resc=tb_resc)
 
 
-def solve_edge(model: SpectrumModel, *, bracket: tuple | None = None) -> EdgeSolution:
+def solve_edge(model: SpectrumModel, *, bracket=None) -> EdgeSolution:
     """find_edge (with an optional bracket, see there) followed by gamma0."""
     return gamma0(model, find_edge(model, bracket=bracket))
 

@@ -52,8 +52,12 @@ class StieltjesValue:
 
 
 def _newton(model: SpectrumModel, z: np.ndarray, w: np.ndarray, tol: float):
-    """Newton's method for phi(w) = z from w, pointwise; returns (w, steps taken)."""
+    """Newton's method for phi(w) = z from w, pointwise.
+
+    Returns (w, phi' at each point's last Newton iterate, steps taken).
+    """
     w = w.copy()
+    slope = np.empty_like(w)
     active = np.arange(z.size)
     steps = 0
     for _ in range(_STEPS_PER_LEVEL):
@@ -61,6 +65,7 @@ def _newton(model: SpectrumModel, z: np.ndarray, w: np.ndarray, tol: float):
         r = phi - z[active]
         dw = r / phip
         w[active] -= dw
+        slope[active] = phip
         steps += active.size
         moving = (np.abs(dw) > tol * np.maximum(1.0, np.abs(w[active]))) & (
             np.abs(r) > _ROUNDOFF * np.maximum(1.0, np.abs(z[active]))
@@ -68,7 +73,7 @@ def _newton(model: SpectrumModel, z: np.ndarray, w: np.ndarray, tol: float):
         active = active[moving]
         if not active.size:
             break
-    return w, steps
+    return w, slope, steps
 
 
 def solve_stieltjes(
@@ -83,8 +88,11 @@ def solve_stieltjes(
     z is a scalar or an array; a real E is taken at E + i eta_floor.  Each
     point solves phi(w) = z by Newton's method, continued in the imaginary
     part: it starts at eta = max(10, 2|z|) from w = z - (1+c), the large-|z|
-    limit of the branch, and shrinks eta geometrically down to its target,
-    reusing the previous w; points leave the iteration once converged.
+    limit of the branch, and shrinks eta by _ETA_STEP per level down to its
+    target.  Each level starts from the tangent predictor w + i d(eta) /
+    phi'(w) of the level before, with the phi' of its last Newton step,
+    shortened to no more than that level's change in w, since phi' -> 0
+    at the edge; points leave the iteration once converged.
     Raises SolverFailureError if a point ends with a fixed-point residual
     above 10 tol or off the branch Im s >= 0, Im(z s) >= 0.
     """
@@ -99,13 +107,24 @@ def solve_stieltjes(
     eta = np.maximum(10.0, 2.0 * np.abs(flat))
     c = model.c_N
     w = E + 1j * eta - (1.0 + c)
+    guess = w.copy()
+    slope = np.empty_like(w)
+    moved = np.empty(E.shape)
     todo = np.ones(E.shape, dtype=bool)
     iterations = 0
     while todo.any():
-        w[todo], steps = _newton(model, E[todo] + 1j * eta[todo], w[todo], tol)
+        w_old = w[todo]
+        w[todo], slope[todo], steps = _newton(model, E[todo] + 1j * eta[todo], guess[todo], tol)
+        moved[todo] = np.abs(w[todo] - w_old)
         iterations += steps
         todo = eta > eta_target
-        eta = np.maximum(eta * _ETA_STEP, eta_target)
+        eta_next = np.maximum(eta * _ETA_STEP, eta_target)
+        # tangent predictor dw = dz / phi'(w) for dz = i (eta_next - eta), no longer
+        # than the last level's move: phi' -> 0 at the edge, where dw/dz blows up
+        dw = 1j * (eta_next[todo] - eta[todo]) / slope[todo]
+        dw *= np.minimum(1.0, moved[todo] / np.abs(dw))
+        guess[todo] = w[todo] + dw
+        eta = eta_next
 
     zt = E + 1j * eta_target
     f = phi_family(model, w)[0]

@@ -167,6 +167,8 @@ def tw_table(start: float, stop: float, step: float, n: int = DEFAULT_NODES):
     """Rows (s, F1(s), f1(s)) on the closed grid start, start+step, ..., stop (direct path)."""
     if step <= 0:
         raise DomainError("step must be positive")
+    if stop < start:
+        raise DomainError("stop must not be below start")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
     rows = []
     for k in range(count):

@@ -203,6 +203,24 @@ def test_flow_check_command(const1, tmp_path):
         assert all(float(x) <= 1e-6 for x in line.split(",")[1:])
 
 
+@pytest.mark.parametrize("grid", [("--t-step", "0"), ("--t-step", "-0.1"), ("--t-max", "-1")])
+def test_flow_check_bad_grid_is_argument_error(const1, tmp_path, capsys, grid):
+    out = tmp_path / "flow.csv"
+    code = run_command(["flow-check", "--spectrum", str(const1), *grid, "--out", str(out)])
+    assert code == 2
+    assert "flow-check grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", [("--from", "5", "--to", "4", "--step", "1"),
+                                  ("--from", "-1", "--to", "1", "--step", "0")])
+def test_twtable_bad_grid_is_argument_error(tmp_path, capsys, grid):
+    out = tmp_path / "tw.csv"
+    assert run_command(["twtable", *grid, "--out", str(out)]) == 2
+    assert "twtable grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_identity_check_command(const1, capsys):
     assert run_command(["identity-check", "--spectrum", str(const1), "--t", "0.5"]) == 0
     payload = json.loads(capsys.readouterr().out)

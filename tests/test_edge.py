@@ -19,7 +19,8 @@ from spectraledge import (
     phi_family,
     solve_edge,
 )
-from spectraledge.edge import EdgeSolution, scaling_sums
+import spectraledge.edge as edge_module
+from spectraledge.edge import EdgeSolution, _no_root_right_of, _phi_newton, scaling_sums
 
 from oracles import constant_spectrum_critical_points, mp_constant_spectrum_xi_r
 
@@ -75,6 +76,39 @@ def test_phi_prime_constant_spectrum_closed_form():
     for k, w in enumerate(ws):
         assert tuple(part[k] for part in batch) == phi_family(model, w)
         assert batch[3][k] == pytest.approx(w**2 * (w - 3.0) / (w - 1.0) ** 3, abs=1e-11)
+
+
+def _mean_phi_family(model, w):
+    # phi_family as written with ndarray.mean, before it summed with np.add.reduce
+    c = model.c_N
+    w = np.asarray(w)
+    inv = np.reciprocal(model.d_sq - w[..., None])
+    f = inv.mean(axis=-1)
+    fp = np.square(inv).mean(axis=-1)
+    one = 1.0 - c * f
+    return f, fp, w * one**2 + (1.0 - c) * one, one**2 - 2.0 * c * w * one * fp - c * (1.0 - c) * fp
+
+
+@pytest.mark.parametrize(
+    "w",
+    [3.7, np.linspace(1.5, 40.0, 33), np.array([[2.0 + 1.0j, 0.5 - 0.25j], [7.0 + 1e-9j, -3.0 + 2.0j]])],
+    ids=["real-scalar", "real-vector", "complex-array"],
+)
+def test_phi_family_bitwise_equal_to_mean_expressions(w):
+    model = SpectrumModel(d=np.sqrt(np.linspace(0.2, 1.3, 257)), M=257, N=600)
+    for new, old in zip(phi_family(model, w), _mean_phi_family(model, w)):
+        assert np.array_equal(new, old)
+        assert np.ndim(new) == np.ndim(w)
+    if np.ndim(w) == 0:
+        # the Newton evaluator forms d^2 - w once and still gives the same phi',
+        # and phi'' from f'' = 2 mean 1/(d^2 - w)^3
+        f, fp, _, phip = _mean_phi_family(model, w)
+        c = model.c_N
+        inv = np.reciprocal(model.d_sq - w)
+        fpp = 2.0 * float(np.mean(inv * inv * inv))
+        one = 1.0 - c * f
+        phipp = -4.0 * c * one * fp + 2.0 * c * c * w * fp * fp - c * (2.0 * w * one + 1.0 - c) * fpp
+        assert _phi_newton(model, w) == (phip, phipp)
 
 
 def test_phi_family_pole_rejected():
@@ -190,16 +224,19 @@ def test_roots_reported_sorted():
 
 
 def _counted_find_edge(model, monkeypatch):
+    # every evaluation of the phi family: phi_family calls and the Newton
+    # steps' _phi_newton calls, which form d^2 - w themselves
     import spectraledge.edge as edge_module
 
     calls = []
-    real = edge_module.phi_family
+    for name in ("phi_family", "_phi_newton"):
+        real = getattr(edge_module, name)
 
-    def counting(model, w):
-        calls.append(w)
-        return real(model, w)
+        def counting(model, w, real=real):
+            calls.append(w)
+            return real(model, w)
 
-    monkeypatch.setattr(edge_module, "phi_family", counting)
+        monkeypatch.setattr(edge_module, name, counting)
     return edge_module.find_edge(model), len(calls)
 
 
@@ -299,3 +336,88 @@ def test_solve_edge_huge_constant_spectrum():
     assert sol.xi_r > model.d_sq[0]
     res = edge_residuals(model, sol)
     assert res["first_order"] <= 1e-9 * max(1.0, sol.lambda_r)
+
+
+def _distance_ladder(model, xi, ratios):
+    d1sq = float(model.d_sq[0])
+    return d1sq + (xi - d1sq) * np.asarray(ratios)
+
+
+@given(
+    d=st.lists(st.floats(min_value=0.0, max_value=1e2), min_size=1, max_size=30),
+    c=st.floats(min_value=1e-6, max_value=1.0),
+    offset=st.floats(min_value=1e-9, max_value=10.0),
+)
+def test_certificate_accepts_only_what_holds(d, c, offset):
+    # started right of xi_r it may accept, and then phi' > 0 on a dense grid far
+    # beyond the scan's range; started left of xi_r it must reject
+    M = len(d)
+    model = SpectrumModel(d=np.array(d), M=M, N=max(M, round(M / c)))
+    sol = find_edge(model)
+    d1sq = float(model.d_sq[0])
+    right, left = _distance_ladder(model, sol.xi_r, [1.0 + offset, 1.0 - min(offset, 0.5)])
+    if _no_root_right_of(model, right, *phi_family(model, right)[:2]):
+        w_max = 4.0 * (d1sq + 1.0) * (1.0 + math.sqrt(model.c_N)) ** 2
+        assert np.all(phi_family(model, np.geomspace(right, 1e3 * w_max, 20_000))[3] > 0.0)
+    assert not _no_root_right_of(model, left, *phi_family(model, left)[:2])
+
+
+def test_certificate_accepts_close_to_the_edge():
+    for model in random_models(12, seed=3):
+        sol = find_edge(model)
+        for offset in (1e-9, 1e-6, 1e-3, 1.0):
+            hi = _distance_ladder(model, sol.xi_r, 1.0 + offset)
+            assert _no_root_right_of(model, hi, *phi_family(model, hi)[:2])
+
+
+@pytest.mark.parametrize("fractions", [[0.0], [0.0, 1.0]], ids=["short-of-the-tail", "one-wide-cell"])
+def test_certificate_rejects_what_a_coarse_grid_cannot_prove(fractions, monkeypatch, caplog):
+    # Marchenko-Pastur at c = 1: xi_r = 1 and phi' > 0 right of it.  A grid that
+    # stops where Q is still about 4, or one cell from near the edge to w = 4,
+    # proves nothing, although phi' is positive at every grid point.
+    model = zero_model(40, 40)
+    hi = 1.001
+    f, fp, _, _ = phi_family(model, hi)
+    assert _no_root_right_of(model, hi, f, fp)
+    monkeypatch.setattr(edge_module, "_CERT_FRACTIONS", np.array(fractions))
+    with caplog.at_level(logging.DEBUG, logger="spectraledge"):
+        assert not _no_root_right_of(model, hi, f, fp)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("edge certificate")]
+    assert len(lines) == 1 and lines[0].endswith("fell back to the scan")
+    assert int(re.match(r"edge certificate: (\d+) cells", lines[0]).group(1)) == len(fractions)
+
+
+def test_ladder_bracket_solves_its_rightmost_cell():
+    model = constant_model(1, 50, 100)
+    scan = find_edge(model)
+    ladder = _distance_ladder(model, scan.xi_r, 2.0 ** ((np.arange(-8, 8) + 0.5) / 4.0))
+    fast = find_edge(model, bracket=ladder)
+    k = int(np.searchsorted(ladder, scan.xi_r))
+    assert fast.bracket == (ladder[k - 1], ladder[k])
+    assert abs(fast.xi_r - scan.xi_r) <= 4 * np.spacing(scan.xi_r)
+    assert fast.roots == (fast.xi_r,) and not fast.near_degenerate
+    # a ladder that ends left of the edge, or is not increasing, falls back to the scan
+    assert find_edge(model, bracket=ladder[:k]) == scan
+    assert find_edge(model, bracket=ladder[::-1]) == scan
+
+
+def test_forced_certificate_rejection_returns_the_scan(monkeypatch):
+    model = constant_model(1, 50, 100)
+    scan = find_edge(model)
+    ladder = _distance_ladder(model, scan.xi_r, 2.0 ** (np.arange(-8, 9) / 4.0))
+    assert find_edge(model, bracket=ladder).bracket != scan.bracket
+    monkeypatch.setattr(edge_module, "_no_root_right_of", lambda *args: False)
+    assert find_edge(model, bracket=ladder) == scan
+    assert find_edge(model, bracket=scan.bracket) == scan
+
+
+def test_every_bracket_solve_logs_one_certificate(caplog):
+    model = constant_model(1, 50, 100)
+    with caplog.at_level(logging.DEBUG, logger="spectraledge"):
+        sol = find_edge(model)
+        find_edge(model, bracket=sol.bracket)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("edge certificate")]
+    assert len(lines) == 1
+    cells, margin = re.match(r"edge certificate: (\d+) cells right of .*, smallest margin (\S+), accepted$",
+                             lines[0]).groups()
+    assert int(cells) == edge_module._CERT_FRACTIONS.size and float(margin) > 0.0

@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 
@@ -8,7 +9,9 @@ from spectraledge import (
     InvalidArgumentError,
     SpectrumModel,
     analytic_derivatives,
+    find_edge,
     flow_derivative_check,
+    flow_derivative_checks,
     flow_state,
     load_spectrum,
 )
@@ -136,3 +139,63 @@ def test_flow_uses_base_aspect_ratio():
     rc = math.sqrt(0.25)
     limit = stationary_state(model)
     assert limit.edge_t.lambda_r == pytest.approx((1 + rc) ** 2, abs=1e-10)
+
+
+def test_loop_matches_the_analytic_derivatives_randomized():
+    rng = np.random.default_rng(43)
+    times = np.arange(0.0, 3.01, 0.25)
+    for k in range(6):
+        model = random_model(rng, (0.25, 0.5, 1.0)[k % 3])
+        rows = flow_derivative_checks(model, times, step=1e-4)
+        assert len(rows) == len(times)
+        assert all(set(res) == set(DERIVATIVE_KEYS) and max(res.values()) <= 1e-6 for res in rows)
+
+
+def test_loop_rejects_bad_times_and_steps():
+    model = constant_model(4, 4)
+    with pytest.raises(InvalidArgumentError):
+        flow_derivative_checks(model, [0.0, -0.1])
+    with pytest.raises(InvalidArgumentError):
+        flow_derivative_checks(model, [0.0, 0.5], step=-1e-4)
+
+
+def test_later_times_start_from_a_ladder_around_the_last_edge(monkeypatch):
+    model = constant_model(50, 50)
+    seen = _recorded_brackets(monkeypatch)
+    flow_derivative_checks(model, [0.0, 0.25, 0.5], step=1e-4)
+    assert len(seen) == 9 and seen[0] is None
+    for k in (0, 3, 6):
+        ladder = seen[k]
+        if k:
+            assert isinstance(ladder, np.ndarray) and ladder.size == flow_module._LADDER_RATIOS.size
+            assert np.all(np.diff(ladder) > 0.0)
+        assert seen[k + 1] == seen[k + 2] and len(seen[k + 1]) == 2
+
+
+def test_near_degenerate_edge_makes_the_next_time_scan(monkeypatch):
+    seen = _recorded_brackets(monkeypatch, near_degenerate=True)
+    flow_derivative_checks(constant_model(50, 50), [0.0, 0.25, 0.5], step=1e-4)
+    assert seen == [None] * 9
+
+
+def test_flow_check_scans_once_and_matches_per_time_scans(monkeypatch, caplog):
+    # the 500 x 1000 uniform_sq spectrum at flow times 0, 0.1, ..., 3
+    model = load_spectrum({"type": "uniform_sq", "v_min": 0.5, "v_max": 2.0, "M": 500, "N": 1000})
+    times = np.arange(0.0, 3.0 + 1e-12, 0.1)
+    solved = []
+    real = flow_module.solve_edge
+
+    def recording(model_t, *, bracket=None):
+        edge = real(model_t, bracket=bracket)
+        solved.append((model_t, edge))
+        return edge
+
+    monkeypatch.setattr(flow_module, "solve_edge", recording)
+    with caplog.at_level(logging.DEBUG, logger="spectraledge"):
+        rows = flow_derivative_checks(model, times, step=1e-4)
+    paths = [r.getMessage().split(",")[0] for r in caplog.records if r.getMessage().startswith("find_edge")]
+    assert paths == ["find_edge: scan path"] + ["find_edge: bracket path"] * (3 * len(times) - 1)
+    assert len(solved) == 3 * len(times)
+    for model_t, edge in solved:
+        assert abs(edge.xi_r - find_edge(model_t).xi_r) <= 4 * np.spacing(edge.xi_r)
+    assert all(max(res.values()) <= 1e-6 for res in rows)

@@ -159,3 +159,16 @@ def test_imaginary_part_decays_in_E():
     ims = [solve_stieltjes(model, complex(E, eta)).s.imag for E in Es]
     assert all(a > b for a, b in zip(ims, ims[1:]))
     assert ims[-1] < ims[0] / 10
+
+
+def test_density_grid_into_the_edge_newton_step_bound():
+    # the density grid from 0.01 to lambda_r + 1, step 0.25, on the 500 x 1000
+    # uniform_sq spectrum (28 points, one 0.0055 below the edge); each eta level
+    # starting from the last level's w instead of the tangent predictor takes 5621
+    model = load_spectrum({"type": "uniform_sq", "v_min": 0.5, "v_max": 2.0, "M": 500, "N": 1000})
+    stop = solve_edge(model).lambda_r + 1.0
+    E = 0.01 + 0.25 * np.arange(np.floor((stop - 0.01) / 0.25 + 1e-9) + 1)
+    value = solve_stieltjes(model, E)
+    assert E.size == 28
+    assert value.iterations <= 4000
+    assert value.residual <= 1e-12

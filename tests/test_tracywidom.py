@@ -137,6 +137,14 @@ def test_f1_monotone_and_limits():
     assert values[-1] > 1.0 - 1e-5
 
 
+def test_tw_table_refuses_an_empty_or_stalled_grid():
+    with pytest.raises(DomainError):
+        tw_table(5.0, 4.0, 1.0)
+    with pytest.raises(DomainError):
+        tw_table(-1.0, 1.0, 0.0)
+    assert [row[0] for row in tw_table(4.0, 4.0, 1.0)] == [4.0]
+
+
 def test_two_method_agreement(painleve):
     for s in np.arange(-5.0, 2.01, 0.5):
         assert abs(f1_cdf(float(s)) - painleve.cdf(float(s))) <= 1e-6
