@@ -196,8 +196,8 @@ def _cmd_density(args) -> list[str]:
         lam = solve_edge(model).lambda_r
         stop = stop if stop is not None else lam + 1.0
         step = step if step is not None else (stop - start) / 400.0
-    if step <= 0 or stop < start:
-        raise InvalidArgumentError("density grid requires step > 0 and to >= from")
+    if not (0 < step < math.inf and -math.inf < start <= stop < math.inf):
+        raise InvalidArgumentError("density grid requires finite bounds, step > 0 and to >= from")
     count = math.floor((stop - start) / step + 1e-9) + 1
     E = start + step * np.arange(count)
     s = solve_stieltjes(model, E).s
@@ -245,10 +245,14 @@ def _cmd_twtable(args) -> list[str]:
 
 def _cmd_locallaw(args) -> list[str]:
     _check_threads(args)
+    if args.seeds < 1:
+        raise InvalidConfigError(f"locallaw requires --seeds >= 1, got {args.seeds}")
     model = _load_model(args)
     if args.N is not None:
         model = with_size(model, args.N)
     eta = args.eta if args.eta is not None else model.N ** -0.5
+    if not (0 < eta < math.inf and math.isfinite(args.E_offset)):
+        raise InvalidArgumentError("locallaw requires a finite --eta > 0 and a finite --E-offset")
     sol = solve_edge(model)
     z = complex(sol.lambda_r + args.E_offset, eta)
 

@@ -76,6 +76,16 @@ def test_density_grid_is_indexed(zeros_c_half, tmp_path):
     assert E == [0.1 + k * 0.1 for k in range(15)]
 
 
+@pytest.mark.parametrize("grid", [("--to", "inf"), ("--to", "nan"), ("--step", "nan"),
+                                  ("--step", "inf"), ("--from", "nan"), ("--from=-inf",)])
+def test_density_non_finite_grid_is_argument_error(zeros_c_half, tmp_path, capsys, grid):
+    out = tmp_path / "rho.csv"
+    code = run_command(["density", "--spectrum", str(zeros_c_half), *grid, "--out", str(out)])
+    assert code == 2
+    assert "density grid requires finite bounds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_zero_trials_is_config_error(const1, tmp_path):
     code = run_command([
         "simulate", "--spectrum", str(const1), "--trials", "0",
@@ -187,6 +197,31 @@ def test_locallaw_determinism_across_threads(const1, tmp_path):
         assert code == 0
         bodies.append(out.read_bytes())
     assert bodies[0] == bodies[1]
+
+
+def test_locallaw_threads_byte_identical_across_chunks(const1, tmp_path):
+    # 300 x 300 spans several row chunks of the resolvent reducer
+    bodies = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"ll_{threads}.csv"
+        code = run_command([
+            "locallaw", "--spectrum", str(const1), "--N", "300", "--seed", "11",
+            "--seeds", "2", "--threads", threads, "--out", str(out),
+        ])
+        assert code == 0
+        bodies.append(out.read_bytes())
+    assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("option", [("--seeds", "0"), ("--eta", "nan"), ("--eta", "inf"),
+                                    ("--eta", "0"), ("--E-offset", "nan"), ("--E-offset=-inf",)])
+def test_locallaw_bad_option_is_refused(const1, tmp_path, capsys, option):
+    out = tmp_path / "ll.csv"
+    code = run_command(["locallaw", "--spectrum", str(const1), "--N", "60", "--seeds", "2",
+                        *option, "--out", str(out)])
+    assert code == 2
+    assert "locallaw requires" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_flow_check_command(const1, tmp_path):

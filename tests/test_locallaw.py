@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,15 @@ def test_deviation_requires_upper_half_plane():
     Y = sample_matrix(model, "gaussian", seed=0, trial=0)
     with pytest.raises(InvalidArgumentError):
         locallaw_deviation(model, Y, 6.75)
+
+
+@pytest.mark.parametrize("z", [complex(float("nan"), 0.1), complex(6.75, float("nan")),
+                               complex(6.75, float("inf")), complex(float("inf"), 0.1)])
+def test_deviation_rejects_non_finite_z(z):
+    model = constant_model(6, 12)
+    Y = sample_matrix(model, "gaussian", seed=0, trial=0)
+    with pytest.raises(InvalidArgumentError):
+        locallaw_deviation(model, Y, z)
 
 
 def test_mumu_class_empty_for_square_model():
@@ -212,6 +223,46 @@ def test_blockwise_resolvent_matches_dense_rescaled():
     g = sol.gamma0
     Y = np.sqrt(g) * sample_matrix(model, "gaussian", seed=7, trial=0)
     _assert_matches_dense(model, Y, complex(sol.E_plus, g * model.N ** -0.5), rescaled=True, gamma0=g)
+
+
+# the shapes below span several row chunks and end mid-chunk
+
+
+def test_blockwise_resolvent_matches_dense_across_chunks():
+    model = load_spectrum({"type": "uniform_sq", "v_min": 0.5, "v_max": 2, "M": 300, "N": 700})
+    lam = solve_edge(model).lambda_r
+    Y = sample_matrix(model, "gaussian", seed=8, trial=0)
+    for z in (complex(lam, model.N ** -0.5), complex(0.3, 2.0)):
+        _assert_matches_dense(model, Y, z)
+
+
+def test_blockwise_resolvent_matches_dense_square_across_chunks():
+    model = constant_model(260, 260)
+    Y = sample_matrix(model, "rademacher", seed=9, trial=0)
+    report = _assert_matches_dense(model, Y, complex(solve_edge(model).lambda_r, 0.1))
+    assert report.dev_mumu == 0.0
+
+
+def test_blockwise_resolvent_matches_dense_rescaled_across_chunks():
+    model = load_spectrum({"type": "uniform_sq", "v_min": 0.5, "v_max": 2, "M": 150, "N": 390})
+    sol = solve_edge(model)
+    g = sol.gamma0
+    Y = np.sqrt(g) * sample_matrix(model, "gaussian", seed=10, trial=0)
+    _assert_matches_dense(model, Y, complex(sol.E_plus, g * model.N ** -0.5), rescaled=True, gamma0=g)
+
+
+def test_deviation_peak_memory_below_one_full_block():
+    # one complex N x N block (G22) is N^2 * 16 bytes; the reducer never holds one
+    model = constant_model(200, 1000)
+    Y = sample_matrix(model, "gaussian", seed=0, trial=0)
+    z = complex(solve_edge(model).lambda_r, model.N ** -0.5)
+    tracemalloc.start()
+    try:
+        locallaw_deviation(model, Y, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < model.N ** 2 * 16
 
 
 def test_eigensolver_failure_is_numeric_error(monkeypatch):
