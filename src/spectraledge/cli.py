@@ -10,19 +10,18 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 import scipy
 
 from . import __version__
 from .edge import edge_residuals, solve_edge
-from .errors import InvalidArgumentError, InvalidConfigError, SpectralEdgeError
+from .errors import DomainError, InvalidArgumentError, InvalidConfigError, SpectralEdgeError
 from .flow import flow_derivative_checks, flow_state
 from .identities import identity_residuals
 from .locallaw import locallaw_deviation, DEVIATION_CLASSES
 from .montecarlo import NOISE_DISTS, pmap, run_ensemble, sample_matrix
-from .spectrum import check_assumption3, load_spectrum, with_size
+from .spectrum import check_assumption3, grid, load_spectrum, with_size
 from .stieltjes import solve_stieltjes
 from .tracywidom import tw_table
 
@@ -67,15 +66,19 @@ def _json_body(obj, indent=0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def emit_json(obj, path=None) -> str:
-    """Serialize with stable key order and 17-significant-digit floats."""
-    body = _json_body(obj) + "\n"
+def _write(body: str, path) -> str:
+    """Write body to the file at path, or to stdout when path is None or "-"; return body."""
     if path is None or path == "-":
         sys.stdout.write(body)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(body)
     return body
+
+
+def emit_json(obj, path=None) -> str:
+    """Serialize with stable key order and 17-significant-digit floats."""
+    return _write(_json_body(obj) + "\n", path)
 
 
 def emit_csv(rows, header, path=None) -> str:
@@ -89,33 +92,7 @@ def emit_csv(rows, header, path=None) -> str:
             else:
                 fields.append(_format_number(cell if not isinstance(cell, (np.floating, np.integer)) else cell.item()))
         lines.append(",".join(fields))
-    body = "\n".join(lines) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(body)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    return body
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility metadata emitted alongside every output file."""
-
-    command: str
-    config_hash: str
-    seed: int | None
-    versions: dict
-    wall_time_s: float
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "versions": dict(self.versions),
-            "wall_time_s": self.wall_time_s,
-        }
+    return _write("\n".join(lines) + "\n", path)
 
 
 def _versions() -> dict:
@@ -144,14 +121,15 @@ def _config_hash(args) -> str:
 
 
 def _write_manifest(args, started: float, out_path: str) -> None:
-    manifest = RunManifest(
-        command=args.command,
-        config_hash=_config_hash(args),
-        seed=getattr(args, "seed", None),
-        versions=_versions(),
-        wall_time_s=time.time() - started,
-    )
-    emit_json(manifest.to_dict(), out_path + ".manifest.json")
+    """Reproducibility metadata emitted alongside every output file."""
+    manifest = {
+        "command": args.command,
+        "config_hash": _config_hash(args),
+        "seed": getattr(args, "seed", None),
+        "versions": _versions(),
+        "wall_time_s": time.time() - started,
+    }
+    emit_json(manifest, out_path + ".manifest.json")
 
 
 def _load_model(args):
@@ -196,10 +174,7 @@ def _cmd_density(args) -> list[str]:
         lam = solve_edge(model).lambda_r
         stop = stop if stop is not None else lam + 1.0
         step = step if step is not None else (stop - start) / 400.0
-    if not (0 < step < math.inf and -math.inf < start <= stop < math.inf):
-        raise InvalidArgumentError("density grid requires finite bounds, step > 0 and to >= from")
-    count = math.floor((stop - start) / step + 1e-9) + 1
-    E = start + step * np.arange(count)
+    E = grid(start, stop, step, "density")
     s = solve_stieltjes(model, E).s
     rows = zip(E, np.maximum(0.0, s.imag / math.pi), s.imag, s.real)
     emit_csv(rows, ("E", "rho0", "Im_s", "Re_s"), args.out)
@@ -236,8 +211,6 @@ def _cmd_simulate(args) -> list[str]:
 
 
 def _cmd_twtable(args) -> list[str]:
-    if not (0 < args.step < math.inf and -math.inf < args.start <= args.stop < math.inf):
-        raise InvalidArgumentError("twtable grid requires finite bounds, step > 0 and to >= from")
     rows = tw_table(args.start, args.stop, args.step)
     emit_csv(rows, ("s", "F1", "f1"), args.out)
     return [args.out] if args.out else []
@@ -251,8 +224,6 @@ def _cmd_locallaw(args) -> list[str]:
     if args.N is not None:
         model = with_size(model, args.N)
     eta = args.eta if args.eta is not None else model.N ** -0.5
-    if not (0 < eta < math.inf and math.isfinite(args.E_offset)):
-        raise InvalidArgumentError("locallaw requires a finite --eta > 0 and a finite --E-offset")
     sol = solve_edge(model)
     z = complex(sol.lambda_r + args.E_offset, eta)
 
@@ -271,10 +242,8 @@ def _cmd_locallaw(args) -> list[str]:
 
 
 def _cmd_flow_check(args) -> list[str]:
-    if not (0 < args.t_step < math.inf and 0 <= args.t_max < math.inf):
-        raise InvalidArgumentError("flow-check grid requires finite --t-step > 0 and --t-max >= 0")
     model = _load_model(args)
-    times = np.arange(0.0, args.t_max + 1e-12, args.t_step)
+    times = grid(0.0, args.t_max, args.t_step, "flow-check")
     rows = [
         (float(t), res["b"], res["gamma"], res["E_plus"], res["xi"], res["h"])
         for t, res in zip(times, flow_derivative_checks(model, times, step=args.step))
@@ -371,7 +340,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> int:
-    """Execute one subcommand; exit codes: 0 ok, 2 invalid config/usage, 1 numeric failure."""
+    """Execute one subcommand; exit codes: 0 ok, 2 invalid config, argument or domain
+    (InvalidConfigError, InvalidArgumentError, DomainError) or usage, 1 numeric failure."""
     level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
         os.environ.get("SPECTRALEDGE_LOG", "error").lower(), logging.ERROR
     )
@@ -389,7 +359,7 @@ def run_command(argv) -> int:
         written = _HANDLERS[args.command](args)
         for path in written:
             _write_manifest(args, started, path)
-    except (InvalidConfigError, InvalidArgumentError) as exc:
+    except (InvalidConfigError, InvalidArgumentError, DomainError) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edge import solve_edge
 from .errors import InvalidArgumentError, NumericError
-from .montecarlo import largest_eigenvalue, sample_matrix
+from .montecarlo import run_ensemble
 from .spectrum import SpectrumModel, with_size
 from .stieltjes import solve_stieltjes
 
@@ -151,7 +150,7 @@ def locallaw_deviation(
     """
     z = complex(z)
     if not (cmath.isfinite(z) and z.imag > 0):
-        raise InvalidArgumentError(f"locallaw_deviation requires a finite z with Im z > 0, got {z}")
+        raise InvalidArgumentError(f"locallaw requires a finite z with Im z > 0, got {z}")
     M, N = model.M, model.N
     d = model.d
     dsq = model.d_sq
@@ -159,24 +158,18 @@ def locallaw_deviation(
     if rescaled:
         if gamma0 is None:
             raise InvalidArgumentError("rescaled profiles need the scaling constant gamma0")
+        # the hat profiles at z are the plain ones at z / g, with w and tb scaled by g
         g = gamma0
         sv = solve_stieltjes(model, z / g)
-        m_z = sv.s / g
-        s_for_psi = g * m_z
-        b = 1.0 + model.c_N * g * m_z
-        w = z * b**2 - g * (1.0 - model.c_N) * b
-        tb = z * b - g * (1.0 - model.c_N)
+        b, w, tb, s_avg = sv.b, g * sv.w, g * sv.tb, sv.s / g
         denom = g * dsq - w
         cross_profile = math.sqrt(g) * d / denom
-        s_avg = m_z
     else:
         sv = solve_stieltjes(model, z)
-        b, w = sv.b, sv.w
+        b, w, s_avg = sv.b, sv.w, sv.s
         tb = z * b - (1.0 - model.c_N)
         denom = dsq - w
         cross_profile = d / denom
-        s_for_psi = sv.s
-        s_avg = sv.s
 
     g11, g12, g22, off_max, off_sum = _resolvent_reduce(np.asarray(Y, dtype=float), z)
 
@@ -196,7 +189,7 @@ def locallaw_deviation(
     dev_avg = float(abs(complex(np.mean(g11)) - s_avg))
 
     eta = z.imag
-    psi = math.sqrt(max(s_for_psi.imag, 0.0) / (N * eta)) + 1.0 / (N * eta)
+    psi = math.sqrt(max(sv.s.imag, 0.0) / (N * eta)) + 1.0 / (N * eta)
     means["avg"] = dev_avg
     ratios = {cls: maxima[cls] / psi for cls in maxima}
     ratios["avg"] = dev_avg * (N * eta)
@@ -230,7 +223,8 @@ def rigidity_scan(model: SpectrumModel, Ns, trials: int, seed: int = 0) -> float
     """Least-squares slope of log median |mu1 - lambda_r| against log N.
 
     The model is regenerated at each size with the same aspect ratio and
-    spectral shape; the deterministic edge is recomputed per size.
+    spectral shape; per size, one Gaussian `run_ensemble` keyed by seed + N
+    gives mu1 per trial and the deterministic edge lambda_r.
     """
     if trials < 1:
         raise InvalidArgumentError("trials must be positive")
@@ -240,12 +234,7 @@ def rigidity_scan(model: SpectrumModel, Ns, trials: int, seed: int = 0) -> float
     for N in Ns:
         if N < 50:
             raise InvalidArgumentError("rigidity scan sizes must be at least 50")
-        m = with_size(model, N)
-        lam = solve_edge(m).lambda_r
-        devs = []
-        for trial in range(trials):
-            Y = sample_matrix(m, "gaussian", seed + N, trial)
-            devs.append(abs(largest_eigenvalue(Y) - lam))
-        medians.append(np.median(devs))
+        r = run_ensemble(with_size(model, N), trials, "gaussian", seed + N)
+        medians.append(np.median(np.abs(r.mu1s - r.lambda_r)))
     slope = float(np.polyfit(np.log(np.asarray(Ns, dtype=float)), np.log(medians), 1)[0])
     return slope

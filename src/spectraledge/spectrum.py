@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidConfigError
+from .errors import DomainError, InvalidArgumentError, InvalidConfigError
 
 _SPECTRUM_TYPES = ("constant", "explicit", "uniform_sq")
 
@@ -68,6 +69,18 @@ def _require_number(config, key):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise InvalidConfigError(f"spectrum config field {key!r} must be a number")
     return float(value)
+
+
+def grid(start: float, stop: float, step: float, what: str) -> np.ndarray:
+    """The closed grid start, start + step, ..., stop, point k at start + step k.
+
+    Domain: finite start, stop and step with step > 0 and stop >= start;
+    otherwise DomainError, its message led by `what`.  stop is included
+    when it lies within 1e-9 steps of a grid point.
+    """
+    if not (math.isfinite(start) and 0 < step < math.inf and start <= stop < math.inf):
+        raise DomainError(f"{what} grid requires finite bounds, step > 0 and stop >= start")
+    return start + step * np.arange(math.floor((stop - start) / step + 1e-9) + 1)
 
 
 def _require_int(config, key):

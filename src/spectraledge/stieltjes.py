@@ -85,7 +85,8 @@ def solve_stieltjes(
 ) -> StieltjesValue:
     """Solve the self-consistent equation at z (Im z > 0, or real E != 0 as a boundary value).
 
-    z is a scalar or an array; a real E is taken at E + i eta_floor.  Each
+    z is a scalar or an array.  Domain: every z finite, Im z >= 0 and z != 0,
+    else DomainError; a real E is taken at E + i eta_floor.  Each
     point solves phi(w) = z by Newton's method, continued in the imaginary
     part: it starts at eta = max(10, 2|z|) from w = z - (1+c), the large-|z|
     limit of the branch, and shrinks eta by _ETA_STEP per level down to its
@@ -97,6 +98,8 @@ def solve_stieltjes(
     above 10 tol or off the branch Im s >= 0, Im(z s) >= 0.
     """
     z_in = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z_in)):
+        raise DomainError("stieltjes transform requires a finite z")
     if np.any(z_in == 0):
         raise DomainError("stieltjes transform is not defined at z = 0")
     if np.any(z_in.imag < 0):

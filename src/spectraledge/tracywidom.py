@@ -26,6 +26,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import airy as _scipy_airy
 
 from .errors import DomainError, NumericError
+from .spectrum import grid
 
 AIRY_RANGE = (-20.0, 40.0)
 # Above _SERIES_FROM scipy's airy leaves cephes for the complex AMOS routines,
@@ -164,17 +165,12 @@ def f1_pdf(s: float, n: int = DEFAULT_NODES) -> float:
 
 
 def tw_table(start: float, stop: float, step: float, n: int = DEFAULT_NODES):
-    """Rows (s, F1(s), f1(s)) on the closed grid start, start+step, ..., stop (direct path)."""
-    if step <= 0:
-        raise DomainError("step must be positive")
-    if stop < start:
-        raise DomainError("stop must not be below start")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    rows = []
-    for k in range(count):
-        s = start + k * step
-        rows.append((s, *_f1_pair(s, n)))
-    return rows
+    """Rows (s, F1(s), f1(s)) on the closed grid start, start+step, ..., stop (direct path).
+
+    The grid is `spectrum.grid`'s: finite bounds, step > 0 and stop >= start,
+    else DomainError.
+    """
+    return [(s, *_f1_pair(s, n)) for s in grid(start, stop, step, "twtable").tolist()]
 
 
 def _chebyshev_f1(nodes: int, lo: float, hi: float) -> Chebyshev:

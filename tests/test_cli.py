@@ -86,6 +86,14 @@ def test_density_non_finite_grid_is_argument_error(zeros_c_half, tmp_path, capsy
     assert not out.exists()
 
 
+def test_density_at_zero_is_argument_error(zeros_c_half, tmp_path, capsys):
+    out = tmp_path / "rho.csv"
+    code = run_command(["density", "--spectrum", str(zeros_c_half), "--from", "0", "--out", str(out)])
+    assert code == 2
+    assert "not defined at z = 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_zero_trials_is_config_error(const1, tmp_path):
     code = run_command([
         "simulate", "--spectrum", str(const1), "--trials", "0",
@@ -253,6 +261,13 @@ def test_twtable_bad_grid_is_argument_error(tmp_path, capsys, grid):
     out = tmp_path / "tw.csv"
     assert run_command(["twtable", *grid, "--out", str(out)]) == 2
     assert "twtable grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_twtable_nan_bound_is_argument_error(tmp_path, capsys):
+    out = tmp_path / "tw.csv"
+    assert run_command(["twtable", "--from", "nan", "--to", "1", "--step", "0.5", "--out", str(out)]) == 2
+    assert "twtable grid requires finite bounds" in capsys.readouterr().err
     assert not out.exists()
 
 

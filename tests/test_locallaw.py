@@ -164,6 +164,12 @@ def test_rigidity_scan_smoke():
     assert -1.2 < slope < -0.25
 
 
+def test_rigidity_scan_slope_is_pinned():
+    # the (seed + N, trial) streams, mu1 and lambda_r fix the slope to the bit
+    model = constant_model(64, 64)
+    assert rigidity_scan(model, [50, 150, 300], trials=7, seed=4) == -0.03492985241445844
+
+
 def test_rigidity_scan_single_trial_warns(caplog):
     model = constant_model(64, 64)
     with caplog.at_level("WARNING", logger="spectraledge"):

@@ -112,6 +112,22 @@ def test_z_zero_rejected():
         solve_stieltjes(model, 0.0)
 
 
+@pytest.mark.parametrize("z", [complex(np.inf, 0.1), complex(-np.inf, 0.1),
+                               complex(np.nan, 0.1), complex(0.5, np.inf)])
+def test_non_finite_z_rejected(z):
+    # an infinite start level eta = max(10, 2|z|) would never reach its target
+    model = zero_model(4, 8)
+    with pytest.raises(DomainError, match="finite z"):
+        solve_stieltjes(model, z)
+    with pytest.raises(DomainError, match="finite z"):
+        solve_stieltjes(model, np.array([1.0 + 0.1j, z]))
+
+
+def test_density_at_infinity_rejected():
+    with pytest.raises(DomainError):
+        density(zero_model(4, 8), np.inf)
+
+
 def test_density_matches_mp_inside_support():
     model = zero_model(80, 80)
     assert density(model, 2.0) == pytest.approx(1.0 / (2.0 * np.pi), abs=1e-6)

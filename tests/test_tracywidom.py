@@ -145,6 +145,18 @@ def test_tw_table_refuses_an_empty_or_stalled_grid():
     assert [row[0] for row in tw_table(4.0, 4.0, 1.0)] == [4.0]
 
 
+@pytest.mark.parametrize("grid", [(math.nan, 1.0, 0.5), (0.0, math.inf, 0.1), (0.0, 1.0, math.nan)])
+def test_tw_table_refuses_a_non_finite_grid(grid):
+    with pytest.raises(DomainError, match="grid requires finite bounds"):
+        tw_table(*grid)
+
+
+def test_tw_table_rows_sit_on_the_indexed_grid():
+    rows = tw_table(-1.0, 0.0, 0.1)
+    assert [row[0] for row in rows] == [-1.0 + k * 0.1 for k in range(11)]
+    assert all(type(row[0]) is float for row in rows)
+
+
 def test_two_method_agreement(painleve):
     for s in np.arange(-5.0, 2.01, 0.5):
         assert abs(f1_cdf(float(s)) - painleve.cdf(float(s))) <= 1e-6
