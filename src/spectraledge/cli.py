@@ -19,7 +19,7 @@ from .edge import edge_residuals, solve_edge
 from .errors import DomainError, InvalidArgumentError, InvalidConfigError, SpectralEdgeError
 from .flow import flow_derivative_checks, flow_state
 from .identities import identity_residuals
-from .locallaw import locallaw_deviation, DEVIATION_CLASSES
+from .locallaw import DEVIATION_CLASSES, check_z, locallaw_deviation
 from .montecarlo import NOISE_DISTS, pmap, run_ensemble, sample_matrix
 from .spectrum import check_assumption3, grid, load_spectrum, with_size
 from .stieltjes import solve_stieltjes
@@ -225,7 +225,7 @@ def _cmd_locallaw(args) -> list[str]:
         model = with_size(model, args.N)
     eta = args.eta if args.eta is not None else model.N ** -0.5
     sol = solve_edge(model)
-    z = complex(sol.lambda_r + args.E_offset, eta)
+    z = check_z(complex(sol.lambda_r + args.E_offset, eta))
 
     def one_seed(seed):
         Y = sample_matrix(model, args.dist, seed, 0)

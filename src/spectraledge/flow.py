@@ -60,7 +60,7 @@ class FlowState:
 
 def _model_at(model: SpectrumModel, t: float) -> SpectrumModel:
     scale = math.exp(-t / 2.0) if math.isfinite(t) else 0.0
-    return SpectrumModel(d=model.d * scale, M=model.M, N=model.N)
+    return model.scaled(scale)
 
 
 def _state(model: SpectrumModel, t: float, bracket=None) -> FlowState:

@@ -129,6 +129,18 @@ def _resolvent_reduce(Y: np.ndarray, z: complex):
     return g11, g12, g22, off_max, off_sum
 
 
+def check_z(z) -> complex:
+    """z as a complex number; InvalidArgumentError unless z is finite with Im z > 0.
+
+    The local law's domain, checked by `locallaw_deviation` and by the CLI
+    before it draws any sample.
+    """
+    z = complex(z)
+    if not (cmath.isfinite(z) and z.imag > 0):
+        raise InvalidArgumentError(f"locallaw requires a finite z with Im z > 0, got {z}")
+    return z
+
+
 def locallaw_deviation(
     model: SpectrumModel,
     Y: np.ndarray,
@@ -148,9 +160,7 @@ def locallaw_deviation(
     averaged trace vs s(z) (avg).
     With rescaled=True the profiles take their hat forms for sqrt(gamma0)-scaled data.
     """
-    z = complex(z)
-    if not (cmath.isfinite(z) and z.imag > 0):
-        raise InvalidArgumentError(f"locallaw requires a finite z with Im z > 0, got {z}")
+    z = check_z(z)
     M, N = model.M, model.N
     d = model.d
     dsq = model.d_sq

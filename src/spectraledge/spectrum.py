@@ -11,6 +11,10 @@ import numpy as np
 from .errors import DomainError, InvalidArgumentError, InvalidConfigError
 
 _SPECTRUM_TYPES = ("constant", "explicit", "uniform_sq")
+# A grid longer than this is a mistyped bound or step, refused before anything is
+# allocated: 1e7 points are 80 MB per float64 array, about 1 GB of density CSV and
+# close to three hours of twtable's 1 ms Fredholm determinants.
+MAX_GRID_POINTS = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,6 +47,24 @@ class SpectrumModel:
         d.flags.writeable = False
         object.__setattr__(self, "d", d)
 
+    def scaled(self, factor: float) -> SpectrumModel:
+        """The model with d multiplied by factor, built without re-validation.
+
+        factor * d of a valid model is nonnegative and still in decreasing
+        order, so construction's checks and sort would change nothing; only
+        finiteness needs a check, made on the largest entry.  The new d is
+        bitwise equal to SpectrumModel(d=factor * d, M, N).d and read-only.
+        InvalidArgumentError unless factor >= 0 and factor * d_1 is finite.
+        """
+        if not (factor >= 0 and math.isfinite(factor * float(self.d[0]))):
+            raise InvalidArgumentError(f"scale factor must be >= 0 with factor * d_1 finite, got {factor!r}")
+        d = self.d * factor
+        d.flags.writeable = False
+        model = object.__new__(SpectrumModel)
+        for name, value in (("d", d), ("M", self.M), ("N", self.N), ("config", None)):
+            object.__setattr__(model, name, value)
+        return model
+
     @property
     def c_N(self) -> float:
         return self.M / self.N
@@ -74,13 +96,17 @@ def _require_number(config, key):
 def grid(start: float, stop: float, step: float, what: str) -> np.ndarray:
     """The closed grid start, start + step, ..., stop, point k at start + step k.
 
-    Domain: finite start, stop and step with step > 0 and stop >= start;
-    otherwise DomainError, its message led by `what`.  stop is included
-    when it lies within 1e-9 steps of a grid point.
+    Domain: finite start, stop and step with step > 0, stop >= start and at
+    most MAX_GRID_POINTS points; otherwise DomainError, its message led by
+    `what`.  stop is included when it lies within 1e-9 steps of a grid point.
     """
     if not (math.isfinite(start) and 0 < step < math.inf and start <= stop < math.inf):
         raise DomainError(f"{what} grid requires finite bounds, step > 0 and stop >= start")
-    return start + step * np.arange(math.floor((stop - start) / step + 1e-9) + 1)
+    # steps from start to the last point; infinite when (stop - start) / step overflows
+    last = (stop - start) / step + 1e-9
+    if not last < MAX_GRID_POINTS:
+        raise DomainError(f"{what} grid would have more than {MAX_GRID_POINTS} points")
+    return start + step * np.arange(math.floor(last) + 1)
 
 
 def _require_int(config, key):

@@ -12,6 +12,10 @@ where scipy would switch to its complex AMOS routines at several times the
 cost.  Against 40-digit mpmath on (10, 45] the expansion's relative error is
 at most 0.98 zeta eps (zeta = 2/3 x^{3/2}, eps = 2^-52), the conditioning of
 e^{-zeta}; AMOS reaches 1.27 zeta eps at the same points.
+
+scipy.special is imported on the first Airy evaluation (`_scipy_airy`), never
+at import: it costs about a quarter second of start-up on a 2-vCPU host, and
+the commands that need only the deterministic edge data never evaluate Airy.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev, chebpts2
 from numpy.polynomial.legendre import leggauss
-from scipy.special import airy as _scipy_airy
 
 from .errors import DomainError, NumericError
 from .spectrum import grid
@@ -60,6 +63,17 @@ def _asymptotic_coefficients(terms: int):
 _ASYMPTOTIC = _asymptotic_coefficients(_SERIES_TERMS)
 
 
+@lru_cache(maxsize=1)
+def _scipy_airy():
+    """scipy.special.airy, imported on the first call and logged with its import time."""
+    started = time.perf_counter()
+    from scipy.special import airy
+
+    log.debug("tracywidom: scipy.special loaded for the cephes Airy branch in %.3f s",
+              time.perf_counter() - started)
+    return airy
+
+
 def _airy_pair(x):
     """(Ai(x), Ai'(x)) for a float array x of any shape.
 
@@ -72,7 +86,7 @@ def _airy_pair(x):
     ai = np.empty_like(x)
     aip = np.empty_like(x)
     low = x <= _SERIES_FROM
-    ai[low], aip[low], _, _ = _scipy_airy(x[low])
+    ai[low], aip[low], _, _ = _scipy_airy()(x[low])
     high = ~low
     xh = x[high]
     zeta = (2.0 / 3.0) * xh**1.5
@@ -92,7 +106,8 @@ def airy_ai(x):
 
     scipy's cephes branch up to x = 10, the DLMF 9.7.5 expansion above it:
     there the relative error against 40-digit mpmath is at most 0.98 zeta eps,
-    zeta = 2/3 x^{3/2} (about 3.7e-14 at x = 40).
+    zeta = 2/3 x^{3/2} (about 3.7e-14 at x = 40).  The first call in a process
+    imports scipy.special; importing this module does not.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(arr < AIRY_RANGE[0]) or np.any(arr > AIRY_RANGE[1]):

@@ -1,10 +1,15 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spectraledge.cli as cli_module
 from spectraledge.cli import emit_csv, emit_json, run_command
+from spectraledge.spectrum import MAX_GRID_POINTS
+
+GOLDEN_SPECTRUM = Path(__file__).parent / "golden" / "uniform_sq_30x60.json"
 
 
 @pytest.fixture()
@@ -83,6 +88,15 @@ def test_density_non_finite_grid_is_argument_error(zeros_c_half, tmp_path, capsy
     code = run_command(["density", "--spectrum", str(zeros_c_half), *grid, "--out", str(out)])
     assert code == 2
     assert "density grid requires finite bounds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["density", "--spectrum", str(GOLDEN_SPECTRUM)], ["twtable"]])
+def test_grid_with_an_overflowing_point_count_is_argument_error(tmp_path, capsys, command):
+    out = tmp_path / "grid.csv"
+    code = run_command([*command, "--from", "0", "--to", "1e300", "--step", "1e-300", "--out", str(out)])
+    assert code == 2
+    assert f"grid would have more than {MAX_GRID_POINTS} points" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -229,6 +243,18 @@ def test_locallaw_bad_option_is_refused(const1, tmp_path, capsys, option):
                         *option, "--out", str(out)])
     assert code == 2
     assert "locallaw requires" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_locallaw_refuses_z_before_any_draw(const1, tmp_path, monkeypatch, threads):
+    draws = []
+    monkeypatch.setattr(cli_module, "sample_matrix", lambda *args: draws.append(args))
+    out = tmp_path / "ll.csv"
+    code = run_command(["locallaw", "--spectrum", str(const1), "--N", "60", "--eta", "nan", "--seeds", "6",
+                        "--threads", threads, "--out", str(out)])
+    assert code == 2
+    assert draws == []
     assert not out.exists()
 
 

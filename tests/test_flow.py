@@ -199,3 +199,16 @@ def test_flow_check_scans_once_and_matches_per_time_scans(monkeypatch, caplog):
     for model_t, edge in solved:
         assert abs(edge.xi_r - find_edge(model_t).xi_r) <= 4 * np.spacing(edge.xi_r)
     assert all(max(res.values()) <= 1e-6 for res in rows)
+
+
+def test_flow_models_are_scaled_without_revalidation(monkeypatch):
+    model = constant_model(40, 80)
+    validated = []
+    post_init = SpectrumModel.__post_init__
+    monkeypatch.setattr(SpectrumModel, "__post_init__", lambda self: (validated.append(self), post_init(self)))
+    results = flow_derivative_checks(model, [0.0, 0.5, 1.0])
+    assert validated == [] and len(results) == 3
+    state = flow_state(model, 0.5)
+    assert validated == []
+    assert state.model_t.d.tobytes() == (model.d * math.exp(-0.25)).tobytes()
+    assert not state.model_t.d.flags.writeable

@@ -14,10 +14,12 @@ tests/golden/*.manifest.json files the commands leave behind:
     spectraledge identity-check --spectrum $S --t 0.5 --out $G/identity-check.json
     spectraledge twtable --from -6 --to 4 --step 0.1 --out $G/twtable.csv
     spectraledge simulate --spectrum $S --trials 20 --seed 3 --threads 1 --out $G/simulate.csv
+    spectraledge locallaw --spectrum $S --seeds 3 --seed 2 --out $G/locallaw.csv
 
 (`spectraledge` is `PYTHONPATH=src python3 -m spectraledge.cli` without an
 install.)  The simulate command writes simulate.csv and
-simulate.csv.summary.json; both are compared at --threads 1 and 2.
+simulate.csv.summary.json; both are compared at --threads 1 and 2, and so is
+locallaw.csv.
 """
 
 from pathlib import Path
@@ -54,3 +56,12 @@ def test_simulate_matches_golden_bytes(threads, tmp_path):
     assert run_command(argv) == 0
     for name in ("simulate.csv", "simulate.csv.summary.json"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_locallaw_matches_golden_bytes(threads, tmp_path):
+    out = tmp_path / "locallaw.csv"
+    argv = ["locallaw", "--spectrum", SPECTRUM, "--seeds", "3", "--seed", "2", "--threads", threads,
+            "--out", str(out)]
+    assert run_command(argv) == 0
+    assert out.read_bytes() == (GOLDEN / "locallaw.csv").read_bytes()

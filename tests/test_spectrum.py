@@ -1,15 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from spectraledge import (
+    DomainError,
     InvalidArgumentError,
     InvalidConfigError,
+    SpectrumModel,
     check_assumption3,
     load_spectrum,
     solve_edge,
     with_size,
 )
+import spectraledge.spectrum as spectrum_module
+from spectraledge.spectrum import MAX_GRID_POINTS, grid
 
 
 def test_constant_spectrum():
@@ -140,3 +146,38 @@ def test_model_is_immutable():
     model = load_spectrum({"type": "constant", "d": 1, "M": 4, "N": 4})
     with pytest.raises(ValueError):
         model.d[0] = 7.0
+
+
+@given(
+    d=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=40),
+    factor=st.one_of(st.sampled_from([0.0, 1.0, math.exp(-1e-4 / 2), math.exp(1e-4 / 2)]),
+                     st.floats(0.0, 1e3)),
+)
+def test_scaled_model_equals_a_validated_one_bit_for_bit(d, factor):
+    model = SpectrumModel(d=np.array(d), M=len(d), N=2 * len(d))
+    scaled = model.scaled(factor)
+    reference = SpectrumModel(d=model.d * factor, M=model.M, N=model.N)
+    assert scaled.d.tobytes() == reference.d.tobytes()
+    assert (scaled.M, scaled.N, scaled.config) == (reference.M, reference.N, None)
+    assert not scaled.d.flags.writeable
+    assert scaled.d_sq.tobytes() == reference.d_sq.tobytes()
+
+
+@pytest.mark.parametrize("factor", [-1.0, math.nan, math.inf, 1e300])
+def test_scaled_model_refuses_a_negative_or_overflowing_factor(factor):
+    model = load_spectrum({"type": "constant", "d": 1e10, "M": 3, "N": 4})
+    with pytest.raises(InvalidArgumentError):
+        model.scaled(factor)
+
+
+@pytest.mark.parametrize("stop, step", [(1e12, 1e-3), (1e300, 1e-300)])
+def test_grid_refuses_a_huge_or_overflowing_point_count(stop, step):
+    with pytest.raises(DomainError, match=f"test grid would have more than {MAX_GRID_POINTS} points"):
+        grid(0.0, stop, step, "test")
+
+
+def test_grid_cap_admits_exactly_max_points(monkeypatch):
+    monkeypatch.setattr(spectrum_module, "MAX_GRID_POINTS", 10)
+    assert len(grid(0.0, 0.9, 0.1, "test")) == 10
+    with pytest.raises(DomainError, match="more than 10 points"):
+        grid(0.0, 1.0, 0.1, "test")

@@ -15,7 +15,7 @@ import spectraledge
 from spectraledge import DomainError, NumericError, airy_ai, f1_cdf, f1_pdf, tw_table
 from spectraledge.tracywidom import (
     _ASYMPTOTIC, _SERIES_FROM, TABLE_NODES, TABLE_RANGE, _airy_pair, _chebyshev_f1, _f1_table,
-    f1_cdf_tabulated,
+    _scipy_airy, f1_cdf_tabulated,
 )
 
 from oracles import PainleveF1, airy_asymptotic_neg, airy_asymptotic_pos, airy_maclaurin, scipy_f1_pair
@@ -293,17 +293,32 @@ def test_table_build_logs_its_accuracy(caplog):
                         r"coefficient \d\.\d\de-\d+, built in \d+\.\d+ s", record.message)
 
 
-def test_import_does_not_build_the_table():
+def test_import_loads_neither_scipy_special_nor_linalg():
+    # the Airy evaluator, the F1 table and the LAPACK routines all load on first use
     src = os.path.dirname(os.path.dirname(spectraledge.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import spectraledge, spectraledge.cli\n"
+    code = ("import sys, spectraledge, spectraledge.cli\n"
+            "from spectraledge.montecarlo import _lapack\n"
             "from spectraledge.tracywidom import _f1_table\n"
-            "print(_f1_table.cache_info().currsize)")
+            "print('scipy.special' in sys.modules, 'scipy.linalg' in sys.modules,\n"
+            "      _f1_table.cache_info().currsize, _lapack.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
-    assert out.stdout.strip() == "0"
+    assert out.stdout.split() == ["False", "False", "0", "0"]
     _f1_table()
     assert _f1_table.cache_info().currsize == 1
+
+
+def test_first_airy_evaluation_logs_the_scipy_special_load(caplog):
+    _scipy_airy.cache_clear()
+    with caplog.at_level(logging.DEBUG, logger="spectraledge"):
+        airy_ai(0.5)
+        airy_ai(np.array([-3.0, 1.0, 20.0]))
+        f1_cdf(-2.0)
+    [record] = [r for r in caplog.records if "scipy.special" in r.getMessage()]
+    assert record.name == "spectraledge"
+    assert re.fullmatch(r"tracywidom: scipy\.special loaded for the cephes Airy branch in \d+\.\d{3} s",
+                        record.getMessage())
 
 
 def test_tabulated_f1_takes_arrays():
