@@ -4,6 +4,8 @@ import logging
 import math
 import os
 import re
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -12,6 +14,7 @@ import pytest
 import scipy
 from hypothesis import given, strategies as st
 
+import spectraledge
 from spectraledge import (
     InvalidArgumentError,
     InvalidConfigError,
@@ -156,6 +159,17 @@ def test_first_eigenvalue_call_logs_its_path(caplog):
     assert record.message.startswith("largest_eigenvalue: dsyrk Gram, dsyevr top index, called through "
                                       "the cython_blas and cython_lapack capsules with the GIL released; ")
     assert re.search(r"scipy's OpenBLAS libscipy_openblas\S*\.so pinned to 1 thread$", record.message)
+
+
+def test_import_loads_no_lapack():
+    src = os.path.dirname(os.path.dirname(spectraledge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, spectraledge, spectraledge.cli\n"
+            "from spectraledge.montecarlo import _lapack\n"
+            "print('scipy.linalg' in sys.modules, _lapack.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.split() == ["False", "0"]
 
 
 # ---------------------------------------------------------------------------
