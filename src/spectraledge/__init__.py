@@ -21,13 +21,7 @@ from .errors import (
 )
 from .flow import FlowState, analytic_derivatives, flow_derivative_check, flow_derivative_checks, flow_state
 from .identities import EdgeFunctionals, edge_functionals, identity_residuals
-from .locallaw import (
-    LocalLawReport,
-    build_linearization,
-    locallaw_deviation,
-    resolvent_identity_residual,
-    rigidity_scan,
-)
+from .locallaw import LocalLawReport, build_linearization, locallaw_deviation, rigidity_scan
 from .montecarlo import EnsembleResult, ks_distance, largest_eigenvalue, run_ensemble, sample_matrix
 from .spectrum import SpectrumModel, check_assumption3, load_spectrum, with_size
 from .stieltjes import StieltjesValue, density, solve_stieltjes
@@ -42,8 +36,7 @@ __all__ = [
     "EdgeFunctionals", "edge_functionals", "identity_residuals",
     "airy_ai", "f1_cdf", "f1_pdf", "tw_table",
     "EnsembleResult", "sample_matrix", "largest_eigenvalue", "run_ensemble", "ks_distance",
-    "LocalLawReport", "build_linearization", "locallaw_deviation",
-    "resolvent_identity_residual", "rigidity_scan",
+    "LocalLawReport", "build_linearization", "locallaw_deviation", "rigidity_scan",
     "SpectralEdgeError", "InvalidConfigError", "InvalidArgumentError", "DomainError",
     "PoleError", "SolverFailureError", "EdgeNotFoundError", "DegenerateScalingError",
     "NumericError",

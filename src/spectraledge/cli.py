@@ -27,8 +27,6 @@ from .tracywidom import tw_table
 
 log = logging.getLogger("spectraledge")
 
-COMMANDS = ("edge", "density", "simulate", "twtable", "locallaw", "flow-check", "identity-check")
-
 
 def _format_number(value) -> str:
     if isinstance(value, bool):

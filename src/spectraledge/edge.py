@@ -13,7 +13,6 @@ from .spectrum import SpectrumModel
 log = logging.getLogger("spectraledge")
 
 _GRID_POINTS = 512
-_W_MAX_DOUBLINGS = 10
 _NEWTON_ULPS = 4
 _NEWTON_MAX_STEPS = 200
 _DEGENERATE_REL = 1e-6
@@ -243,15 +242,13 @@ def find_edge(model: SpectrumModel, *, bracket=None) -> EdgeSolution:
     cells = [] if bracket is None else _bracket_cell(model, bracket, lo)
     path = "bracket" if cells else "scan"
     if not cells:
+        # w_max - d_1^2 exceeds max(4, 2 d_1^2), where _no_root_right_of's bound
+        # gives phi' > 0 onwards, so a wider grid would add no sign change
         w_max = 4.0 * (d1sq + 1.0) * (1.0 + np.sqrt(c)) ** 2
-        for _ in range(_W_MAX_DOUBLINGS + 1):
-            grid = np.geomspace(lo, w_max, _GRID_POINTS)
-            phip = phi_family(model, grid)[3]
-            idx = np.nonzero(np.diff(np.sign(phip)) != 0)[0]
-            if idx.size:
-                cells = [(grid[i], grid[i + 1], phip[i], phip[i + 1]) for i in idx]
-                break
-            w_max *= 2.0
+        grid = np.geomspace(lo, w_max, _GRID_POINTS)
+        phip = phi_family(model, grid)[3]
+        cells = [(grid[i], grid[i + 1], phip[i], phip[i + 1])
+                 for i in np.nonzero(np.diff(np.sign(phip)) != 0)[0]]
     if not cells:
         raise EdgeNotFoundError(
             "no sign change of phi' found; the spectrum may violate the edge-separation assumption"

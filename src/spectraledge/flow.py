@@ -59,7 +59,11 @@ class FlowState:
 
 
 def _model_at(model: SpectrumModel, t: float) -> SpectrumModel:
-    scale = math.exp(-t / 2.0) if math.isfinite(t) else 0.0
+    """The model scaled by e^{-t/2}: 0 at t = inf, InvalidArgumentError where the scale overflows."""
+    try:
+        scale = math.exp(-t / 2.0)
+    except OverflowError:
+        raise InvalidArgumentError(f"flow scale e^(-t/2) overflows at t={t!r}") from None
     return model.scaled(scale)
 
 
@@ -86,8 +90,8 @@ def _ladder(model_t: SpectrumModel, t: float, history: list) -> np.ndarray:
 
 def flow_state(model: SpectrumModel, t: float) -> FlowState:
     """Recompute all edge quantities for the time-t model (no ODE integration)."""
-    if t < 0:
-        raise InvalidArgumentError("flow time must be nonnegative")
+    if not t >= 0:
+        raise InvalidArgumentError(f"flow time must be nonnegative, got {t!r}")
     return _state(model, t)
 
 

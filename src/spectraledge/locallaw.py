@@ -59,7 +59,11 @@ class LocalLawReport:
 
 
 def build_linearization(Y: np.ndarray, z: complex) -> np.ndarray:
-    """(M+N) x (M+N) block matrix [[-z I, Y], [Y*, -I]]."""
+    """(M+N) x (M+N) block matrix [[-z I, Y], [Y*, -I]].
+
+    locallaw_deviation never forms H.  It stays public because perfbench/tracer.py
+    wraps it by name and the dense oracle of the tests builds H from it.
+    """
     Y = np.asarray(Y, dtype=float)
     M, N = Y.shape
     H = np.zeros((M + N, M + N), dtype=complex)
@@ -68,13 +72,6 @@ def build_linearization(Y: np.ndarray, z: complex) -> np.ndarray:
     H[M:, :M] = Y.T
     H[M:, M:] = -np.eye(N)
     return H
-
-
-def _invert(H: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(H, np.eye(H.shape[0], dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"linearization is numerically singular: {exc}") from exc
 
 
 # rows of G per GEMM in the reducer; 128 and 256 time the same on 2 vCPU, 512 is slower
@@ -210,23 +207,6 @@ def locallaw_deviation(
         dev_mumu=maxima["mumu"], dev_offdiag=maxima["offdiag"], dev_avg=dev_avg,
         psi=psi, ratios=ratios, mean_deviations=means, mean_ratios=mean_ratios,
     )
-
-
-def resolvent_identity_residual(Y: np.ndarray, z: complex, index: int, G: np.ndarray | None = None) -> float:
-    """Residual of G_ii = 1/(-z - (Y G^(i) Y*)_ii) with the minor recomputed from scratch."""
-    Y = np.asarray(Y, dtype=float)
-    M, N = Y.shape
-    if not 0 <= index < M:
-        raise InvalidArgumentError("index must address a signal row")
-    H = build_linearization(Y, z)
-    if G is None:
-        G = _invert(H)
-    keep = np.delete(np.arange(M + N), index)
-    G_minor = _invert(H[np.ix_(keep, keep)])
-    block = G_minor[M - 1:, M - 1:]
-    row = Y[index, :]
-    value = 1.0 / (-z - row @ block @ row)
-    return float(abs(G[index, index] - value))
 
 
 def rigidity_scan(model: SpectrumModel, Ns, trials: int, seed: int = 0) -> float:

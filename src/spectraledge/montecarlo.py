@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .edge import EdgeSolution, solve_edge
+from .edge import solve_edge
 from .errors import InvalidArgumentError, InvalidConfigError, NumericError
 from .spectrum import SpectrumModel
 from .tracywidom import f1_cdf_tabulated
@@ -223,7 +223,6 @@ def run_ensemble(
     dist: str = "gaussian",
     seed: int = 0,
     rescale: bool = False,
-    edge: EdgeSolution | None = None,
     threads: int = 1,
 ) -> EnsembleResult:
     """Sample the ensemble and form theta = gamma0 N^{2/3} (mu1 - lambda_r) per trial.
@@ -238,7 +237,7 @@ def run_ensemble(
         raise InvalidArgumentError("n_trials must be nonnegative")
     if dist not in NOISE_DISTS:
         raise InvalidConfigError(f"unknown noise distribution {dist!r}; expected one of {NOISE_DISTS}")
-    sol = edge if edge is not None and edge.gamma0 is not None else solve_edge(model)
+    sol = solve_edge(model)
     lam, g = sol.lambda_r, sol.gamma0
     N23 = model.N ** (2.0 / 3.0)
     sqrt_g = math.sqrt(g)

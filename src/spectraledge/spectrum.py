@@ -1,4 +1,4 @@
-"""Deterministic signal model: the diagonal of the signal matrix and its empirical measure."""
+"""Deterministic signal model: the diagonal of the signal matrix and the matrix dimensions."""
 
 from __future__ import annotations
 
@@ -75,10 +75,6 @@ class SpectrumModel:
         dsq.flags.writeable = False
         return dsq
 
-    def empirical_measure(self):
-        """Atoms and uniform weights of the empirical measure of the squared spectrum."""
-        return self.d_sq, np.full(self.M, 1.0 / self.M)
-
     def to_config(self) -> dict:
         """Serializable spectrum spec reproducing (d, M, N) on reload."""
         if self.config is not None:
@@ -111,15 +107,15 @@ def grid(start: float, stop: float, step: float, what: str) -> np.ndarray:
 
 def _require_int(config, key):
     value = config.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidConfigError(f"spectrum config field {key!r} must be an integer")
+    if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+        raise InvalidConfigError(f"spectrum config field {key!r} must be a positive integer")
     return value
 
 
 def load_spectrum(config: dict) -> SpectrumModel:
     """Build a validated SpectrumModel from a spectrum-spec dictionary.
 
-    Recognized forms (all carry integer fields M and N):
+    Recognized forms (all carry positive integer fields M and N):
       {"type": "constant",   "d": value}
       {"type": "explicit",   "d": [values]}
       {"type": "uniform_sq", "v_min": a, "v_max": b}   with d_i^2 on the
@@ -134,24 +130,17 @@ def load_spectrum(config: dict) -> SpectrumModel:
     N = _require_int(config, "N")
 
     if kind == "constant":
-        value = _require_number(config, "d")
-        if M <= 0:
-            raise InvalidConfigError("M must be positive")
-        d = np.full(M, value)
+        d = np.full(M, _require_number(config, "d"))
     elif kind == "explicit":
         entries = config.get("d")
         if not isinstance(entries, (list, tuple)) or len(entries) == 0:
             raise InvalidConfigError("explicit spectrum requires a non-empty list 'd'")
         d = np.asarray(entries, dtype=float)
-        if d.size != M:
-            raise InvalidConfigError(f"explicit spectrum has {d.size} entries but M={M}")
     else:
         v_min = _require_number(config, "v_min")
         v_max = _require_number(config, "v_max")
         if v_min < 0 or v_max < v_min:
             raise InvalidConfigError("uniform_sq requires 0 <= v_min <= v_max")
-        if M <= 0:
-            raise InvalidConfigError("M must be positive")
         if M == 1:
             dsq = np.array([v_max])
         else:

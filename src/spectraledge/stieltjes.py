@@ -76,17 +76,11 @@ def _newton(model: SpectrumModel, z: np.ndarray, w: np.ndarray, tol: float):
     return w, slope, steps
 
 
-def solve_stieltjes(
-    model: SpectrumModel,
-    z,
-    *,
-    tol: float = TOL,
-    eta_floor: float = ETA_FLOOR,
-) -> StieltjesValue:
+def solve_stieltjes(model: SpectrumModel, z, *, tol: float = TOL) -> StieltjesValue:
     """Solve the self-consistent equation at z (Im z > 0, or real E != 0 as a boundary value).
 
     z is a scalar or an array.  Domain: every z finite, Im z >= 0 and z != 0,
-    else DomainError; a real E is taken at E + i eta_floor.  Each
+    else DomainError; a real E is taken at E + i ETA_FLOOR.  Each
     point solves phi(w) = z by Newton's method, continued in the imaginary
     part: it starts at eta = max(10, 2|z|) from w = z - (1+c), the large-|z|
     limit of the branch, and shrinks eta by _ETA_STEP per level down to its
@@ -106,7 +100,7 @@ def solve_stieltjes(
         raise DomainError("spectral parameter must satisfy Im z >= 0")
     flat = z_in.ravel()
     E = flat.real
-    eta_target = np.where(flat.imag > 0, flat.imag, eta_floor)
+    eta_target = np.where(flat.imag > 0, flat.imag, ETA_FLOOR)
     eta = np.maximum(10.0, 2.0 * np.abs(flat))
     c = model.c_N
     w = E + 1j * eta - (1.0 + c)

@@ -4,10 +4,10 @@ Everything here is deliberately built on different machinery than the package:
 Painleve II integration for the Tracy-Widom law, power series / asymptotic
 expansions for Airy, a Fredholm determinant whose Airy kernel is scipy's alone,
 closed forms for the pure-noise (Marchenko-Pastur) model, the cubic
-characteristic equation for constant spectra, a dense LU solve of
-the (M+N) x (M+N) linearization for the local-law resolvent, scipy's f2py
-LAPACK wrappers for the largest eigenvalue, and 50-digit mpmath root finding
-for the edge's critical point.
+characteristic equation for constant spectra, dense LU solves of the
+(M+N) x (M+N) linearization and its minors for the local-law resolvent,
+scipy's f2py LAPACK wrappers for the largest eigenvalue, and 50-digit mpmath
+root finding for the edge's critical point.
 """
 
 import math
@@ -307,3 +307,27 @@ def dense_locallaw_report(model, Y, z, rescaled=False, gamma0=None):
         "mean_deviations": means,
         "mean_ratios": {**{k: means[k] / psi for k in classes}, "avg": dev_avg * N * eta},
     }
+
+
+def _invert(H):
+    """H^{-1} by a dense LU solve against the identity."""
+    return np.linalg.solve(H, np.eye(H.shape[0], dtype=complex))
+
+
+def minor_noise_resolvent(Y, z, index):
+    """Lower-right N x N block of G^(i), the inverse of H(z) with row and column `index` removed."""
+    from spectraledge import build_linearization
+
+    M, N = Y.shape
+    keep = np.delete(np.arange(M + N), index)
+    return _invert(build_linearization(Y, z)[np.ix_(keep, keep)])[M - 1:, M - 1:]
+
+
+def resolvent_identity_residual(Y, z, index):
+    """Residual of G_ii = 1/(-z - (Y G^(i) Y*)_ii), G and the minor both by dense solves."""
+    from spectraledge import build_linearization
+
+    Y = np.asarray(Y, dtype=float)
+    G_ii = _invert(build_linearization(Y, z))[index, index]
+    row = Y[index]
+    return float(abs(G_ii - 1.0 / (-z - row @ minor_noise_resolvent(Y, z, index) @ row)))

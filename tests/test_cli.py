@@ -297,6 +297,15 @@ def test_twtable_nan_bound_is_argument_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["identity-check", "--t", "nan"], ["flow-check", "--step", "2000"]])
+def test_flow_time_outside_the_domain_is_argument_error(tmp_path, capsys, argv):
+    out = tmp_path / "flow.out"
+    code = run_command([*argv, "--spectrum", str(GOLDEN_SPECTRUM), "--out", str(out)])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_identity_check_command(const1, capsys):
     assert run_command(["identity-check", "--spectrum", str(const1), "--t", "0.5"]) == 0
     payload = json.loads(capsys.readouterr().out)

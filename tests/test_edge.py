@@ -9,6 +9,7 @@ from hypothesis import assume, given, strategies as st
 
 from spectraledge import (
     DegenerateScalingError,
+    EdgeNotFoundError,
     NumericError,
     PoleError,
     SpectrumModel,
@@ -360,6 +361,30 @@ def test_certificate_accepts_only_what_holds(d, c, offset):
         w_max = 4.0 * (d1sq + 1.0) * (1.0 + math.sqrt(model.c_N)) ** 2
         assert np.all(phi_family(model, np.geomspace(right, 1e3 * w_max, 20_000))[3] > 0.0)
     assert not _no_root_right_of(model, left, *phi_family(model, left)[:2])
+
+
+@given(
+    d=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=60),
+    c=st.floats(min_value=1e-9, max_value=1.0),
+)
+def test_scan_grid_reaches_past_every_root(d, c):
+    # the scan's one grid ends at w_max where phi' > 0, and xi_r lies left of
+    # d_1^2 + max(4, 2 d_1^2), beyond which _no_root_right_of's bound Q < 1 < g^2
+    # holds; so a wider grid could add no sign change
+    M = len(d)
+    model = SpectrumModel(d=np.array(d), M=M, N=max(M, round(M / c)))
+    d1sq = float(model.d_sq[0])
+    w_max = 4.0 * (d1sq + 1.0) * (1.0 + math.sqrt(model.c_N)) ** 2
+    assert phi_family(model, w_max)[3] > 0.0
+    try:
+        xi_r = find_edge(model).xi_r
+    except EdgeNotFoundError:
+        # at tiny c_N / M, xi_r - d_1^2 falls below the grid's first offset
+        # 1e-8 d_1^2: the scan misses the root on its left end, never its right
+        lo = d1sq + 1e-8 * max(1.0, d1sq)
+        assert (phi_family(model, d1sq + (lo - d1sq) * 2.0 ** -np.arange(1, 21))[3] < 0.0).any()
+        return
+    assert xi_r < d1sq + max(4.0, 2.0 * d1sq)
 
 
 def test_certificate_accepts_close_to_the_edge():

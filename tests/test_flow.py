@@ -71,6 +71,11 @@ def test_nonpositive_step_rejected():
         flow_derivative_check(constant_model(4, 4), 0.5, step=0.0)
 
 
+def test_nan_time_rejected():
+    with pytest.raises(InvalidArgumentError):
+        flow_state(constant_model(4, 4), math.nan)
+
+
 def test_derivatives_match_finite_differences_constant_spectrum():
     model = constant_model(50, 50)
     res = flow_derivative_check(model, 0.5, step=1e-4)
@@ -157,6 +162,9 @@ def test_loop_rejects_bad_times_and_steps():
         flow_derivative_checks(model, [0.0, -0.1])
     with pytest.raises(InvalidArgumentError):
         flow_derivative_checks(model, [0.0, 0.5], step=-1e-4)
+    # e^{-t/2} at t - step = -2000 overflows a float
+    with pytest.raises(InvalidArgumentError):
+        flow_derivative_checks(model, [0.0], step=2000.0)
 
 
 def test_later_times_start_from_a_ladder_around_the_last_edge(monkeypatch):

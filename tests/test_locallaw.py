@@ -9,13 +9,14 @@ from spectraledge import (
     build_linearization,
     load_spectrum,
     locallaw_deviation,
-    resolvent_identity_residual,
     rigidity_scan,
     sample_matrix,
     solve_edge,
 )
 
-from oracles import dense_locallaw_report
+from spectraledge.locallaw import _resolvent_reduce
+
+from oracles import dense_locallaw_report, minor_noise_resolvent, resolvent_identity_residual
 
 
 def constant_model(M, N):
@@ -128,6 +129,20 @@ def test_resolvent_identity_spot_checks():
     rng = np.random.default_rng(0)
     for index in rng.choice(model.M, size=5, replace=False):
         assert resolvent_identity_residual(Y, z, int(index)) <= 1e-8
+
+
+@pytest.mark.parametrize("M, N", [(40, 80), (150, 300), (130, 130)])
+def test_reducer_diagonal_obeys_schur_identity(M, N):
+    # G_ii of the chunked reducer against 1/(-z - y_i^T G^(i)_22 y_i), the
+    # minor's resolvent by a dense solve; at 150 x 300 both of the reducer's
+    # loops run past one chunk of CHUNK_ROWS = 128 rows
+    model = constant_model(M, N)
+    Y = sample_matrix(model, "gaussian", seed=4, trial=0)
+    z = complex(solve_edge(model).lambda_r, 0.1)
+    g11 = _resolvent_reduce(Y, z)[0]
+    for i in (0, M // 2, M - 1):
+        expected = 1.0 / (-z - Y[i] @ minor_noise_resolvent(Y, z, i) @ Y[i])
+        assert abs(g11[i] - expected) <= 1e-12 * abs(expected)
 
 
 def test_deviations_decrease_with_n():

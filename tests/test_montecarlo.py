@@ -256,7 +256,7 @@ def test_rescaled_ensemble_equals_scaled_copy(threads):
     # the values from a scaled copy, sqrt(gamma0) * Y
     model = load_spectrum({"type": "uniform_sq", "v_min": 0.5, "v_max": 2.0, "M": 30, "N": 60})
     edge = solve_edge(model)
-    result = run_ensemble(model, 12, seed=8, rescale=True, edge=edge, threads=threads)
+    result = run_ensemble(model, 12, seed=8, rescale=True, threads=threads)
     g, N23 = edge.gamma0, model.N ** (2.0 / 3.0)
     mu_hat = np.array([largest_eigenvalue(math.sqrt(g) * sample_matrix(model, "gaussian", 8, k))
                        for k in range(12)])
@@ -300,9 +300,8 @@ def test_sample_matrix_streams_are_pinned(dist):
 
 def test_rescaling_conventions_agree_per_trial():
     model = constant_model(40, 40)
-    edge = solve_edge(model)
-    plain = run_ensemble(model, 20, dist="gaussian", seed=3, rescale=False, edge=edge)
-    scaled = run_ensemble(model, 20, dist="gaussian", seed=3, rescale=True, edge=edge)
+    plain = run_ensemble(model, 20, dist="gaussian", seed=3, rescale=False)
+    scaled = run_ensemble(model, 20, dist="gaussian", seed=3, rescale=True)
     assert np.max(np.abs(plain.thetas - scaled.thetas)) <= 1e-10
 
 
@@ -333,9 +332,8 @@ def test_thread_count_does_not_change_results_where_blas_threads_do():
     # at 700x1400 the last bits of dsyrk and dsyevr depend on the OpenBLAS
     # thread count, so a pool that changed that count would move mu1
     model = constant_model(700, 1400)
-    edge = solve_edge(model)
-    serial = run_ensemble(model, 4, seed=6, edge=edge, threads=1)
-    pooled = run_ensemble(model, 4, seed=6, edge=edge, threads=2)
+    serial = run_ensemble(model, 4, seed=6, threads=1)
+    pooled = run_ensemble(model, 4, seed=6, threads=2)
     assert np.array_equal(serial.mu1s, pooled.mu1s)
 
 

@@ -86,14 +86,6 @@ def test_load_serialize_load_round_trip(entries, extra):
     assert np.array_equal(again.d, model.d)
 
 
-def test_empirical_measure_total_mass():
-    model = load_spectrum({"type": "explicit", "d": [2.0, 1.0, 0.5], "M": 3, "N": 12})
-    atoms, weights = model.empirical_measure()
-    assert atoms.shape == weights.shape == (3,)
-    # the scaled measure c_N * (1/M) sum delta integrates to c_N
-    assert model.c_N * weights.sum() == pytest.approx(model.c_N, abs=1e-15)
-
-
 def test_assumption3_margin_constant_spectrum():
     model = load_spectrum({"type": "constant", "d": 1, "M": 100, "N": 100})
     margin = check_assumption3(model, solve_edge(model))
