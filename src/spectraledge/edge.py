@@ -194,6 +194,22 @@ def _no_root_right_of(model: SpectrumModel, hi: float, f_hi: float, fp_hi: float
     return ok
 
 
+def _pole_offset(model: SpectrumModel) -> float:
+    """Half of a proven lower bound on xi_r - d_1^2, or inf where the bound says nothing.
+
+    At w = d_1^2 + delta every a_i = 1/(w - d_i^2) lies in (0, 1/delta], so
+    g = 1 - c f = 1 + c mean(a) <= 1 + c/delta, f' = mean(a^2) >= 1/(M delta^2)
+    and 2 w g + 1 - c >= 2 d_1^2 + 1 - c.  Hence phi' = g^2 - c f' (2 w g + 1 - c)
+    <= (1 + c/delta)^2 - A/delta^2 with A = c (2 d_1^2 + 1 - c)/M, which is
+    negative for delta < sqrt(A) - c: no root of phi' lies that close to the
+    pole.  Near the pole the root sits at about sqrt(A), so for tiny c_N / M
+    the bound falls below the scan's offset _EDGE_EPS d_1^2 and replaces it.
+    """
+    c = model.c_N
+    bound = float(np.sqrt(c * (2.0 * float(model.d_sq[0]) + 1.0 - c) / model.M)) - c
+    return 0.5 * bound if bound > 0.0 else np.inf
+
+
 def _bracket_cell(model: SpectrumModel, points, lo: float) -> list:
     """[(a, b, phi'(a), phi'(b))] for the rightmost -/+ sign change of phi' over points, or [].
 
@@ -237,7 +253,7 @@ def find_edge(model: SpectrumModel, *, bracket=None) -> EdgeSolution:
     """
     c = model.c_N
     d1sq = float(model.d_sq[0])
-    lo = d1sq + _EDGE_EPS * max(1.0, d1sq)
+    lo = d1sq + min(_EDGE_EPS * max(1.0, d1sq), _pole_offset(model))
 
     cells = [] if bracket is None else _bracket_cell(model, bracket, lo)
     path = "bracket" if cells else "scan"

@@ -2,7 +2,8 @@
 
 Everything here is deliberately built on different machinery than the package:
 Painleve II integration for the Tracy-Widom law, power series / asymptotic
-expansions for Airy, a Fredholm determinant whose Airy kernel is scipy's alone,
+expansions for Airy, a Fredholm determinant on the package's rule whose Airy
+kernel is scipy's alone and one on a half-line rule of its own,
 closed forms for the pure-noise (Marchenko-Pastur) model, the cubic
 characteristic equation for constant spectra, dense LU solves of the
 (M+N) x (M+N) linearization and its minors for the local-law resolvent,
@@ -11,6 +12,7 @@ root finding for the edge's critical point.
 """
 
 import math
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -18,6 +20,8 @@ from scipy.integrate import quad, solve_ivp
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dsyevr
 from scipy.special import airy as scipy_airy
+
+from spectraledge.tracywidom import DEFAULT_NODES, _airy_pair, _half_length, _unit_rule
 
 
 # ---------------------------------------------------------------------------
@@ -124,22 +128,50 @@ def airy_asymptotic_neg(x, kmax=25):
     return (math.cos(phase) * se + math.sin(phase) * so) / (math.sqrt(math.pi) * y**0.25)
 
 
-def scipy_f1_pair(s, n=64):
-    """(F1(s), f1(s)) from the Nystrom determinant with every kernel entry from
-    scipy's airy (cephes up to x = 10, complex AMOS above) on the full n x n grid,
-    in the package's arithmetic otherwise, so only the Airy values differ."""
-    xi, wg = np.polynomial.legendre.leggauss(n)
-    u = 0.5 * (xi + 1.0)
-    x = -2.0 * np.log(u)
-    sw = np.sqrt(0.5 * wg * 2.0 / u)
-    scale = sw[:, None] * sw[None, :]
-    ai, aip, _, _ = scipy_airy(x[:, None] + x[None, :] + s)
-    K = scale * ai
-    Kp = scale * aip
-    eye = np.eye(n)
+def _nystrom_f1_pair(K, Kp):
+    """(det(I - K), -det(I - K) tr((I - K)^{-1} Kp)), the package's arithmetic for F1 and f1."""
+    eye = np.eye(len(K))
     det = float(np.linalg.det(eye - K))
     trace = float(np.trace(np.linalg.solve(eye - K, Kp)))
     return det, -det * trace
+
+
+def scipy_f1_pair(s, n=DEFAULT_NODES):
+    """(F1(s), f1(s)) from the package's Nystrom rule with every kernel entry from
+    scipy's airy (cephes up to x = 10, complex AMOS above) on the full n x n grid,
+    in the package's arithmetic otherwise, so only the Airy values differ."""
+    u, unit_scale = _unit_rule(n)
+    length = _half_length(s)
+    ai, aip, _, _ = scipy_airy(length * (u[:, None] + u[None, :]) + s)
+    scale = length * unit_scale
+    return _nystrom_f1_pair(scale * ai, scale * aip)
+
+
+@lru_cache(maxsize=2)
+def _halfline_rule(n):
+    """Nodes x = -2 log u, square-root weights and upper-triangle indices of the half-line rule."""
+    xi, wg = np.polynomial.legendre.leggauss(n)
+    u = 0.5 * (xi + 1.0)
+    return (-2.0 * np.log(u), np.sqrt(wg / u), *np.triu_indices(n))
+
+
+def halfline_f1_pair(s, n=128):
+    """(F1(s), f1(s)) from the Gauss-Legendre rule on (0, 1) pushed onto the half line
+    by x = -2 log u (Bornemann 2010), on the full n x n grid.
+
+    Independent of the package's rule: other nodes, no truncation at X_CAP and
+    no left cut, so left of about -10 it returns the determinant's rounding.
+    Airy comes from the package's `_airy_pair`, which the Airy oracles above
+    check on their own, on the upper triangle; scipy's AMOS branch would cost
+    25 ms a point here.
+    """
+    x, sw, rows, cols = _halfline_rule(n)
+    ai = np.empty((n, n))
+    aip = np.empty((n, n))
+    ai[rows, cols], aip[rows, cols] = _airy_pair(x[rows] + x[cols] + s)
+    ai[cols, rows], aip[cols, rows] = ai[rows, cols], aip[rows, cols]
+    scale = sw[:, None] * sw[None, :]
+    return _nystrom_f1_pair(scale * ai, scale * aip)
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +214,16 @@ def constant_spectrum_critical_points(d, c):
     return sorted(float(r.real) for r in roots if abs(r.imag) < 1e-9)
 
 
-def mp_constant_spectrum_xi_r(d, c, dps=50):
+def mp_constant_spectrum_xi_r(d, c, dps=50, bracket=None):
     """Largest critical point of phi right of d^2 for a constant spectrum, to dps digits.
 
     phi'(w) = u^2 - 2 c w u f' - c (1-c) f' with f = 1/(d^2-w), f' = f^2 and
-    u = 1 - c f, solved by mpmath.findroot from the cubic oracle's root.
+    u = 1 - c f, solved by mpmath.findroot from the cubic oracle's root, or by
+    the bracketing Anderson-Bjork solver on the offsets bracket = (lo, hi)
+    from d^2 where the double-precision cubic cannot resolve the root.
     d and c are taken as the exact binary values of the given floats.
     """
-    start = max(w for w in constant_spectrum_critical_points(d, c) if w > d**2)
+    start = None if bracket else max(w for w in constant_spectrum_critical_points(d, c) if w > d**2)
     with mpmath.workdps(dps):
         dsq = mpmath.mpf(d) ** 2
         cc = mpmath.mpf(c)
@@ -199,6 +233,8 @@ def mp_constant_spectrum_xi_r(d, c, dps=50):
             u = 1 - cc * f
             return u * u - 2 * cc * w * u * f * f - cc * (1 - cc) * f * f
 
+        if bracket:
+            return mpmath.findroot(phip, tuple(dsq + mpmath.mpf(x) for x in bracket), solver="anderson")
         return mpmath.findroot(phip, mpmath.mpf(start))
 
 

@@ -55,6 +55,12 @@ def test_twtable_rows_and_monotonicity(tmp_path):
     assert values == sorted(values)
 
 
+def test_twtable_far_left_rows_print_zero(tmp_path):
+    out = tmp_path / "tw.csv"
+    assert run_command(["twtable", "--from", "-30", "--to", "-28", "--step", "1", "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == ["s,F1,f1", "-30,0,0", "-29,0,0", "-28,0,0"]
+
+
 def test_density_command(zeros_c_half, tmp_path):
     out = tmp_path / "rho.csv"
     code = run_command([

@@ -9,7 +9,6 @@ from hypothesis import assume, given, strategies as st
 
 from spectraledge import (
     DegenerateScalingError,
-    EdgeNotFoundError,
     NumericError,
     PoleError,
     SpectrumModel,
@@ -376,15 +375,20 @@ def test_scan_grid_reaches_past_every_root(d, c):
     d1sq = float(model.d_sq[0])
     w_max = 4.0 * (d1sq + 1.0) * (1.0 + math.sqrt(model.c_N)) ** 2
     assert phi_family(model, w_max)[3] > 0.0
-    try:
-        xi_r = find_edge(model).xi_r
-    except EdgeNotFoundError:
-        # at tiny c_N / M, xi_r - d_1^2 falls below the grid's first offset
-        # 1e-8 d_1^2: the scan misses the root on its left end, never its right
-        lo = d1sq + 1e-8 * max(1.0, d1sq)
-        assert (phi_family(model, d1sq + (lo - d1sq) * 2.0 ** -np.arange(1, 21))[3] < 0.0).any()
-        return
+    xi_r = find_edge(model).xi_r
     assert xi_r < d1sq + max(4.0, 2.0 * d1sq)
+
+
+@pytest.mark.parametrize("d, N", [(4473.0, 10**9), (1e6, 10**12), (3.0, 10**16)])
+def test_edge_found_when_the_root_hugs_the_pole(d, N):
+    # c_N / M so small that xi_r - d_1^2 lies below the offset 1e-8 d_1^2
+    # (0.20004 against 0.20008 for d = 4473, N = 1e9)
+    model = SpectrumModel(d=np.array([d]), M=1, N=N)
+    sol = find_edge(model)
+    root = math.sqrt(model.c_N * (2.0 * d * d + 1.0 - model.c_N))
+    expected = mp_constant_spectrum_xi_r(d, model.c_N, bracket=(0.5 * root, 2.0 * root))
+    assert sol.xi_r - d * d < 1e-8 * d * d
+    assert abs(sol.xi_r - float(expected)) <= 4 * np.spacing(sol.xi_r)
 
 
 def test_certificate_accepts_close_to_the_edge():

@@ -14,11 +14,13 @@ from scipy.special import airy as scipy_airy
 import spectraledge
 from spectraledge import DomainError, NumericError, airy_ai, f1_cdf, f1_pdf, tw_table
 from spectraledge.tracywidom import (
-    _ASYMPTOTIC, _SERIES_FROM, TABLE_NODES, TABLE_RANGE, _airy_pair, _chebyshev_f1, _f1_table,
-    _scipy_airy, f1_cdf_tabulated,
+    _ASYMPTOTIC, _SERIES_FROM, DEFAULT_NODES, LEFT_CUT, TABLE_NODES, TABLE_RANGE, _airy_pair,
+    _chebyshev_f1, _f1_table, _half_length, _kernel_matrices, _scipy_airy, _unit_rule, f1_cdf_tabulated,
 )
 
-from oracles import PainleveF1, airy_asymptotic_neg, airy_asymptotic_pos, airy_maclaurin, scipy_f1_pair
+from oracles import (
+    PainleveF1, airy_asymptotic_neg, airy_asymptotic_pos, airy_maclaurin, halfline_f1_pair, scipy_f1_pair,
+)
 
 
 @pytest.fixture(scope="module")
@@ -129,12 +131,18 @@ def test_f1_left_tail():
     assert f1_cdf(-12.0) <= 1e-6
 
 
+@pytest.mark.parametrize("s", [-60.0, -30.0, -25.0, -20.0, -17.5, -12.0, LEFT_CUT])
+def test_f1_is_exactly_zero_left_of_the_cut(s):
+    # the true F1 and f1 are below 1e-21 there; the determinant's rounding is not
+    assert f1_cdf(s) == 0.0 and f1_pdf(s) == 0.0
+    assert f1_cdf_tabulated(s) == 0.0
+    assert tw_table(s, s, 1.0) == [(s, 0.0, 0.0)]
+
+
 def test_f1_monotone_and_limits():
-    rows = tw_table(-10.0, 6.0, 0.05)
-    values = np.array([r[1] for r in rows])
-    assert np.all(np.diff(values) >= -1e-9)
-    assert values[0] < 1e-4
-    assert values[-1] > 1.0 - 1e-5
+    values = np.array([F for _, F, _ in tw_table(-60.0, 40.0, 0.05)])
+    assert np.all(np.diff(values) >= 0.0)
+    assert values[0] == 0.0 and values[-1] == 1.0
 
 
 def test_tw_table_refuses_an_empty_or_stalled_grid():
@@ -168,21 +176,28 @@ def test_f1_value_near_the_mean(painleve):
 
 
 def test_quadrature_convergence():
-    for s in (-3.0, -1.0, 0.5):
-        assert abs(f1_cdf(s, n=64) - f1_cdf(s, n=128)) <= 1e-8
+    # doubling the node count moves F1 and f1 by no more than the stated accuracy
+    coarse = np.array(tw_table(-10.0, 12.0, 0.05))
+    fine = np.array(tw_table(-10.0, 12.0, 0.05, n=2 * DEFAULT_NODES))
+    assert np.max(np.abs(coarse[:, 1:] - fine[:, 1:])) <= 2e-14
+
+
+def test_direct_f1_matches_halfline_oracle():
+    # a 128-node rule on the whole half line, with no truncation and no left cut
+    for s, F, f in tw_table(-14.0, 14.0, 0.05):
+        ref_F, ref_f = halfline_f1_pair(s)
+        assert abs(F - ref_F) <= 2e-14 and abs(f - ref_f) <= 2e-14, s
 
 
 def test_triangle_kernel_equals_full_grid_exactly():
     # Airy runs on the upper triangle only; the mirrored matrices must equal
     # the full n x n evaluation bit for bit
-    from spectraledge.tracywidom import DEFAULT_NODES, _kernel_matrices, _nystrom_nodes
-
     n = DEFAULT_NODES
-    x, w = _nystrom_nodes(n)
-    sw = np.sqrt(w)
-    scale = sw[:, None] * sw[None, :]
-    for s in (-6.0, -1.2065, 0.0, 3.7):
-        ai, aip = _airy_pair(x[:, None] + x[None, :] + s)
+    u, unit_scale = _unit_rule(n)
+    for s in (-9.5, -6.0, -1.2065, 0.0, 3.7, 18.0):
+        length = _half_length(s)
+        ai, aip = _airy_pair(length * (u[:, None] + u[None, :]) + s)
+        scale = length * unit_scale
         K, Kp = _kernel_matrices(s, n)
         assert np.array_equal(K, scale * ai)
         assert np.array_equal(Kp, scale * aip)
@@ -289,8 +304,21 @@ def test_table_build_logs_its_accuracy(caplog):
         table = _chebyshev_f1(TABLE_NODES, *TABLE_RANGE)
     assert len(table.coef) == TABLE_NODES
     [record] = [r for r in caplog.records if r.message.startswith("F1 table")]
-    assert re.fullmatch(rf"F1 table: {TABLE_NODES} Chebyshev nodes on \[-10, 12\], largest tail "
-                        r"coefficient \d\.\d\de-\d+, built in \d+\.\d+ s", record.message)
+    match = re.fullmatch(rf"F1 table: {TABLE_NODES} Chebyshev nodes on \[-10, 12\] of a {DEFAULT_NODES}-node "
+                         r"determinant, largest tail coefficient (\d\.\d\de-\d+), built in \d+\.\d+ s",
+                         record.message)
+    assert match and float(match.group(1)) <= 1e-12
+
+
+def test_tw_table_logs_one_line_per_call(caplog):
+    with caplog.at_level(logging.DEBUG, logger="spectraledge"):
+        tw_table(-1.0, 1.0, 0.5)
+        tw_table(-12.0, -11.0, 1.0, n=30)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("tw_table")]
+    assert len(lines) == 2
+    assert re.fullmatch(rf"tw_table: 5 rows on a {DEFAULT_NODES}-node rule to X_CAP = 20 in \d+\.\d{{3}} s",
+                        lines[0])
+    assert re.fullmatch(r"tw_table: 2 rows on a 30-node rule to X_CAP = 20 in \d+\.\d{3} s", lines[1])
 
 
 def test_import_does_not_build_the_table():
