@@ -1,10 +1,11 @@
 """Type-1 Tracy-Widom law evaluated from first principles via a Fredholm determinant.
 
 Two paths give F1.  The direct path (`f1_cdf`, `f1_pdf`, `tw_table`) computes
-one Nystrom determinant per point (Bornemann 2010).  The tabulated path
-(`f1_cdf_tabulated`) reads a degree-79 Chebyshev interpolant of the direct
-F1 on [-10, 12], built once per process on first use, at about 1e-14 of the
-direct values; the KS step of `run_ensemble` uses it.
+a Nystrom determinant per point (Bornemann 2010), for a whole grid at once in
+`_f1_pairs`.  The tabulated path (`f1_cdf_tabulated`) reads a degree-79
+Chebyshev interpolant of the direct F1 on [-10, 12], built once per process on
+first use, at about 1e-14 of the direct values; the KS step of `run_ensemble`
+uses it.
 
 The determinant runs on an n-point Gauss-Legendre rule on [0, L(s)] with
 L(s) = max(X_CAP - s, 4) / 2, so every kernel argument x + y + s lies in
@@ -15,18 +16,20 @@ x = -2 log u: measured 7.8e-15 (F1) and 1.1e-14 (f1) on [-14, 14] in steps
 of 0.05, and within 1.2e-14 of 52 nodes on [-10, 12]; 25 nodes give 6.5e-14.
 Both paths return exact zeros for F1 and f1 at and left of LEFT_CUT = -10,
 where the true values are below 1e-21 but the determinant's rounding is not:
-without the cut F1(-30) reads 0.43 on the 64-node half-line rule.
+without the cut F1(-30) reads 0.43 on the 64-node half-line rule.  Points at
+or left of the cut never reach the Airy evaluator.
 
-Both paths take Ai and Ai' from one evaluator, `_airy_pair`: scipy's cephes
-branch for x <= 10 and the decaying expansion of DLMF 9.7.5-9.7.6 for x > 10,
-where scipy would switch to its complex AMOS routines at several times the
-cost.  Against 40-digit mpmath on (10, 45] the expansion's relative error is
-at most 0.98 zeta eps (zeta = 2/3 x^{3/2}, eps = 2^-52), the conditioning of
-e^{-zeta}; AMOS reaches 1.27 zeta eps at the same points.
-
-scipy.special is imported on the first Airy evaluation (`_scipy_airy`), never
-at import: it costs about a quarter second of start-up on a 2-vCPU host, and
-the commands that need only the deterministic edge data never evaluate Airy.
+Both paths take Ai and Ai' from one evaluator, `_airy_pair`, built on numpy
+alone.  For -20 <= x <= 10 it sums a 22-term Taylor series about the nearest
+anchor -20 + k/2, whose coefficients follow from Ai(x_k) and Ai'(x_k) by the
+ODE Ai'' = x Ai; the anchor values are correctly rounded 40-digit mpmath
+values.  Against 40-digit mpmath on 3062 points of [-20, 10] its absolute error
+is 9.4e-17 for Ai and 3.1e-16 for Ai' (scipy's cephes: 6.9e-15 and 1.6e-14).
+For x > 10 it sums the decaying expansion of DLMF 9.7.5-9.7.6, whose relative
+error against 40-digit mpmath on (10, 45] is at most 0.98 zeta eps
+(zeta = 2/3 x^{3/2}, eps = 2^-52), the conditioning of e^{-zeta}; scipy's
+AMOS reaches 1.27 zeta eps at the same points.  The coefficient table is
+built on the first Airy evaluation, never at import.
 """
 
 from __future__ import annotations
@@ -43,14 +46,84 @@ from .errors import DomainError, NumericError
 from .spectrum import grid
 
 AIRY_RANGE = (-20.0, 40.0)
-# Above _SERIES_FROM scipy's airy leaves cephes for the complex AMOS routines,
-# which cost 1.5-3 us a point; the decaying expansion is cheaper there.
+# Taylor series about the anchors AIRY_RANGE[0] + k _TAYLOR_STEP up to _SERIES_FROM,
+# the decaying expansion above it
 _SERIES_FROM = 10.0
 # the term k = 20 is the first below 2**-53 at x = 10 (zeta = 21.08), for Ai and Ai'
 _SERIES_TERMS = 21
+_TAYLOR_STEP = 0.5
+# at |t| <= _TAYLOR_STEP / 2 the first omitted terms are below 1.9e-21 (Ai) and
+# 1.3e-20 (Ai'), largest at x = -20; 20 terms would leave 7.2e-19 and 5.0e-18
+_TAYLOR_TERMS = 22
+# (Ai(x_k), Ai'(x_k)) at x_k = -20 + k/2, k = 0..60: 40-digit mpmath rounded to nearest
+_ANCHORS = (
+    (-0.1764061270779847, 0.8928628567364713),
+    (0.26780027210258395, 0.08774108834375714),
+    (-0.14166127688042265, -1.0049611250051396),
+    (-0.11208853977554048, 1.0646439622797084),
+    (0.2712045408044142, -0.15903891520496802),
+    (-0.17266059066222628, -0.9024049204808416),
+    (-0.10526230029095239, 1.05868457664466),
+    (0.27886848056055086, -0.09462257996353214),
+    (-0.1430579316690997, -0.9747644416212727),
+    (-0.16644795409041976, 0.9049379354302122),
+    (0.2782174908708289, 0.272374204308642),
+    (-0.030597418939551424, -1.0953212728805393),
+    (-0.2659834827840778, 0.44302487700284365),
+    (0.1909812432962203, 0.8264327514252542),
+    (0.17151043937053703, -0.8715196778799533),
+    (-0.27627456138116024, -0.41933133041950515),
+    (-0.06655517505437313, 1.0231104533679707),
+    (0.30542297004359265, 0.08772415432178444),
+    (-0.008759589255702381, -1.0273278736645794),
+    (-0.3119260350510506, 0.09095748739068167),
+    (0.04024123848644319, 0.99626504413279),
+    (0.3191032477191282, -0.10809531881187123),
+    (-0.022133721547341403, -0.9756639809263316),
+    (-0.33029023763020887, -0.03231334828463914),
+    (-0.0527050503563862, 0.9355609381983065),
+    (0.3217757163806479, 0.3188095066985546),
+    (0.18428083525050565, -0.7710081684101265),
+    (-0.2380203019971158, -0.6749524925132022),
+    (-0.3291451736298231, 0.3459354872813429),
+    (0.017781541276574976, 0.8641972177713984),
+    (0.35076100902411433, 0.32719281855444315),
+    (0.2921527810559595, -0.5233625323157477),
+    (-0.07026553294928951, -0.7906285753685813),
+    (-0.37553382314043193, -0.34344343345404815),
+    (-0.37881429367765806, 0.3145837692165988),
+    (-0.11232506769296609, 0.6788527342647943),
+    (0.22740742820168558, 0.618259020741691),
+    (0.4642565777488694, 0.3091869672024104),
+    (0.5355608832923521, -0.01016056711664521),
+    (0.4757280916105396, -0.20408167033954738),
+    (0.3550280538878172, -0.2588194037928068),
+    (0.23169360648083348, -0.2249105326646839),
+    (0.13529241631288141, -0.1591474412967932),
+    (0.07174949700810541, -0.09738201284230132),
+    (0.03492413042327438, -0.05309038443365363),
+    (0.01572592338047049, -0.026250881035903232),
+    (0.006591139357460719, -0.011912976705951319),
+    (0.002584098786989635, -0.005004413967952583),
+    (0.0009515638512048018, -0.001958640950204179),
+    (0.00033025032351430896, -0.0007178665675575089),
+    (0.00010834442813607442, -0.0002474138908684625),
+    (3.368531190859981e-05, -8.046339130556515e-05),
+    (9.947694360252889e-06, -2.4765200397034955e-05),
+    (2.7958823432049136e-06, -7.231931466601793e-06),
+    (7.492128863997167e-07, -2.008150894738792e-06),
+    (1.9172560675134309e-07, -5.312713959720545e-07),
+    (4.6922076160992316e-08, -1.3414392979067865e-07),
+    (1.0997009755195506e-08, -3.237725440447602e-08),
+    (2.47116843087249e-09, -7.480641389658946e-09),
+    (5.330263704617492e-10, -1.6566394593740667e-09),
+    (1.1047532552898686e-10, -3.5206336767389237e-10),
+)
 # the Nystrom rule covers [0, L(s)], L(s) = max(X_CAP - s, 4) / 2: kernel arguments end at X_CAP
 X_CAP = 20.0
 DEFAULT_NODES = 26
+# _f1_pairs holds at most _BATCH kernels at once: a few (128, 26, 26) arrays of 0.7 MB
+_BATCH = 128
 # F1 and f1 are exact zeros at and left of LEFT_CUT on both paths: F1(-9) ~ 8e-17,
 # F1(-10) ~ 4e-22.  1 - F1(12) ~ 2e-14.
 LEFT_CUT = -10.0
@@ -79,29 +152,50 @@ _ASYMPTOTIC = _asymptotic_coefficients(_SERIES_TERMS)
 
 
 @lru_cache(maxsize=1)
-def _scipy_airy():
-    """scipy.special.airy, imported on the first call and logged with its import time."""
-    started = time.perf_counter()
-    from scipy.special import airy
+def _taylor_table():
+    """Taylor coefficients about each anchor x_k, as a (terms, 2, anchors) array of the
+    Ai row a_j and the Ai' row (j + 1) a_{j+1}, built on the first call and logged.
 
-    log.debug("tracywidom: scipy.special loaded for the cephes Airy branch in %.3f s",
-              time.perf_counter() - started)
-    return airy
+    a_0 = Ai(x_k) and a_1 = Ai'(x_k) come from _ANCHORS; the ODE Ai'' = x Ai gives
+    a_2 = x_k a_0 / 2 and a_{j+2} = (x_k a_j + a_{j-1}) / ((j + 1)(j + 2)).
+    """
+    started = time.perf_counter()
+    ai, aip = np.array(_ANCHORS).T
+    xk = AIRY_RANGE[0] + _TAYLOR_STEP * np.arange(len(ai))
+    a = [ai, aip, 0.5 * xk * ai]
+    for j in range(1, _TAYLOR_TERMS - 1):
+        a.append((xk * a[j] + a[j - 1]) / ((j + 1) * (j + 2)))
+    table = np.array([(a[j], (j + 1) * a[j + 1]) for j in range(_TAYLOR_TERMS)])
+    log.debug("tracywidom: Airy Taylor table of %d anchors, h = %g, %d terms, built in %.6f s",
+              len(ai), _TAYLOR_STEP, _TAYLOR_TERMS, time.perf_counter() - started)
+    return table
 
 
 def _airy_pair(x):
-    """(Ai(x), Ai'(x)) for a float array x of any shape.
+    """(Ai(x), Ai'(x)) for a float array x of any shape with every x >= -20.
 
-    scipy's cephes branch for x <= 10; above, the decaying expansions of
-    DLMF 9.7.5-9.7.6 with zeta = 2/3 x^{3/2}, summed by Horner's rule in 1/zeta:
+    For x <= 10, Horner's rule in t = x - x_k on the Taylor table of the nearest
+    anchor x_k, |t| <= 1/4; above, the decaying expansions of DLMF 9.7.5-9.7.6
+    with zeta = 2/3 x^{3/2}, summed by Horner's rule in 1/zeta:
     Ai = e^{-zeta} / (2 sqrt(pi) x^{1/4}) sum (-1)^k u_k zeta^{-k},
     Ai' = -x^{1/4} e^{-zeta} / (2 sqrt(pi)) sum (-1)^k v_k zeta^{-k}.
+    DomainError for x < -20 or NaN, which the anchor index would otherwise wrap.
     """
     x = np.asarray(x, dtype=float)
+    if not np.all(x >= AIRY_RANGE[0]):
+        raise DomainError(f"Airy evaluation needs x >= {AIRY_RANGE[0]}, got {np.min(x)}")
     ai = np.empty_like(x)
     aip = np.empty_like(x)
     low = x <= _SERIES_FROM
-    ai[low], aip[low], _, _ = _scipy_airy()(x[low])
+    xl = x[low]
+    k = np.rint((xl - AIRY_RANGE[0]) / _TAYLOR_STEP).astype(np.intp)
+    t = xl - (AIRY_RANGE[0] + _TAYLOR_STEP * k)
+    table = _taylor_table()
+    sums = np.take(table[-1], k, axis=1)
+    for coef in table[-2::-1]:
+        sums *= t
+        sums += np.take(coef, k, axis=1)
+    ai[low], aip[low] = sums
     high = ~low
     xh = x[high]
     zeta = (2.0 / 3.0) * xh**1.5
@@ -119,10 +213,11 @@ def _airy_pair(x):
 def airy_ai(x):
     """Airy function Ai on [-20, 40], relative error well below 1e-10.
 
-    scipy's cephes branch up to x = 10, the DLMF 9.7.5 expansion above it:
-    there the relative error against 40-digit mpmath is at most 0.98 zeta eps,
-    zeta = 2/3 x^{3/2} (about 3.7e-14 at x = 40).  The first call in a process
-    imports scipy.special; importing this module does not.
+    A 22-term Taylor series about the nearest of the anchors -20, -19.5, ..., 10
+    up to x = 10, within 1e-16 of 40-digit mpmath in absolute terms; the DLMF
+    9.7.5 expansion above it, within 0.98 zeta eps relative, zeta = 2/3 x^{3/2}
+    (about 3.7e-14 at x = 40).  numpy alone; the coefficient table is built on
+    the first call in a process.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(arr < AIRY_RANGE[0]) or np.any(arr > AIRY_RANGE[1]):
@@ -147,71 +242,88 @@ def _upper_pairs(n: int):
     return rows, cols, u[rows] + u[cols]
 
 
-def _half_length(s: float) -> float:
+def _half_length(s):
     """L(s) = max(X_CAP - s, 4) / 2: the rule's interval [0, L] keeps x + y + s <= max(X_CAP, s + 4)."""
-    return 0.5 * max(X_CAP - s, 4.0)
+    return 0.5 * np.maximum(X_CAP - s, 4.0)
 
 
-def _kernel_matrices(s: float, n: int):
-    """Symmetrized kernel L sqrt(w_i w_j) Ai(L (u_i + u_j) + s) and its s-derivative.
+def _kernel_stack(s, n: int):
+    """Symmetrized kernels L sqrt(w_i w_j) Ai(L (u_i + u_j) + s) and their s-derivatives,
+    stacked as two (len(s), n, n) arrays for a float array s.
 
     The n-point Gauss-Legendre rule on [0, L(s)] has nodes L u_i and weights
     L w_i.  It truncates the half line at L(s), where every kernel argument
     x + y + s on [0, L]^2 is at most 2L + s = max(X_CAP, s + 4); the
     accuracy this buys is measured against a half-line rule (module docstring).
-    Airy is evaluated on the upper triangle only and mirrored; u_i + u_j is
-    exactly u_j + u_i, so both matrices equal the full-grid evaluation bit for bit.
+    Airy is evaluated once, on the upper triangles of every point, and mirrored;
+    u_i + u_j is exactly u_j + u_i, so each matrix equals the full-grid
+    evaluation bit for bit.
     """
     _, unit_scale = _unit_rule(n)
     rows, cols, pair_sums = _upper_pairs(n)
     length = _half_length(s)
-    ai_upper, aip_upper = _airy_pair(length * pair_sums + s)
-    ai = np.empty((n, n))
-    aip = np.empty((n, n))
-    ai[rows, cols] = ai[cols, rows] = ai_upper
-    aip[rows, cols] = aip[cols, rows] = aip_upper
-    scale = length * unit_scale
-    return scale * ai, scale * aip
+    ai_upper, aip_upper = _airy_pair(length[:, None] * pair_sums + s[:, None])
+    K = np.empty((len(s), n, n))
+    Kp = np.empty((len(s), n, n))
+    K[:, rows, cols] = K[:, cols, rows] = ai_upper
+    Kp[:, rows, cols] = Kp[:, cols, rows] = aip_upper
+    scale = length[:, None, None] * unit_scale
+    K *= scale
+    Kp *= scale
+    return K, Kp
+
+
+def _f1_pairs(s, n: int):
+    """(F1, f1) at every point of the 1-D float array s, as two arrays.
+
+    One Airy evaluation and one stacked det and solve per batch of _BATCH
+    points; f1 differentiates the determinant:
+    F1'(s) = -det(I - A_s) tr((I - A_s)^{-1} dA_s/ds).  Points at and left of
+    LEFT_CUT are 0 and never reach Airy; a NaN point does and is refused there.
+    """
+    F = np.zeros(len(s))
+    f = np.zeros(len(s))
+    live = np.flatnonzero(~(s <= LEFT_CUT))
+    eye = np.eye(n)
+    for start in range(0, len(live), _BATCH):
+        points = live[start:start + _BATCH]
+        K, Kp = _kernel_stack(s[points], n)
+        i_minus_k = eye - K
+        det = np.linalg.det(i_minus_k)
+        trace = np.trace(np.linalg.solve(i_minus_k, Kp), axis1=1, axis2=2)
+        # fmax, not maximum: at s = inf the kernel's Ai' is -0 * inf = NaN, and f1(inf) is 0
+        F[points] = np.fmin(1.0, np.fmax(0.0, det))
+        f[points] = np.fmax(0.0, -det * trace)
+    return F, f
 
 
 def f1_cdf(s: float, n: int = DEFAULT_NODES) -> float:
     """F1(s) as the Fredholm determinant det(I - A_s) of the Airy-shift kernel on (0, inf).
 
     Direct path: one Nystrom determinant per call, on the n-point
-    Gauss-Legendre rule of [0, L(s)] (see `_kernel_matrices`); at 26 nodes
+    Gauss-Legendre rule of [0, L(s)] (see `_kernel_stack`); at 26 nodes
     within 7.8e-15 of a 128-node half-line rule on [-14, 14].  Exactly 0 at
     and left of LEFT_CUT = -10, where F1 < 1e-21.
     """
-    return _f1_pair(s, n)[0]
-
-
-def _f1_pair(s: float, n: int):
-    """(F1(s), f1(s)) from one kernel evaluation; f1 differentiates the determinant:
-    F1'(s) = -det(I - A_s) tr((I - A_s)^{-1} dA_s/ds).  Both are 0 at and left of LEFT_CUT.
-    """
-    s = float(s)
-    if s <= LEFT_CUT:
-        return 0.0, 0.0
-    K, Kp = _kernel_matrices(s, n)
-    eye = np.eye(n)
-    det = float(np.linalg.det(eye - K))
-    trace = float(np.trace(np.linalg.solve(eye - K, Kp)))
-    return min(1.0, max(0.0, det)), max(0.0, -det * trace)
+    return float(_f1_pairs(np.array([float(s)]), n)[0][0])
 
 
 def f1_pdf(s: float, n: int = DEFAULT_NODES) -> float:
     """Density of F1 by differentiating the determinant (direct path)."""
-    return _f1_pair(s, n)[1]
+    return float(_f1_pairs(np.array([float(s)]), n)[1][0])
 
 
 def tw_table(start: float, stop: float, step: float, n: int = DEFAULT_NODES):
     """Rows (s, F1(s), f1(s)) on the closed grid start, start+step, ..., stop (direct path).
 
     The grid is `spectrum.grid`'s: finite bounds, step > 0 and stop >= start,
-    else DomainError.  Logs one debug line per call with the rule and the time.
+    else DomainError.  Every row equals the `f1_cdf` and `f1_pdf` calls at its
+    point bit for bit.  Logs one debug line per call with the rule and the time.
     """
     started = time.perf_counter()
-    rows = [(s, *_f1_pair(s, n)) for s in grid(start, stop, step, "twtable").tolist()]
+    s = grid(start, stop, step, "twtable")
+    F, f = _f1_pairs(s, n)
+    rows = list(zip(s.tolist(), F.tolist(), f.tolist()))
     log.debug("tw_table: %d rows on a %d-node rule to X_CAP = %g in %.3f s",
               len(rows), n, X_CAP, time.perf_counter() - started)
     return rows
@@ -225,7 +337,7 @@ def _chebyshev_f1(nodes: int, lo: float, hi: float) -> Chebyshev:
     """
     started = time.perf_counter()
     xs = lo + (chebpts2(nodes) + 1.0) * (0.5 * (hi - lo))
-    values = np.array([f1_cdf(float(x)) for x in xs])
+    values = _f1_pairs(xs, DEFAULT_NODES)[0]
     table = Chebyshev.fit(xs, values, nodes - 1, domain=[lo, hi])
     tail = float(np.max(np.abs(table.coef[-_TAIL_COEFFS:])))
     seconds = time.perf_counter() - started

@@ -2,8 +2,8 @@
 
 Everything here is deliberately built on different machinery than the package:
 Painleve II integration for the Tracy-Widom law, power series / asymptotic
-expansions for Airy, a Fredholm determinant on the package's rule whose Airy
-kernel is scipy's alone and one on a half-line rule of its own,
+expansions for Airy, Fredholm determinants on the package's rule whose Airy
+kernel is scipy's alone or 25-digit mpmath's, one on a half-line rule of its own,
 closed forms for the pure-noise (Marchenko-Pastur) model, the cubic
 characteristic equation for constant spectra, dense LU solves of the
 (M+N) x (M+N) linearization and its minors for the local-law resolvent,
@@ -143,6 +143,24 @@ def scipy_f1_pair(s, n=DEFAULT_NODES):
     u, unit_scale = _unit_rule(n)
     length = _half_length(s)
     ai, aip, _, _ = scipy_airy(length * (u[:, None] + u[None, :]) + s)
+    scale = length * unit_scale
+    return _nystrom_f1_pair(scale * ai, scale * aip)
+
+
+def mpmath_f1_pair(s, n=DEFAULT_NODES):
+    """(F1(s), f1(s)) from the package's Nystrom rule with every kernel entry from
+    25-digit mpmath rounded to double, on the upper triangle and mirrored, in the
+    package's arithmetic otherwise.  About 0.8 s a point."""
+    u, unit_scale = _unit_rule(n)
+    length = _half_length(s)
+    rows, cols = np.triu_indices(n)
+    ai = np.empty((n, n))
+    aip = np.empty((n, n))
+    with mpmath.workdps(25):
+        for i, j in zip(rows, cols):
+            x = mpmath.mpf(float(length * (u[i] + u[j]) + s))
+            ai[i, j] = ai[j, i] = float(mpmath.airyai(x))
+            aip[i, j] = aip[j, i] = float(mpmath.airyai(x, derivative=1))
     scale = length * unit_scale
     return _nystrom_f1_pair(scale * ai, scale * aip)
 

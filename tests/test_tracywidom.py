@@ -13,13 +13,16 @@ from scipy.special import airy as scipy_airy
 
 import spectraledge
 from spectraledge import DomainError, NumericError, airy_ai, f1_cdf, f1_pdf, tw_table
+from spectraledge import tracywidom
 from spectraledge.tracywidom import (
-    _ASYMPTOTIC, _SERIES_FROM, DEFAULT_NODES, LEFT_CUT, TABLE_NODES, TABLE_RANGE, _airy_pair,
-    _chebyshev_f1, _f1_table, _half_length, _kernel_matrices, _scipy_airy, _unit_rule, f1_cdf_tabulated,
+    _ANCHORS, _ASYMPTOTIC, _SERIES_FROM, _TAYLOR_STEP, _TAYLOR_TERMS, AIRY_RANGE, DEFAULT_NODES, LEFT_CUT,
+    TABLE_NODES, TABLE_RANGE, _airy_pair, _chebyshev_f1, _f1_pairs, _f1_table, _half_length, _kernel_stack,
+    _taylor_table, _unit_rule, f1_cdf_tabulated,
 )
 
 from oracles import (
-    PainleveF1, airy_asymptotic_neg, airy_asymptotic_pos, airy_maclaurin, halfline_f1_pair, scipy_f1_pair,
+    PainleveF1, airy_asymptotic_neg, airy_asymptotic_pos, airy_maclaurin, halfline_f1_pair, mpmath_f1_pair,
+    scipy_f1_pair,
 )
 
 
@@ -77,12 +80,52 @@ def test_airy_against_mpmath_reference():
         assert airy_ai(float(x)) == pytest.approx(ref, rel=1e-10, abs=1e-300)
 
 
-def test_airy_pair_is_scipy_up_to_ten():
-    # the cephes branch is unchanged: bit for bit up to and including x = 10
-    xs = np.concatenate([np.linspace(-20.0, 10.0, 601), [np.nextafter(10.0, 0.0), 10.0 - 1e-9]])
+def test_airy_pair_up_to_ten_within_a_bound_cephes_fails():
+    # the Taylor branch against 40-digit mpmath on a grid, the anchor midpoints
+    # (|t| = h/2, the longest step) and the branch end: measured 9.3e-17 (Ai) and
+    # 2.1e-16 (Ai').  scipy's cephes, which the branch replaced, misses the same
+    # absolute bound by far: 4.1e-15 and 1.3e-14 on these points
+    eps = np.finfo(float).eps
+    h = _TAYLOR_STEP
+    xs = np.concatenate([np.linspace(-20.0, 10.0, 601), np.arange(-20.0 + h / 2, 10.0, h),
+                         [np.nextafter(10.0, 0.0), 10.0]])
+    assert len(xs) == 663
     ai, aip = _airy_pair(xs)
-    ref_ai, ref_aip, _, _ = scipy_airy(xs)
-    assert np.array_equal(ai, ref_ai) and np.array_equal(aip, ref_aip)
+    cephes_ai, cephes_aip, _, _ = scipy_airy(xs)
+    errors = np.zeros((2, 2))
+    with mpmath.workdps(40):
+        for k, x in enumerate(xs):
+            ref = (mpmath.airyai(mpmath.mpf(float(x))), mpmath.airyai(mpmath.mpf(float(x)), derivative=1))
+            for row, values in enumerate(((ai[k], aip[k]), (cephes_ai[k], cephes_aip[k]))):
+                for col in range(2):
+                    error = float(abs(mpmath.mpf(float(values[col])) - ref[col]))
+                    errors[row, col] = max(errors[row, col], error)
+    bound = np.array([eps, 2.0 * eps])
+    assert np.all(errors[0] <= bound), errors[0]
+    assert np.all(errors[1] > bound), errors[1]
+
+
+def test_airy_anchors_are_mpmath_rounded_to_nearest():
+    # the literals regenerate bit for bit from 40-digit mpmath
+    assert len(_ANCHORS) == round((_SERIES_FROM - AIRY_RANGE[0]) / _TAYLOR_STEP) + 1
+    with mpmath.workdps(40):
+        for k, (ai, aip) in enumerate(_ANCHORS):
+            x = mpmath.mpf(AIRY_RANGE[0]) + k * mpmath.mpf(_TAYLOR_STEP)
+            assert ai == float(mpmath.airyai(x)) and aip == float(mpmath.airyai(x, derivative=1)), k
+
+
+def test_airy_pair_is_exact_at_the_anchors():
+    # t = 0 leaves a_0 and a_1 themselves
+    xs = AIRY_RANGE[0] + _TAYLOR_STEP * np.arange(len(_ANCHORS))
+    ai, aip = _airy_pair(xs)
+    assert np.array_equal(np.stack([ai, aip], axis=1), np.array(_ANCHORS))
+
+
+@pytest.mark.parametrize("x", [np.nextafter(-20.0, -np.inf), -20.3, -25.0, np.nan])
+def test_airy_pair_refuses_arguments_below_the_table(x):
+    # an anchor index below 0 would wrap to the far end of the table, silently
+    with pytest.raises(DomainError, match="x >= -20"):
+        _airy_pair(np.array([[0.0, 1.0], [x, 12.0]]))
 
 
 def test_airy_pair_above_ten_within_conditioning_of_mpmath():
@@ -145,6 +188,37 @@ def test_f1_monotone_and_limits():
     assert values[0] == 0.0 and values[-1] == 1.0
 
 
+def test_tw_table_keeps_cut_points_away_from_airy(monkeypatch):
+    arguments = []
+
+    def recording_airy_pair(x):
+        arguments.append(np.min(x))
+        return _airy_pair(x)
+
+    monkeypatch.setattr(tracywidom, "_airy_pair", recording_airy_pair)
+    rows = tw_table(-60.0, 4.0, 0.5)
+    assert len(rows) == 129
+    assert all(F == 0.0 and f == 0.0 for s, F, f in rows if s <= LEFT_CUT)
+    assert all(F > 0.0 and f > 0.0 for s, F, f in rows if s > LEFT_CUT)
+    assert len(arguments) == 1 and arguments[0] > LEFT_CUT
+
+
+def test_f1_pairs_batches_equal_single_points():
+    # 300 points take three batches; each value is the one-point determinant's
+    s = np.linspace(-12.0, 14.0, 300)
+    F, f = _f1_pairs(s, DEFAULT_NODES)
+    assert np.array_equal(F, [f1_cdf(x) for x in s])
+    assert np.array_equal(f, [f1_pdf(x) for x in s])
+
+
+def test_f1_at_nan_is_refused_and_at_infinity_is_exact():
+    with pytest.raises(DomainError):
+        f1_cdf(math.nan)
+    with np.errstate(invalid="ignore"):  # the series' Ai'(inf) is 0 * inf
+        assert f1_cdf(math.inf) == 1.0 and f1_pdf(math.inf) == 0.0
+    assert f1_cdf(-math.inf) == 0.0 and f1_pdf(-math.inf) == 0.0
+
+
 def test_tw_table_refuses_an_empty_or_stalled_grid():
     with pytest.raises(DomainError):
         tw_table(5.0, 4.0, 1.0)
@@ -190,17 +264,19 @@ def test_direct_f1_matches_halfline_oracle():
 
 
 def test_triangle_kernel_equals_full_grid_exactly():
-    # Airy runs on the upper triangle only; the mirrored matrices must equal
-    # the full n x n evaluation bit for bit
+    # Airy runs on the upper triangles only; each mirrored matrix of the stack
+    # must equal the full n x n evaluation bit for bit
     n = DEFAULT_NODES
     u, unit_scale = _unit_rule(n)
-    for s in (-9.5, -6.0, -1.2065, 0.0, 3.7, 18.0):
+    points = np.array([-9.5, -6.0, -1.2065, 0.0, 3.7, 18.0])
+    K, Kp = _kernel_stack(points, n)
+    assert K.shape == Kp.shape == (len(points), n, n)
+    for k, s in enumerate(points):
         length = _half_length(s)
         ai, aip = _airy_pair(length * (u[:, None] + u[None, :]) + s)
         scale = length * unit_scale
-        K, Kp = _kernel_matrices(s, n)
-        assert np.array_equal(K, scale * ai)
-        assert np.array_equal(Kp, scale * aip)
+        assert np.array_equal(K[k], scale * ai)
+        assert np.array_equal(Kp[k], scale * aip)
 
 
 def test_pdf_normalization_and_tail():
@@ -243,8 +319,8 @@ def test_density_moments(painleve):
 
 
 def test_direct_f1_matches_scipy_kernel_reference():
-    # the series above x = 10 moves F1 and f1 by less than 1e-15 from a kernel
-    # taken wholly from scipy's airy
+    # the package's Airy (Taylor table to x = 10, the series above) moves F1 and
+    # f1 by less than 1e-15 from a kernel taken wholly from scipy's airy
     for s, F, f in tw_table(-12.0, 12.0, 0.05):
         ref_F, ref_f = scipy_f1_pair(s)
         assert abs(F - ref_F) <= 1e-15 and abs(f - ref_f) <= 1e-15, s
@@ -282,15 +358,23 @@ def test_tabulated_f1_is_a_probability():
     assert values[0] == 0.0 and values[-1] == 1.0
 
 
-def test_f1_table_matches_scipy_kernel_reference():
+def test_f1_table_matches_kernel_references():
+    # The Airy source moves the table by less than 1e-15.  Its coefficients are
+    # compared with a table fitted on F1 from a kernel wholly from scipy's airy.
+    # The F1 values it is fitted from are compared, at three of its nodes, with F1
+    # from a 25-digit mpmath kernel.  The two tables' values are not compared:
+    # least-squares fits of data 1.7e-16 apart differ by 1.4e-15 on [-10, 12]
+    # (where F1 ~ 2e-9), the fits' own rounding, not the data's.
     table = _chebyshev_f1(TABLE_NODES, *TABLE_RANGE)
     lo, hi = TABLE_RANGE
     nodes = lo + (chebpts2(TABLE_NODES) + 1.0) * (0.5 * (hi - lo))
     reference = Chebyshev.fit(nodes, [scipy_f1_pair(float(x))[0] for x in nodes], TABLE_NODES - 1,
                               domain=[lo, hi])
-    xs = np.linspace(lo, hi, 2001)
-    assert np.max(np.abs(table(xs) - reference(xs))) <= 1e-15
     assert np.max(np.abs(table.coef - reference.coef)) <= 1e-15
+    few = nodes[20:50:10]
+    values = _f1_pairs(few, DEFAULT_NODES)[0]
+    for x, value in zip(few, values):
+        assert abs(value - mpmath_f1_pair(float(x))[0]) <= 1e-15, x
 
 
 def test_table_with_too_few_nodes_is_refused():
@@ -322,29 +406,50 @@ def test_tw_table_logs_one_line_per_call(caplog):
 
 
 def test_import_does_not_build_the_table():
-    # the Airy evaluator and the F1 table both load on first use
+    # the Airy coefficient table and the F1 table both load on first use
     src = os.path.dirname(os.path.dirname(spectraledge.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, spectraledge, spectraledge.cli\n"
-            "from spectraledge.tracywidom import _f1_table\n"
-            "print('scipy.special' in sys.modules, _f1_table.cache_info().currsize)")
+            "from spectraledge.tracywidom import _f1_table, _taylor_table\n"
+            "print('scipy.special' in sys.modules, _taylor_table.cache_info().currsize,"
+            " _f1_table.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
-    assert out.stdout.split() == ["False", "0"]
+    assert out.stdout.split() == ["False", "0", "0"]
     _f1_table()
     assert _f1_table.cache_info().currsize == 1
 
 
-def test_first_airy_evaluation_logs_the_scipy_special_load(caplog):
-    _scipy_airy.cache_clear()
+def test_f1_commands_never_load_scipy_special(tmp_path):
+    # twtable and simulate (the F1 table in its KS step) evaluate Airy on numpy alone
+    src = os.path.dirname(os.path.dirname(spectraledge.__file__))
+    spectrum = os.path.join(os.path.dirname(__file__), "golden", "uniform_sq_30x60.json")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "from spectraledge.cli import run_command\n"
+            f"assert run_command(['twtable', '--from', '-6', '--to', '4', '--step', '0.1',"
+            f" '--out', {str(tmp_path / 'tw.csv')!r}]) == 0\n"
+            f"assert run_command(['simulate', '--spectrum', {spectrum!r}, '--trials', '20', '--threads', '1',"
+            f" '--out', {str(tmp_path / 'sim.csv')!r}]) == 0\n"
+            "from spectraledge.tracywidom import _f1_table, _taylor_table\n"
+            "print('scipy.special' in sys.modules, _taylor_table.cache_info().currsize,"
+            " _f1_table.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.split() == ["False", "1", "1"]
+
+
+def test_first_airy_evaluation_logs_the_table_build(caplog):
+    _taylor_table.cache_clear()
     with caplog.at_level(logging.DEBUG, logger="spectraledge"):
         airy_ai(0.5)
         airy_ai(np.array([-3.0, 1.0, 20.0]))
         f1_cdf(-2.0)
-    [record] = [r for r in caplog.records if "scipy.special" in r.getMessage()]
+    [record] = [r for r in caplog.records if "Taylor table" in r.getMessage()]
     assert record.name == "spectraledge"
-    assert re.fullmatch(r"tracywidom: scipy\.special loaded for the cephes Airy branch in \d+\.\d{3} s",
-                        record.getMessage())
+    assert re.fullmatch(rf"tracywidom: Airy Taylor table of {len(_ANCHORS)} anchors, h = 0\.5, "
+                        rf"{_TAYLOR_TERMS} terms, built in \d+\.\d{{6}} s", record.getMessage())
+    assert _taylor_table().shape == (_TAYLOR_TERMS, 2, len(_ANCHORS))
 
 
 def test_tabulated_f1_takes_arrays():
