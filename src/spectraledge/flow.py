@@ -171,8 +171,3 @@ def flow_derivative_check(model: SpectrumModel, t: float, step: float = DEFAULT_
     time instead of scanning again.
     """
     return flow_derivative_checks(model, [t], step)[0]
-
-
-def stationary_state(model: SpectrumModel) -> FlowState:
-    """The t = infinity endpoint: a pure noise model with the same dimensions."""
-    return _state(model, math.inf)

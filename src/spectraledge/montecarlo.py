@@ -206,7 +206,7 @@ def ks_distance(samples, cdf) -> float:
     `cdf` is called once, on the sorted samples as a 1-D array, and returns
     their CDF values as an array of that shape (a scalar broadcasts).
     `run_ensemble` passes the tabulated F1 (`f1_cdf_tabulated`); the direct
-    determinant takes one scalar per call, so pass `np.vectorize(f1_cdf)`.
+    `f1_cdf` takes arrays too.
     """
     samples = np.sort(np.asarray(samples, dtype=float))
     n = samples.size

@@ -55,6 +55,8 @@ _TAYLOR_STEP = 0.5
 # at |t| <= _TAYLOR_STEP / 2 the first omitted terms are below 1.9e-21 (Ai) and
 # 1.3e-20 (Ai'), largest at x = -20; 20 terms would leave 7.2e-19 and 5.0e-18
 _TAYLOR_TERMS = 22
+# Ai and Ai' are 0.0 and -0.0 from x ~ 108 on, where e^{-zeta} underflows; x is capped here
+_UNDERFLOW = 200.0
 # (Ai(x_k), Ai'(x_k)) at x_k = -20 + k/2, k = 0..60: 40-digit mpmath rounded to nearest
 _ANCHORS = (
     (-0.1764061270779847, 0.8928628567364713),
@@ -197,7 +199,8 @@ def _airy_pair(x):
         sums += np.take(coef, k, axis=1)
     ai[low], aip[low] = sums
     high = ~low
-    xh = x[high]
+    # capped, so that Ai'(inf) is -0.0 rather than -0 * inf = NaN
+    xh = np.minimum(x[high], _UNDERFLOW)
     zeta = (2.0 / 3.0) * xh**1.5
     t = 1.0 / zeta
     sums = _ASYMPTOTIC[-1]
@@ -291,26 +294,34 @@ def _f1_pairs(s, n: int):
         i_minus_k = eye - K
         det = np.linalg.det(i_minus_k)
         trace = np.trace(np.linalg.solve(i_minus_k, Kp), axis1=1, axis2=2)
-        # fmax, not maximum: at s = inf the kernel's Ai' is -0 * inf = NaN, and f1(inf) is 0
+        # fmax, not maximum: far right the kernel underflows, -det * trace is -0.0 and f1 is +0.0
         F[points] = np.fmin(1.0, np.fmax(0.0, det))
         f[points] = np.fmax(0.0, -det * trace)
     return F, f
 
 
-def f1_cdf(s: float, n: int = DEFAULT_NODES) -> float:
+def _f1_shaped(s, n: int, which: int):
+    """F1 (which = 0) or f1 (which = 1) at a scalar or an array s, in the shape of s."""
+    arr = np.asarray(s, dtype=float)
+    value = _f1_pairs(arr.ravel(), n)[which].reshape(arr.shape)
+    return float(value) if value.ndim == 0 else value
+
+
+def f1_cdf(s, n: int = DEFAULT_NODES):
     """F1(s) as the Fredholm determinant det(I - A_s) of the Airy-shift kernel on (0, inf).
 
-    Direct path: one Nystrom determinant per call, on the n-point
+    Direct path: one Nystrom determinant per point, on the n-point
     Gauss-Legendre rule of [0, L(s)] (see `_kernel_stack`); at 26 nodes
     within 7.8e-15 of a 128-node half-line rule on [-14, 14].  Exactly 0 at
-    and left of LEFT_CUT = -10, where F1 < 1e-21.
+    and left of LEFT_CUT = -10, where F1 < 1e-21.  A scalar s gives a float,
+    an array one of its shape; NaN raises DomainError.
     """
-    return float(_f1_pairs(np.array([float(s)]), n)[0][0])
+    return _f1_shaped(s, n, 0)
 
 
-def f1_pdf(s: float, n: int = DEFAULT_NODES) -> float:
-    """Density of F1 by differentiating the determinant (direct path)."""
-    return float(_f1_pairs(np.array([float(s)]), n)[1][0])
+def f1_pdf(s, n: int = DEFAULT_NODES):
+    """Density of F1 by differentiating the determinant (direct path); scalar or array, as f1_cdf."""
+    return _f1_shaped(s, n, 1)
 
 
 def tw_table(start: float, stop: float, step: float, n: int = DEFAULT_NODES):

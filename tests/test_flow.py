@@ -16,7 +16,7 @@ from spectraledge import (
     load_spectrum,
 )
 import spectraledge.flow as flow_module
-from spectraledge.flow import DERIVATIVE_KEYS, stationary_state
+from spectraledge.flow import DERIVATIVE_KEYS
 
 
 def constant_model(M, N):
@@ -45,7 +45,7 @@ def test_signal_decays_monotonically():
 
 
 def test_infinite_time_limit_is_pure_noise():
-    state = stationary_state(constant_model(60, 60))
+    state = flow_state(constant_model(60, 60), math.inf)
     assert state.edge_t.lambda_r == pytest.approx(4.0, abs=1e-10)
     assert state.gamma == pytest.approx(2.0 ** (-4.0 / 3.0), abs=1e-10)
     assert state.edge_t.xi_r == pytest.approx(1.0, abs=1e-10)
@@ -56,7 +56,7 @@ def test_long_time_state_near_stationary(N):
     model = constant_model(N, N)
     t0 = 2.0 * math.log(N)
     state = flow_state(model, t0)
-    limit = stationary_state(model)
+    limit = flow_state(model, math.inf)
     assert abs(state.gamma - limit.gamma) <= 10.0 / N**2
     assert abs(state.edge_t.lambda_r - limit.edge_t.lambda_r) <= 10.0 / N**2
 
@@ -131,7 +131,7 @@ def test_central_difference_is_second_order():
 
 def test_stationary_point_balances_b_derivative():
     # at the pure-noise fixed point gamma^2 E_plus = -b(b-1) exactly
-    state = stationary_state(constant_model(80, 80))
+    state = flow_state(constant_model(80, 80), math.inf)
     derivs = analytic_derivatives(state)
     assert derivs["b"] == pytest.approx(0.0, abs=1e-10)
     assert state.gamma**2 * state.E_plus == pytest.approx(-state.b * (state.b - 1.0), abs=1e-10)
@@ -142,7 +142,7 @@ def test_flow_uses_base_aspect_ratio():
     state = flow_state(model, 1.0)
     assert state.c == pytest.approx(0.25)
     rc = math.sqrt(0.25)
-    limit = stationary_state(model)
+    limit = flow_state(model, math.inf)
     assert limit.edge_t.lambda_r == pytest.approx((1 + rc) ** 2, abs=1e-10)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from spectraledge import (
     identity_residuals,
     load_spectrum,
 )
-from spectraledge.flow import stationary_state
 from spectraledge.identities import theta4_closed_form
 
 IDENTITY_KEYS = {"varphi2", "psi2", "varphi3", "varpi2", "Phi1", "Phi2", "theta4", "imcancel"}
@@ -40,7 +41,7 @@ def test_varphi2_closed_form_constant_spectrum():
 
 
 def test_varphi1_zero_signal():
-    state = stationary_state(load_spectrum({"type": "constant", "d": 1, "M": 60, "N": 60}))
+    state = flow_state(load_spectrum({"type": "constant", "d": 1, "M": 60, "N": 60}), math.inf)
     fn = edge_functionals(state)
     assert fn.varphi1 == pytest.approx((state.b - 1.0) / (state.gamma * state.b), abs=1e-10)
 
@@ -72,7 +73,7 @@ def test_cancellation_constant_spectrum():
 
 
 def test_varpi2_zero_signal_reduces_exactly():
-    state = stationary_state(load_spectrum({"type": "constant", "d": 1, "M": 50, "N": 100}))
+    state = flow_state(load_spectrum({"type": "constant", "d": 1, "M": 50, "N": 100}), math.inf)
     res = identity_residuals(state)
     assert res["varpi2"] <= 1e-12
 

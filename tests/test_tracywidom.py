@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -214,9 +215,28 @@ def test_f1_pairs_batches_equal_single_points():
 def test_f1_at_nan_is_refused_and_at_infinity_is_exact():
     with pytest.raises(DomainError):
         f1_cdf(math.nan)
-    with np.errstate(invalid="ignore"):  # the series' Ai'(inf) is 0 * inf
-        assert f1_cdf(math.inf) == 1.0 and f1_pdf(math.inf) == 0.0
+    assert f1_cdf(math.inf) == 1.0 and f1_pdf(math.inf) == 0.0
     assert f1_cdf(-math.inf) == 0.0 and f1_pdf(-math.inf) == 0.0
+
+
+def test_f1_takes_scalars_and_arrays():
+    # an array gives its own shape, a scalar a float; each value is the scalar call's
+    s = np.array([[-11.0, -2.5, 0.0], [1.5, 30.0, math.inf]])
+    F, f = f1_cdf(s), f1_pdf(s)
+    assert F.shape == f.shape == s.shape
+    assert np.array_equal(F, [[f1_cdf(x) for x in row] for row in s.tolist()])
+    assert np.array_equal(f, [[f1_pdf(x) for x in row] for row in s.tolist()])
+    assert type(f1_cdf(np.float64(0.5))) is float and type(f1_pdf(np.array(0.5))) is float
+    assert f1_cdf(np.empty(0)).shape == (0,)
+    with pytest.raises(DomainError):
+        f1_pdf(np.array([0.0, math.nan]))
+
+
+def test_airy_pair_at_infinity_is_zero_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ai, aip = _airy_pair(np.array([np.inf, 200.0, 1e300]))
+    assert np.array_equal(ai, [0.0, 0.0, 0.0]) and np.array_equal(aip, [0.0, 0.0, 0.0])
 
 
 def test_tw_table_refuses_an_empty_or_stalled_grid():
@@ -281,7 +301,7 @@ def test_triangle_kernel_equals_full_grid_exactly():
 
 def test_pdf_normalization_and_tail():
     xs = np.arange(-12.0, 8.0001, 0.02)
-    pdf = np.array([f1_pdf(float(x)) for x in xs])
+    pdf = f1_pdf(xs)
     assert np.trapezoid(pdf, xs) == pytest.approx(1.0, abs=1e-5)
     assert f1_pdf(-10.0) <= 1e-5
 
@@ -300,14 +320,14 @@ def _argmax_quadratic(xs, ys):
 
 def test_density_mode_matches_oracle(painleve):
     xs = np.arange(-2.5, -0.5, 0.005)
-    ours = _argmax_quadratic(xs, np.array([f1_pdf(float(x)) for x in xs]))
+    ours = _argmax_quadratic(xs, f1_pdf(xs))
     oracle = _argmax_quadratic(xs, np.array([painleve.pdf(float(x)) for x in xs]))
     assert ours == pytest.approx(oracle, abs=1e-3)
 
 
 def test_density_moments(painleve):
     xs = np.arange(-12.0, 8.0001, 0.01)
-    pdf = np.array([f1_pdf(float(x)) for x in xs])
+    pdf = f1_pdf(xs)
     mass = np.trapezoid(pdf, xs)
     mean = np.trapezoid(xs * pdf, xs) / mass
     var = np.trapezoid((xs - mean) ** 2 * pdf, xs) / mass
@@ -342,7 +362,7 @@ def test_tabulated_f1_matches_direct_determinant():
     xs = np.linspace(-14.0, 14.0, 2001)
     assert xs[0] < TABLE_RANGE[0] and xs[-1] > TABLE_RANGE[1]
     table = np.array([f1_cdf_tabulated(float(x)) for x in xs])
-    direct = np.array([f1_cdf(float(x)) for x in xs])
+    direct = f1_cdf(xs)
     assert np.max(np.abs(table - direct)) <= 1e-12
 
 
