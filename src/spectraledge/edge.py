@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,13 +59,65 @@ class EdgeSolution:
         return self.E_plus * self.b + self.tb_resc
 
 
-def _reciprocals(model: SpectrumModel, w: np.ndarray) -> np.ndarray:
-    """1/(d_i^2 - w) over a last axis of length M; d^2 - w is the only len(w) x M temporary."""
-    diff = model.d_sq - w[..., None]
+class _Roots(NamedTuple):
+    """The root stage of one model's edge: what find_edge knows before it evaluates f and phi at xi_r."""
+
+    roots: tuple
+    near_degenerate: bool
+    bracket: tuple
+    iterations: int
+
+    @property
+    def xi_r(self) -> float:
+        return self.roots[-1]
+
+
+def _stack(models) -> np.ndarray:
+    """The squared signal values of models that share M and N, one row per model."""
+    if len(models) == 1:
+        return models[0].d_sq[None]
+    return np.array([model.d_sq for model in models])
+
+
+def _rows(dsq: np.ndarray, rows: list) -> np.ndarray:
+    """Rows of the stack dsq in the order given; a lone row is returned whole, to broadcast."""
+    if len(dsq) == 1 or rows == list(range(len(dsq))):
+        return dsq
+    return dsq[rows]
+
+
+def _blocks(rows: list, width: int) -> list:
+    """rows in consecutive runs of _GRID_POINTS // width (at least one), so that a run with width
+    points per row forms no temporary larger than the scan's _GRID_POINTS x M block."""
+    size = max(1, _GRID_POINTS // width)
+    if len(rows) <= size:
+        return [rows]
+    return [rows[i:i + size] for i in range(0, len(rows), size)]
+
+
+def _reciprocals(dsq: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """1/(d_i^2 - w) over a last axis of length M; d^2 - w is the only temporary.
+
+    dsq is one model's d^2, or a stack of them shaped to broadcast against
+    w[..., None]; each row is then its own model's M values.
+    """
+    diff = dsq - w[..., None]
     if not diff.all():
         bad = w if w.ndim == 0 else w[(diff == 0.0).any(axis=-1)]
         raise PoleError(f"w={bad} coincides with a squared signal value")
     return np.reciprocal(diff, out=diff)
+
+
+def _family(dsq: np.ndarray, c: float, w: np.ndarray):
+    """(f, f', phi, phi') at the array w, with dsq as in _reciprocals (see phi_family)."""
+    inv = _reciprocals(dsq, w)
+    m = inv.shape[-1]
+    f = np.add.reduce(inv, axis=-1) / m
+    fp = np.add.reduce(np.square(inv, out=inv), axis=-1) / m
+    one = 1.0 - c * f
+    phi = w * one**2 + (1.0 - c) * one
+    phip = one**2 - 2.0 * c * w * one * fp - c * (1.0 - c) * fp
+    return f, fp, phi, phip
 
 
 def phi_family(model: SpectrumModel, w):
@@ -76,82 +129,102 @@ def phi_family(model: SpectrumModel, w):
     bits of .mean(axis=-1) without its Python wrapper, which cost as much as
     the arithmetic at these sizes.
     """
-    c = model.c_N
     w = np.asarray(w)
-    inv = _reciprocals(model, w)
-    m = inv.shape[-1]
-    f = np.add.reduce(inv, axis=-1) / m
-    fp = np.add.reduce(np.square(inv, out=inv), axis=-1) / m
-    one = 1.0 - c * f
-    phi = w * one**2 + (1.0 - c) * one
-    phip = one**2 - 2.0 * c * w * one * fp - c * (1.0 - c) * fp
+    f, fp, phi, phip = _family(model.d_sq, model.c_N, w)
     if w.ndim == 0:
         return f.item(), fp.item(), phi.item(), phip.item()
     return f, fp, phi, phip
 
 
-def _phi_newton(model: SpectrumModel, w: float) -> tuple[float, float]:
-    """phi'(w) and phi''(w) at the real scalar w, from one d^2 - w and f'' = 2 mean 1/(d^2-w)^3.
+def _phi_newton(dsq: np.ndarray, c: float, w) -> list:
+    """[(phi'(w_k), phi''(w_k))] at the real scalars w_k, row k of dsq holding their model's d^2.
 
-    Scalar arithmetic in Python floats: the same operations as phi_family,
-    so phi' has the same bits, without numpy's cost per 0-d operation.
+    One d^2 - w block for every row, with f'' = 2 mean 1/(d^2-w)^3; then
+    scalar arithmetic in Python floats: the same operations as phi_family,
+    so phi' has the same bits, without numpy's cost per 0-d operation.  A
+    row's sums are the bits of its model's 1-d sums.
     """
-    c = model.c_N
-    w = float(w)
-    inv = _reciprocals(model, np.asarray(w))
-    m = inv.size
+    w = [float(x) for x in w]
+    inv = _reciprocals(dsq, np.array(w))
+    m = inv.shape[-1]
     sq = inv * inv
-    f = float(np.add.reduce(inv)) / m
-    fp = float(np.add.reduce(sq)) / m
-    fpp = 2.0 * (float(np.add.reduce(sq * inv)) / m)
-    one = 1.0 - c * f
-    phip = one * one - 2.0 * c * w * one * fp - c * (1.0 - c) * fp
-    phipp = -4.0 * c * one * fp + 2.0 * c * c * w * fp * fp - c * (2.0 * w * one + 1.0 - c) * fpp
-    return phip, phipp
+    sums = zip(np.add.reduce(inv, axis=-1).tolist(), np.add.reduce(sq, axis=-1).tolist(),
+               np.add.reduce(sq * inv, axis=-1).tolist())
+    out = []
+    for wk, (s0, s1, s2) in zip(w, sums):
+        f = s0 / m
+        fp = s1 / m
+        fpp = 2.0 * (s2 / m)
+        one = 1.0 - c * f
+        phip = one * one - 2.0 * c * wk * one * fp - c * (1.0 - c) * fp
+        phipp = -4.0 * c * one * fp + 2.0 * c * c * wk * fp * fp - c * (2.0 * wk * one + 1.0 - c) * fpp
+        out.append((phip, phipp))
+    return out
 
 
-def _newton_root(model, lo, hi, phip_lo, phip_hi, counts):
-    """Root of phi' in [lo, hi], given phi' at the ends with opposite signs.
+def _newton_roots(dsq: np.ndarray, c: float, cells: list) -> tuple[list, list]:
+    """Root of phi' in each cell (row, lo, hi, phi'(lo), phi'(hi)), phi' of opposite signs at the ends.
 
-    Newton steps from the secant point, safeguarded by the bracket (rtsafe):
-    a step that would leave the bracket, or be longer than half the step
-    before last, becomes a bisection.  Stops when phi' is exactly 0 or the
-    step is at most _NEWTON_ULPS ulp of w.  counts = [evaluations, Newton
-    steps, bisections] is updated in place.
+    Newton steps from the secant point, safeguarded by the cell (rtsafe): a
+    step that would leave the cell, or be longer than half the step before
+    last, becomes a bisection.  A cell stops when phi' is exactly 0 or its
+    step is at most _NEWTON_ULPS ulp of w.  Each pass evaluates every
+    unfinished cell in one _phi_newton call, row being the cell's row of
+    dsq; each cell's steps are those it would take alone.  Returns the
+    roots and, per cell, [evaluations, Newton steps, bisections].
     """
-    if phip_lo == 0.0:
-        return lo
-    if phip_hi == 0.0:
-        return hi
-    w = lo - phip_lo * (hi - lo) / (phip_hi - phip_lo)  # secant start
-    if phip_lo > 0.0:
-        lo, hi = hi, lo  # phi'(lo) < 0 < phi'(hi) from here on
-    step = step_old = abs(hi - lo)
+    roots = [None] * len(cells)
+    counts = [[0, 0, 0] for _ in cells]
+    state = {}  # unsolved cell -> [w, lo, hi, step, step before]
+    for j, (_, lo, hi, phip_lo, phip_hi) in enumerate(cells):
+        if phip_lo == 0.0:
+            roots[j] = lo
+        elif phip_hi == 0.0:
+            roots[j] = hi
+        else:
+            w = lo - phip_lo * (hi - lo) / (phip_hi - phip_lo)  # secant start
+            if phip_lo > 0.0:
+                lo, hi = hi, lo  # phi'(lo) < 0 < phi'(hi) from here on
+            state[j] = [w, lo, hi, abs(hi - lo), abs(hi - lo)]
     for _ in range(_NEWTON_MAX_STEPS):
-        g, gp = _phi_newton(model, w)
-        counts[0] += 1
-        if g == 0.0:
-            return w
-        if g < 0.0:
-            lo = w
-        else:
-            hi = w
-        trial = w - g / gp if gp != 0.0 else w
-        if min(lo, hi) <= trial <= max(lo, hi) and abs(2.0 * g) <= abs(step_old * gp):
-            step_old, step = step, w - trial
-            counts[1] += 1
-        else:
-            step_old, step = step, 0.5 * (hi - lo)
-            trial = lo + step
-            counts[2] += 1
-        if abs(step) <= _NEWTON_ULPS * np.spacing(w):
-            return trial
-        w = trial
+        if not state:
+            return roots, counts
+        for block in _blocks(list(state), 1):
+            values = _phi_newton(_rows(dsq, [cells[j][0] for j in block]), c, [state[j][0] for j in block])
+            for j, (g, gp) in zip(block, values):
+                cell = state[j]
+                w, lo, hi, step, step_old = cell
+                work = counts[j]
+                work[0] += 1
+                if g == 0.0:
+                    roots[j] = w
+                    del state[j]
+                    continue
+                if g < 0.0:
+                    lo = w
+                else:
+                    hi = w
+                trial = w - g / gp if gp != 0.0 else w
+                if min(lo, hi) <= trial <= max(lo, hi) and abs(2.0 * g) <= abs(step_old * gp):
+                    step_old, step = step, w - trial
+                    work[1] += 1
+                else:
+                    step_old, step = step, 0.5 * (hi - lo)
+                    trial = lo + step
+                    work[2] += 1
+                if abs(step) <= _NEWTON_ULPS * np.spacing(w):
+                    roots[j] = trial
+                    del state[j]
+                else:
+                    cell[:] = trial, lo, hi, step, step_old
+    if not state:
+        return roots, counts
+    _, lo, hi, _, _ = next(iter(state.values()))
     raise NumericError(f"Newton on phi' did not settle in [{min(lo, hi)!r}, {max(lo, hi)!r}]")
 
 
-def _no_root_right_of(model: SpectrumModel, hi: float, f_hi: float, fp_hi: float) -> bool:
-    """Prove that phi' > 0 on [hi, inf), given f and f' at hi > d_1^2; False if the proof fails.
+def _no_root_right_of(dsq: np.ndarray, c: float, hi, f_hi, fp_hi) -> list:
+    """Prove that phi' > 0 on [hi_k, inf), given f and f' at hi_k > d_1^2, for each row k of dsq.
 
     With g = 1 - c f and Q = c f' (2 w g + 1 - c), phi' = g^2 - Q.  Right of
     d_1^2, term by term, g - 1, f' and w f' are positive, decreasing and
@@ -161,36 +234,47 @@ def _no_root_right_of(model: SpectrumModel, hi: float, f_hi: float, fp_hi: float
     g(b)^2 + 2 c g(b) f'(b) (b - a) - Q(a) at a and phi'(b) at b; both
     positive prove phi' > 0 on the cell.  This holds whenever the cruder
     g(b)^2 > Q(a) does.  Since f < 0 there, g > 1, and Q(last) < 1 covers
-    [last, inf).  One phi_family call evaluates a grid that starts at hi
-    with a first cell short enough for phi'(hi) to pay for the fall of g^2
-    across it, grows geometrically, and ends where Q < 1 whatever the
-    spectrum (w - d_1^2 >= max(4, 2 d_1^2)).  Q is raised and the tangent
-    term lowered by the relative margin _CERT_MARGIN, far above their
-    rounding; the logged margin is the smallest of the lines' end values.
+    [last, inf).  Each row's grid starts at hi with a first cell short
+    enough for phi'(hi) to pay for the fall of g^2 across it, grows
+    geometrically, and ends where Q < 1 whatever the spectrum
+    (w - d_1^2 >= max(4, 2 d_1^2)); one evaluation covers the grids of up
+    to _GRID_POINTS // 25 rows.  Q is raised and the tangent term lowered
+    by the relative margin _CERT_MARGIN, far above their rounding; the
+    logged margin is the smallest of the lines' end values.  Returns one
+    bool per row, False where the proof fails.
     """
-    c = model.c_N
-    d1sq = float(model.d_sq[0])
-    g = 1.0 - c * f_hi
-    q = c * fp_hi * (2.0 * hi * g + 1.0 - c)
-    cells, margin = 0, g * g - q * (1.0 + _CERT_MARGIN)
-    if margin > 0.0:
-        last = d1sq + max(4.0, 2.0 * d1sq, 2.0 * (hi - d1sq))
-        # g^2 falls at rate 2 c g f' at hi, so across this first cell by at most phi'(hi)/2
-        slope = 4.0 * c * g * fp_hi
-        first = last - hi if g * g - q >= slope * (last - hi) else (g * g - q) / slope
-        grid = np.empty(_CERT_FRACTIONS.size + 1)
-        grid[0] = hi
-        grid[1:] = hi + first * ((last - hi) / first) ** _CERT_FRACTIONS
-        f, fp = phi_family(model, grid)[:2]
+    margins, cells, pending = [], [0] * len(hi), []
+    grid = np.empty((len(hi), _CERT_FRACTIONS.size + 1))
+    for k, (h, f, fp) in enumerate(zip(hi, f_hi, fp_hi)):
+        d1sq = float(dsq[k, 0])
+        g = 1.0 - c * f
+        q = c * fp * (2.0 * h * g + 1.0 - c)
+        margins.append(g * g - q * (1.0 + _CERT_MARGIN))
+        if margins[k] > 0.0:
+            last = d1sq + max(4.0, 2.0 * d1sq, 2.0 * (h - d1sq))
+            # g^2 falls at rate 2 c g f' at hi, so across this first cell by at most phi'(hi)/2
+            slope = 4.0 * c * g * fp
+            first = last - h if g * g - q >= slope * (last - h) else (g * g - q) / slope
+            grid[k, 0] = h
+            grid[k, 1:] = h + first * ((last - h) / first) ** _CERT_FRACTIONS
+            pending.append(k)
+    for block in _blocks(pending, grid.shape[1]):
+        w = _rows(grid, block)
+        f, fp = _family(_rows(dsq, block)[:, None, :], c, w)[:2]
         g = 1.0 - c * f
         sq = g * g
-        q = c * fp * (2.0 * grid * g + 1.0 - c) * (1.0 + _CERT_MARGIN)
-        tangent = 2.0 * c * g[1:] * fp[1:] * (grid[1:] - grid[:-1]) * (1.0 - _CERT_MARGIN)
-        margin = min((sq[1:] + tangent - q[:-1]).min(), (sq[1:] - q[1:]).min(), 1.0 - q[-1])
-        cells = grid.size - 1
-    ok = bool(margin > 0.0)
-    log.debug("edge certificate: %d cells right of %r, smallest margin %.3e, %s",
-              cells, hi, margin, "accepted" if ok else "fell back to the scan")
+        q = c * fp * (2.0 * w * g + 1.0 - c) * (1.0 + _CERT_MARGIN)
+        tangent = 2.0 * c * g[:, 1:] * fp[:, 1:] * (w[:, 1:] - w[:, :-1]) * (1.0 - _CERT_MARGIN)
+        inner = (sq[:, 1:] + tangent - q[:, :-1]).min(axis=-1)
+        tail = (sq[:, 1:] - q[:, 1:]).min(axis=-1)
+        for j, k in enumerate(block):
+            margins[k] = min(inner[j], tail[j], 1.0 - q[j, -1])
+            cells[k] = w.shape[1] - 1
+    ok = []
+    for k, margin in enumerate(margins):
+        ok.append(bool(margin > 0.0))
+        log.debug("edge certificate: %d cells right of %r, smallest margin %.3e, %s",
+                  cells[k], hi[k], margin, "accepted" if ok[k] else "fell back to the scan")
     return ok
 
 
@@ -210,24 +294,115 @@ def _pole_offset(model: SpectrumModel) -> float:
     return 0.5 * bound if bound > 0.0 else np.inf
 
 
-def _bracket_cell(model: SpectrumModel, points, lo: float) -> list:
-    """[(a, b, phi'(a), phi'(b))] for the rightmost -/+ sign change of phi' over points, or [].
+def _bracket_cells(dsq: np.ndarray, c: float, brackets: list, los: list) -> list:
+    """Per row, [(a, b, phi'(a), phi'(b))] for the rightmost -/+ sign change of phi' over its bracket, or [].
 
-    points must increase strictly from lo or beyond, phi' must be positive at
-    every point right of the cell, and _no_root_right_of must prove it
-    positive on [b, inf); otherwise the result is empty.
+    A bracket must be None or points that increase strictly from the row's
+    lo or beyond; phi' must be positive at every point right of the cell,
+    and _no_root_right_of must prove it positive on [b, inf).  Brackets of
+    one length are evaluated together, in runs within the scan's block.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 1 or points.size < 2 or not lo <= points[0] or not (points[1:] > points[:-1]).all():
-        return []
-    f, fp, _, phip = phi_family(model, points)
-    neg = np.flatnonzero(phip < 0.0)
-    if not neg.size or neg[-1] == points.size - 1:
-        return []
-    i = int(neg[-1])
-    if not (phip[i + 1:] > 0.0).all() or not _no_root_right_of(model, points[i + 1], f[i + 1], fp[i + 1]):
-        return []
-    return [(points[i], points[i + 1], phip[i], phip[i + 1])]
+    cells = [[] for _ in brackets]
+    by_size = {}
+    for k, points in enumerate(brackets):
+        if points is None:
+            continue
+        points = np.asarray(points, dtype=float)
+        if points.ndim == 1 and points.size >= 2 and los[k] <= points[0] and (points[1:] > points[:-1]).all():
+            by_size.setdefault(points.size, []).append((k, points))
+    found = []  # (row, points, i, f and f' at points[i + 1], phi' at the points)
+    for size, group in by_size.items():
+        for block in _blocks(group, size):
+            points = np.array([p for _, p in block])
+            f, fp, _, phip = _family(_rows(dsq, [k for k, _ in block])[:, None, :], c, points)
+            for j, ((k, p), row) in enumerate(zip(block, phip.tolist())):
+                i = size - 1
+                while i >= 0 and not row[i] < 0.0:
+                    i -= 1
+                if 0 <= i < size - 1 and all(v > 0.0 for v in row[i + 1:]):
+                    found.append((k, p, i, f[j, i + 1], fp[j, i + 1], phip[j]))
+    if found:
+        ok = _no_root_right_of(_rows(dsq, [row[0] for row in found]), c, [p[i + 1] for _, p, i, *_ in found],
+                               [row[3] for row in found], [row[4] for row in found])
+        for (k, p, i, _, _, phip), proved in zip(found, ok):
+            if proved:
+                cells[k] = [(p[i], p[i + 1], phip[i], phip[i + 1])]
+    return cells
+
+
+def _scan_cells(model: SpectrumModel, lo: float) -> list:
+    """[(a, b, phi'(a), phi'(b))] for every sign change of phi' on the scan grid from lo."""
+    c = model.c_N
+    d1sq = float(model.d_sq[0])
+    # w_max - d_1^2 exceeds max(4, 2 d_1^2), where _no_root_right_of's bound
+    # gives phi' > 0 onwards, so a wider grid would add no sign change
+    w_max = 4.0 * (d1sq + 1.0) * (1.0 + np.sqrt(c)) ** 2
+    grid = np.geomspace(lo, w_max, _GRID_POINTS)
+    phip = phi_family(model, grid)[3]
+    cells = [(grid[i], grid[i + 1], phip[i], phip[i + 1]) for i in np.nonzero(np.diff(np.sign(phip)) != 0)[0]]
+    if not cells:
+        raise EdgeNotFoundError(
+            "no sign change of phi' found; the spectrum may violate the edge-separation assumption"
+        )
+    return cells
+
+
+def _find_roots(models: list, brackets: list) -> list:
+    """The root stage of find_edge for a stack of models that share M and N, one bracket (or None) each.
+
+    The rows go through each stage together: one evaluation per run of
+    brackets of one length, one certificate evaluation per run of grids,
+    then one Newton pass per step over every unsolved cell of every row.  A
+    row whose bracket fails scans alone and adds all its cells to the
+    Newton stack.  Each row logs its own certificate and find_edge lines;
+    its roots, cell and counts are the bits of its own solve.
+    """
+    c = models[0].c_N
+    dsq = _stack(models)
+    los = []
+    for model in models:
+        d1sq = float(model.d_sq[0])
+        los.append(d1sq + min(_EDGE_EPS * max(1.0, d1sq), _pole_offset(model)))
+    cells = _bracket_cells(dsq, c, brackets, los)
+    paths = ["bracket" if row else "scan" for row in cells]
+    for k, model in enumerate(models):
+        if not cells[k]:
+            cells[k] = _scan_cells(model, los[k])
+    roots, counts = _newton_roots(dsq, c, [(k, *cell) for k, row in enumerate(cells) for cell in row])
+    out, j = [], 0
+    for path, row in zip(paths, cells):
+        mine, work = tuple(roots[j:j + len(row)]), counts[j:j + len(row)]
+        j += len(row)
+        log.debug("find_edge: %s path, %d bracket(s), %d Newton steps, %d bisection fallbacks",
+                  path, len(row), sum(n[1] for n in work), sum(n[2] for n in work))
+        near_degenerate = any(
+            abs(mine[i + 1] - mine[i]) <= _DEGENERATE_REL * abs(mine[i + 1]) for i in range(len(mine) - 1)
+        )
+        out.append(_Roots(mine, near_degenerate, tuple(float(x) for x in row[-1][:2]), sum(n[0] for n in work)))
+    return out
+
+
+def _complete(models: list, found: list) -> list:
+    """EdgeSolution of each model from its root stage: f and phi at xi_r, from one d^2 - xi_r block."""
+    c = models[0].c_N
+    dsq = _stack(models)
+    out = []
+    for block in _blocks(list(range(len(models))), 1):
+        xi = [found[k].xi_r for k in block]
+        inv = _reciprocals(_rows(dsq, block), np.array(xi))
+        f = np.add.reduce(inv, axis=-1) / inv.shape[-1]
+        for j, k in enumerate(block):
+            one = 1.0 - c * f[j]
+            b = 1.0 / (1.0 - c * float(f[j]))
+            lambda_r = float(xi[j] * one**2 + (1.0 - c) * one)
+            tb = lambda_r * b - (1.0 - c)
+            h = lambda_r * b + tb
+            r = found[k]
+            out.append(EdgeSolution(
+                xi_r=xi[j], lambda_r=lambda_r, b=b, tb=tb, h=h,
+                roots=r.roots, near_degenerate=r.near_degenerate, bracket=r.bracket, iterations=r.iterations,
+            ))
+    return out
 
 
 def find_edge(model: SpectrumModel, *, bracket=None) -> EdgeSolution:
@@ -238,8 +413,8 @@ def find_edge(model: SpectrumModel, *, bracket=None) -> EdgeSolution:
     d_1^2 and to a positive limit at +inf, so a sign change exists whenever
     the edge separates from the spectrum.  The scan evaluates phi' on a
     log-spaced grid in one call; every cell where phi' changes sign is solved
-    by Newton's method safeguarded inside the cell (_newton_root), and the
-    largest root is xi_r.
+    by Newton's method safeguarded inside the cell, all cells in one stack
+    (_newton_roots), and the largest root is xi_r.
 
     bracket = (lo, hi), typically the bracket of a nearby model's edge, or a
     longer increasing ladder of points, such as one around a nearby model's
@@ -250,62 +425,53 @@ def find_edge(model: SpectrumModel, *, bracket=None) -> EdgeSolution:
     infinity, so the root found is the rightmost one.  The solution then
     lists only that root and near_degenerate is False.  Otherwise the scan
     runs as if no bracket were given.
+
+    This is the one-model case of the stacked solve (_find_roots, then
+    _complete) that flow_derivative_checks runs on many models at once;
+    a model gets the same bits either way.
     """
-    c = model.c_N
-    d1sq = float(model.d_sq[0])
-    lo = d1sq + min(_EDGE_EPS * max(1.0, d1sq), _pole_offset(model))
-
-    cells = [] if bracket is None else _bracket_cell(model, bracket, lo)
-    path = "bracket" if cells else "scan"
-    if not cells:
-        # w_max - d_1^2 exceeds max(4, 2 d_1^2), where _no_root_right_of's bound
-        # gives phi' > 0 onwards, so a wider grid would add no sign change
-        w_max = 4.0 * (d1sq + 1.0) * (1.0 + np.sqrt(c)) ** 2
-        grid = np.geomspace(lo, w_max, _GRID_POINTS)
-        phip = phi_family(model, grid)[3]
-        cells = [(grid[i], grid[i + 1], phip[i], phip[i + 1])
-                 for i in np.nonzero(np.diff(np.sign(phip)) != 0)[0]]
-    if not cells:
-        raise EdgeNotFoundError(
-            "no sign change of phi' found; the spectrum may violate the edge-separation assumption"
-        )
-
-    counts = [0, 0, 0]
-    roots = [_newton_root(model, *cell, counts) for cell in cells]
-    log.debug("find_edge: %s path, %d bracket(s), %d Newton steps, %d bisection fallbacks",
-              path, len(cells), counts[1], counts[2])
-    near_degenerate = any(
-        abs(roots[i + 1] - roots[i]) <= _DEGENERATE_REL * abs(roots[i + 1])
-        for i in range(len(roots) - 1)
-    )
-    xi_r = roots[-1]
-    f, _, phi, _ = phi_family(model, xi_r)
-    b = 1.0 / (1.0 - c * f)
-    lambda_r = phi
-    tb = lambda_r * b - (1.0 - c)
-    h = lambda_r * b + tb
-    return EdgeSolution(
-        xi_r=xi_r, lambda_r=lambda_r, b=b, tb=tb, h=h,
-        roots=tuple(roots), near_degenerate=near_degenerate,
-        bracket=tuple(float(x) for x in cells[-1][:2]), iterations=counts[0],
-    )
+    return _complete([model], _find_roots([model], [bracket]))[0]
 
 
-def scaling_sums(model: SpectrumModel, edge: EdgeSolution) -> tuple[float, float]:
-    """Both sides (A, B) of the cubic scaling equation gamma0^{-3} A = B."""
-    dsq = model.d_sq
-    N = model.N
-    c = model.c_N
-    xi_r, lam, b = edge.xi_r, edge.lambda_r, edge.b
-    diff = dsq - xi_r
-    diff2 = diff * diff  # products, not the much slower array power diff**3
-    A = float(np.sum(b**2 / diff2) / N)
-    B = float(
-        -1.0 / b**3
-        - np.sum((2.0 * lam * b - (1.0 - c)) ** 2 / (diff2 * diff)) / N
-        - np.sum(lam / diff2) / N
-    )
+def scaling_sums(models: list, edges: list) -> tuple[list, list]:
+    """Both sides (A, B) of the cubic scaling equation gamma0^{-3} A = B, one pair per model.
+
+    The models share M and N; one d^2 - xi_r block serves every row, and
+    each row's sums are the bits of its model's 1-d sums.
+    """
+    N = models[0].N
+    c = models[0].c_N
+    dsq = _stack(models)
+    A, B = [], []
+    for block in _blocks(list(range(len(models))), 1):
+        edges_b = [edges[k] for k in block]
+        diff = _rows(dsq, block) - np.array([e.xi_r for e in edges_b])[:, None]
+        diff2 = diff * diff  # products, not the much slower array power diff**3
+        bsq = np.array([e.b**2 for e in edges_b])[:, None]
+        lift = np.array([(2.0 * e.lambda_r * e.b - (1.0 - c)) ** 2 for e in edges_b])[:, None]
+        lam = np.array([e.lambda_r for e in edges_b])[:, None]
+        A += (np.add.reduce(bsq / diff2, axis=-1) / N).tolist()
+        cubic = np.add.reduce(lift / (diff2 * diff), axis=-1) / N
+        square = np.add.reduce(lam / diff2, axis=-1) / N
+        B += [float(-1.0 / e.b**3 - cubic[j] - square[j]) for j, e in enumerate(edges_b)]
     return A, B
+
+
+def _scaled(models: list, edges: list) -> list:
+    """Each edge completed with its scaling constant (see gamma0), the models sharing M and N."""
+    c = models[0].c_N
+    out = []
+    for edge, A, B in zip(edges, *scaling_sums(models, edges)):
+        if B <= 0.0 or A <= 0.0:
+            raise DegenerateScalingError(
+                f"no real positive scaling constant (A={A:.6e}, B={B:.6e})", A=A, B=B
+            )
+        g = (A / B) ** (1.0 / 3.0)
+        E_plus = g * edge.lambda_r
+        xi = g * edge.xi_r
+        tb_resc = E_plus * edge.b - g * (1.0 - c)
+        out.append(replace(edge, gamma0=g, E_plus=E_plus, xi=xi, tb_resc=tb_resc))
+    return out
 
 
 def gamma0(model: SpectrumModel, edge: EdgeSolution) -> EdgeSolution:
@@ -314,18 +480,7 @@ def gamma0(model: SpectrumModel, edge: EdgeSolution) -> EdgeSolution:
     A = (1/N) sum b^2/(d_i^2-xi_r)^2 and B is the right side of the cubic
     scaling equation; B <= 0 means no real positive scaling exists.
     """
-    c = model.c_N
-    xi_r, lam, b = edge.xi_r, edge.lambda_r, edge.b
-    A, B = scaling_sums(model, edge)
-    if B <= 0.0 or A <= 0.0:
-        raise DegenerateScalingError(
-            f"no real positive scaling constant (A={A:.6e}, B={B:.6e})", A=A, B=B
-        )
-    g = (A / B) ** (1.0 / 3.0)
-    E_plus = g * lam
-    xi = g * xi_r
-    tb_resc = E_plus * b - g * (1.0 - c)
-    return replace(edge, gamma0=g, E_plus=E_plus, xi=xi, tb_resc=tb_resc)
+    return _scaled([model], [edge])[0]
 
 
 def solve_edge(model: SpectrumModel, *, bracket=None) -> EdgeSolution:

@@ -1,4 +1,13 @@
-"""Interpolating flow d_i(t) = e^{-t/2} d_i and its exact derivative identities."""
+"""Interpolating flow d_i(t) = e^{-t/2} d_i and its exact derivative identities.
+
+flow_derivative_checks compares central differences of the edge data with
+the analytic derivatives at many times, in three phases.  The edges at the
+times themselves are found one after another, each carried from the last
+(_ladder).  The models at t +- step then start from their time's bracket,
+all in one stack, and all the models are completed (f and phi at xi_r, the
+scaling constant) together.  The stacks are edge's one root-and-completion
+core, which gives each model the bits of its own solve.
+"""
 
 from __future__ import annotations
 
@@ -7,14 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edge import EdgeSolution, solve_edge
+from .edge import EdgeSolution, _complete, _find_roots, _scaled, solve_edge
 from .errors import InvalidArgumentError
 from .spectrum import SpectrumModel
 
 DEFAULT_STEP = 1e-4
 DERIVATIVE_KEYS = ("b", "gamma", "E_plus", "xi", "h")
 # 1.1% apart within 4.4% of the predicted distance to the pole, 19% apart out to 4x
-_LADDER_RATIOS = np.union1d(2.0 ** (np.arange(-8, 9) / 4.0), 2.0 ** (np.arange(-4, 5) / 64.0))
+_LADDER_RATIOS = np.sort(np.concatenate((2.0 ** (np.arange(-8, 9) / 4.0), 2.0 ** (np.arange(-4, 5) / 64.0))))
+# drop the repeated 1 by hand: np.union1d would load numpy.ma at import
+_LADDER_RATIOS = _LADDER_RATIOS[np.concatenate(([True], _LADDER_RATIOS[1:] != _LADDER_RATIOS[:-1]))]
 
 
 @dataclass(frozen=True)
@@ -67,11 +78,6 @@ def _model_at(model: SpectrumModel, t: float) -> SpectrumModel:
     return model.scaled(scale)
 
 
-def _state(model: SpectrumModel, t: float, bracket=None) -> FlowState:
-    model_t = _model_at(model, t)
-    return FlowState(t=t, model_t=model_t, edge_t=solve_edge(model_t, bracket=bracket))
-
-
 def _ladder(model_t: SpectrumModel, t: float, history: list) -> np.ndarray:
     """Points around the xi_r that the last one or two (time, xi_r) pairs predict for time t.
 
@@ -92,7 +98,8 @@ def flow_state(model: SpectrumModel, t: float) -> FlowState:
     """Recompute all edge quantities for the time-t model (no ODE integration)."""
     if not t >= 0:
         raise InvalidArgumentError(f"flow time must be nonnegative, got {t!r}")
-    return _state(model, t)
+    model_t = _model_at(model, t)
+    return FlowState(t=t, model_t=model_t, edge_t=solve_edge(model_t))
 
 
 def _varphi4(state: FlowState) -> float:
@@ -131,33 +138,50 @@ def flow_derivative_checks(model: SpectrumModel, times, step: float = DEFAULT_ST
 
     Returns one dict of absolute differences keyed by quantity per time, in
     the order given.  The flow extends smoothly to slightly negative times,
-    so t = 0 is checked with a genuine central difference.  Only the first
-    time scans for its edge.  Each later time hands find_edge a ladder of
-    points around the xi_r extrapolated from the previous one or two times
-    (_ladder); find_edge solves the rightmost -/+ sign change of phi' on it
-    once a certificate proves that no root lies further right, and scans
-    otherwise.  At every time the models at t +- step start from the
-    centre's bracket under the same certificate.  A near-degenerate edge at
-    t makes the models at t +- step scan, and the next time too.
+    so t = 0 is checked with a genuine central difference.  Every model (t
+    and t +- step at each time) is built first, so a step whose scale
+    overflows is refused before any solve.  Then three phases:
+
+    1. The edge roots at the times, in order.  Only the first time scans.
+       Each later time hands the root stage a ladder of points around the
+       xi_r extrapolated from the previous one or two times (_ladder); it
+       solves the rightmost -/+ sign change of phi' on it once a
+       certificate proves that no root lies further right, and scans
+       otherwise.  A near-degenerate edge makes the next time scan.
+    2. The roots of every model at t +- step, in one stack, each started
+       from its time's bracket under the same certificate; after a
+       near-degenerate edge at t, both scan.
+    3. The completion of all the models together: f and phi at xi_r, then
+       the scaling constant.
     """
     if not step > 0:
         raise InvalidArgumentError("finite-difference step must be positive")
     times = [float(t) for t in times]
     if not all(t >= 0 for t in times):
         raise InvalidArgumentError("flow time must be nonnegative")
-    out = []
+    if not times:
+        return []
+    # per time: the model at t, then at t + step and t - step
+    models = [_model_at(model, s) for t in times for s in (t, t + step, t - step)]
+    centres = []
     history = []  # (t, xi_r) of the last two times, emptied by a near-degenerate edge
-    for t in times:
-        model_t = _model_at(model, t)
+    for t, model_t in zip(times, models[::3]):
         ladder = _ladder(model_t, t, history) if history else None
-        state = FlowState(t=t, model_t=model_t, edge_t=solve_edge(model_t, bracket=ladder))
-        bracket = None if state.edge_t.near_degenerate else state.edge_t.bracket
-        plus = _state(model, t + step, bracket)
-        minus = _state(model, t - step, bracket)
+        (centre,) = _find_roots([model_t], [ladder])
+        centres.append(centre)
+        history = [] if centre.near_degenerate else history[-1:] + [(t, centre.xi_r)]
+    # both models at t +- step start from the bracket of t, or scan after a near-degenerate edge
+    brackets = [None if centre.near_degenerate else centre.bracket for centre in centres]
+    shifted = _find_roots([m for k, m in enumerate(models) if k % 3], [b for b in brackets for _ in (0, 1)])
+    roots = [r for k, centre in enumerate(centres) for r in (centre, *shifted[2 * k:2 * k + 2])]
+    edges = _scaled(models, _complete(models, roots))
+    out = []
+    for k, t in enumerate(times):
+        state, plus, minus = (FlowState(t=s, model_t=models[3 * k + j], edge_t=edges[3 * k + j])
+                              for j, s in enumerate((t, t + step, t - step)))
         analytic = analytic_derivatives(state)
         fd = {key: (getattr(plus, key) - getattr(minus, key)) / (2 * step) for key in DERIVATIVE_KEYS}
         out.append({key: abs(fd[key] - analytic[key]) for key in DERIVATIVE_KEYS})
-        history = [] if state.edge_t.near_degenerate else history[-1:] + [(t, state.edge_t.xi_r)]
     return out
 
 

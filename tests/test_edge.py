@@ -1,3 +1,4 @@
+import contextlib
 import logging
 import math
 import re
@@ -20,7 +21,9 @@ from spectraledge import (
     solve_edge,
 )
 import spectraledge.edge as edge_module
-from spectraledge.edge import EdgeSolution, _no_root_right_of, _phi_newton, scaling_sums
+from spectraledge.edge import (
+    EdgeSolution, _complete, _find_roots, _no_root_right_of, _phi_newton, _scaled, scaling_sums,
+)
 
 from oracles import constant_spectrum_critical_points, mp_constant_spectrum_xi_r
 
@@ -101,14 +104,21 @@ def test_phi_family_bitwise_equal_to_mean_expressions(w):
         assert np.ndim(new) == np.ndim(w)
     if np.ndim(w) == 0:
         # the Newton evaluator forms d^2 - w once and still gives the same phi',
-        # and phi'' from f'' = 2 mean 1/(d^2 - w)^3
-        f, fp, _, phip = _mean_phi_family(model, w)
-        c = model.c_N
-        inv = np.reciprocal(model.d_sq - w)
-        fpp = 2.0 * float(np.mean(inv * inv * inv))
-        one = 1.0 - c * f
-        phipp = -4.0 * c * one * fp + 2.0 * c * c * w * fp * fp - c * (2.0 * w * one + 1.0 - c) * fpp
-        assert _phi_newton(model, w) == (phip, phipp)
+        # and phi'' from f'' = 2 mean 1/(d^2 - w)^3; in a stack of models that
+        # share M and N, each row gets the bits of its own model
+        models = [model.scaled(s) for s in (1.0, 0.9, 1.1)]
+        expected = []
+        for m, x in zip(models, (w, 1.1 * w, 0.8 * w)):
+            f, fp, _, phip = _mean_phi_family(m, x)
+            c = m.c_N
+            inv = np.reciprocal(m.d_sq - x)
+            fpp = 2.0 * float(np.mean(inv * inv * inv))
+            one = 1.0 - c * f
+            phipp = -4.0 * c * one * fp + 2.0 * c * c * x * fp * fp - c * (2.0 * x * one + 1.0 - c) * fpp
+            expected.append((phip, phipp))
+        assert _phi_newton(model.d_sq[None], model.c_N, [w]) == expected[:1]
+        dsq = np.array([m.d_sq for m in models])
+        assert _phi_newton(dsq, model.c_N, [w, 1.1 * w, 0.8 * w]) == expected
 
 
 def test_phi_family_pole_rejected():
@@ -169,7 +179,7 @@ def test_gamma0_constant_unit_spectrum():
     model = constant_model(1, 500, 500)
     sol = solve_edge(model)
     assert sol.gamma0 == pytest.approx((729.0 / 16.0) ** (-1.0 / 3.0), abs=1e-12)
-    A, B = scaling_sums(model, sol)
+    (A,), (B,) = scaling_sums([model], [sol])
     assert A == pytest.approx(1.0 / 9.0, abs=1e-13)
     assert B == pytest.approx(81.0 / 16.0, abs=1e-12)
 
@@ -224,19 +234,16 @@ def test_roots_reported_sorted():
 
 
 def _counted_find_edge(model, monkeypatch):
-    # every evaluation of the phi family: phi_family calls and the Newton
-    # steps' _phi_newton calls, which form d^2 - w themselves
-    import spectraledge.edge as edge_module
-
+    # every evaluation of the phi family forms d^2 - w in _reciprocals: the
+    # scan, each Newton pass and the final evaluation at xi_r
     calls = []
-    for name in ("phi_family", "_phi_newton"):
-        real = getattr(edge_module, name)
+    real = edge_module._reciprocals
 
-        def counting(model, w, real=real):
-            calls.append(w)
-            return real(model, w)
+    def counting(dsq, w):
+        calls.append(w)
+        return real(dsq, w)
 
-        monkeypatch.setattr(edge_module, name, counting)
+    monkeypatch.setattr(edge_module, "_reciprocals", counting)
     return edge_module.find_edge(model), len(calls)
 
 
@@ -338,6 +345,11 @@ def test_solve_edge_huge_constant_spectrum():
     assert res["first_order"] <= 1e-9 * max(1.0, sol.lambda_r)
 
 
+def _certified(model, hi):
+    # the certificate of the one-model stack, from f and f' at hi
+    return _no_root_right_of(model.d_sq[None], model.c_N, [hi], *([x] for x in phi_family(model, hi)[:2]))[0]
+
+
 def _distance_ladder(model, xi, ratios):
     d1sq = float(model.d_sq[0])
     return d1sq + (xi - d1sq) * np.asarray(ratios)
@@ -356,10 +368,10 @@ def test_certificate_accepts_only_what_holds(d, c, offset):
     sol = find_edge(model)
     d1sq = float(model.d_sq[0])
     right, left = _distance_ladder(model, sol.xi_r, [1.0 + offset, 1.0 - min(offset, 0.5)])
-    if _no_root_right_of(model, right, *phi_family(model, right)[:2]):
+    if _certified(model, right):
         w_max = 4.0 * (d1sq + 1.0) * (1.0 + math.sqrt(model.c_N)) ** 2
         assert np.all(phi_family(model, np.geomspace(right, 1e3 * w_max, 20_000))[3] > 0.0)
-    assert not _no_root_right_of(model, left, *phi_family(model, left)[:2])
+    assert not _certified(model, left)
 
 
 @given(
@@ -396,7 +408,7 @@ def test_certificate_accepts_close_to_the_edge():
         sol = find_edge(model)
         for offset in (1e-9, 1e-6, 1e-3, 1.0):
             hi = _distance_ladder(model, sol.xi_r, 1.0 + offset)
-            assert _no_root_right_of(model, hi, *phi_family(model, hi)[:2])
+            assert _certified(model, hi)
 
 
 @pytest.mark.parametrize("fractions", [[0.0], [0.0, 1.0]], ids=["short-of-the-tail", "one-wide-cell"])
@@ -406,11 +418,10 @@ def test_certificate_rejects_what_a_coarse_grid_cannot_prove(fractions, monkeypa
     # proves nothing, although phi' is positive at every grid point.
     model = zero_model(40, 40)
     hi = 1.001
-    f, fp, _, _ = phi_family(model, hi)
-    assert _no_root_right_of(model, hi, f, fp)
+    assert _certified(model, hi)
     monkeypatch.setattr(edge_module, "_CERT_FRACTIONS", np.array(fractions))
     with caplog.at_level(logging.DEBUG, logger="spectraledge"):
-        assert not _no_root_right_of(model, hi, f, fp)
+        assert not _certified(model, hi)
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("edge certificate")]
     assert len(lines) == 1 and lines[0].endswith("fell back to the scan")
     assert int(re.match(r"edge certificate: (\d+) cells", lines[0]).group(1)) == len(fractions)
@@ -435,7 +446,7 @@ def test_forced_certificate_rejection_returns_the_scan(monkeypatch):
     scan = find_edge(model)
     ladder = _distance_ladder(model, scan.xi_r, 2.0 ** (np.arange(-8, 9) / 4.0))
     assert find_edge(model, bracket=ladder).bracket != scan.bracket
-    monkeypatch.setattr(edge_module, "_no_root_right_of", lambda *args: False)
+    monkeypatch.setattr(edge_module, "_no_root_right_of", lambda dsq, c, hi, *sums: [False] * len(hi))
     assert find_edge(model, bracket=ladder) == scan
     assert find_edge(model, bracket=scan.bracket) == scan
 
@@ -450,3 +461,68 @@ def test_every_bracket_solve_logs_one_certificate(caplog):
     cells, margin = re.match(r"edge certificate: (\d+) cells right of .*, smallest margin (\S+), accepted$",
                              lines[0]).groups()
     assert int(cells) == edge_module._CERT_FRACTIONS.size and float(margin) > 0.0
+
+
+@given(
+    u=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30),
+    scale=st.floats(min_value=-4.0, max_value=6.0),
+    c=st.floats(min_value=1e-6, max_value=1.0),
+    step=st.floats(min_value=1e-6, max_value=1e-2),
+)
+def test_stack_gives_each_model_the_bits_of_its_own_solve(u, scale, c, step):
+    # flowed models share M and N and so stack: the models at t +- step from the
+    # bracket of the centre at t, as flow-check solves them, and three rows that
+    # must scan inside the stack: one without a bracket, one whose certificate is
+    # forced to fail, and one near-degenerate (its scan's last cell twice)
+    M = len(u)
+    model = SpectrumModel(d=10.0**scale * np.sqrt(np.array(u)), M=M, N=max(M, round(M / c)))
+    models, brackets = [], []
+    for t in (0.0, 0.5, 1.0, 1.5):
+        centre = solve_edge(_flowed(model, t))
+        models += [_flowed(model, t + step), _flowed(model, t - step)]
+        brackets += [centre.bracket] * 2
+    unbracketed, refused, degenerate = (_flowed(model, t) for t in (0.25, 0.75, 1.25))
+    models += [unbracketed, refused, degenerate]
+    brackets += [None, solve_edge(refused).bracket, None]
+    refused_d1sq, degenerate_d1sq = float(refused.d_sq[0]), float(degenerate.d_sq[0])
+    real_certificate, real_scan = edge_module._no_root_right_of, edge_module._scan_cells
+
+    def certificate(dsq, c, hi, f_hi, fp_hi):
+        ok = real_certificate(dsq, c, hi, f_hi, fp_hi)
+        return [proved and float(row[0]) != refused_d1sq for proved, row in zip(ok, dsq)]
+
+    def scan(model, lo):
+        cells = real_scan(model, lo)
+        return cells + cells[-1:] if float(model.d_sq[0]) == degenerate_d1sq else cells
+
+    with pytest.MonkeyPatch.context() as patch, _debug_lines() as lines:
+        patch.setattr(edge_module, "_no_root_right_of", certificate)
+        patch.setattr(edge_module, "_scan_cells", scan)
+        stack = _scaled(models, _complete(models, _find_roots(models, brackets)))
+        stack_lines = lines[:]
+        alone = [solve_edge(m, bracket=b) for m, b in zip(models, brackets)]
+        alone_lines = lines[len(stack_lines):]
+        scans = [solve_edge(m) for m in models[-3:]]
+    assert stack == alone
+    assert stack[-3:] == scans
+    assert stack[-1].near_degenerate and stack[-1].roots == (stack[-1].xi_r,) * 2
+    # each model logs its own find_edge and certificate lines, in stack order
+    assert sorted(stack_lines) == sorted(alone_lines)
+    assert sum(line.startswith("find_edge") for line in stack_lines) == len(models)
+
+
+@contextlib.contextmanager
+def _debug_lines():
+    # the package's debug log lines, without a fixture (Hypothesis tests take none)
+    lines = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = lambda record: lines.append(record.getMessage())
+    logger = logging.getLogger("spectraledge")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield lines
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)

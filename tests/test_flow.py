@@ -15,6 +15,7 @@ from spectraledge import (
     flow_state,
     load_spectrum,
 )
+import spectraledge.edge as edge_module
 import spectraledge.flow as flow_module
 from spectraledge.flow import DERIVATIVE_KEYS
 
@@ -93,15 +94,16 @@ def test_derivatives_match_over_flow_randomized():
 
 
 def _recorded_brackets(monkeypatch, near_degenerate=None):
+    # the brackets of each call of the stacked root stage, one list per call
     seen = []
-    real = flow_module.solve_edge
+    real = flow_module._find_roots
 
-    def recording(model, *, bracket=None):
-        seen.append(bracket)
-        edge = real(model, bracket=bracket)
-        return edge if near_degenerate is None else replace(edge, near_degenerate=near_degenerate)
+    def recording(models, brackets):
+        seen.append(list(brackets))
+        found = real(models, brackets)
+        return found if near_degenerate is None else [r._replace(near_degenerate=near_degenerate) for r in found]
 
-    monkeypatch.setattr(flow_module, "solve_edge", recording)
+    monkeypatch.setattr(flow_module, "_find_roots", recording)
     return seen
 
 
@@ -110,14 +112,14 @@ def test_shifted_models_start_from_centre_bracket(monkeypatch):
     centre = flow_state(model, 0.5).edge_t
     seen = _recorded_brackets(monkeypatch)
     flow_derivative_check(model, 0.5, step=1e-4)
-    assert seen == [None, centre.bracket, centre.bracket]
+    assert seen == [[None], [centre.bracket, centre.bracket]]
     assert centre.bracket[0] < centre.xi_r < centre.bracket[1]
 
 
 def test_near_degenerate_centre_makes_every_model_scan(monkeypatch):
     seen = _recorded_brackets(monkeypatch, near_degenerate=True)
     flow_derivative_check(constant_model(50, 50), 0.5, step=1e-4)
-    assert seen == [None, None, None]
+    assert seen == [[None], [None, None]]
 
 
 def test_central_difference_is_second_order():
@@ -165,48 +167,79 @@ def test_loop_rejects_bad_times_and_steps():
     # e^{-t/2} at t - step = -2000 overflows a float
     with pytest.raises(InvalidArgumentError):
         flow_derivative_checks(model, [0.0], step=2000.0)
+    # no times, no rows and nothing to solve
+    assert flow_derivative_checks(model, []) == []
 
 
 def test_later_times_start_from_a_ladder_around_the_last_edge(monkeypatch):
+    # the times one by one, then every model at t +- step in one stack, each
+    # pair from its own time's bracket
     model = constant_model(50, 50)
     seen = _recorded_brackets(monkeypatch)
     flow_derivative_checks(model, [0.0, 0.25, 0.5], step=1e-4)
-    assert len(seen) == 9 and seen[0] is None
-    for k in (0, 3, 6):
-        ladder = seen[k]
-        if k:
-            assert isinstance(ladder, np.ndarray) and ladder.size == flow_module._LADDER_RATIOS.size
-            assert np.all(np.diff(ladder) > 0.0)
-        assert seen[k + 1] == seen[k + 2] and len(seen[k + 1]) == 2
+    assert [len(call) for call in seen] == [1, 1, 1, 6] and seen[0] == [None]
+    for (ladder,) in seen[1:3]:
+        assert isinstance(ladder, np.ndarray) and ladder.size == flow_module._LADDER_RATIOS.size
+        assert np.all(np.diff(ladder) > 0.0)
+    shifted = seen[3]
+    for k in (0, 2, 4):
+        assert shifted[k] == shifted[k + 1] and len(shifted[k]) == 2
+    assert len({shifted[0], shifted[2], shifted[4]}) == 3
 
 
 def test_near_degenerate_edge_makes_the_next_time_scan(monkeypatch):
     seen = _recorded_brackets(monkeypatch, near_degenerate=True)
     flow_derivative_checks(constant_model(50, 50), [0.0, 0.25, 0.5], step=1e-4)
-    assert seen == [None] * 9
+    assert seen == [[None]] * 3 + [[None] * 6]
+
+
+def _uniform_sq_500x1000():
+    return load_spectrum({"type": "uniform_sq", "v_min": 0.5, "v_max": 2.0, "M": 500, "N": 1000})
 
 
 def test_flow_check_scans_once_and_matches_per_time_scans(monkeypatch, caplog):
     # the 500 x 1000 uniform_sq spectrum at flow times 0, 0.1, ..., 3
-    model = load_spectrum({"type": "uniform_sq", "v_min": 0.5, "v_max": 2.0, "M": 500, "N": 1000})
+    model = _uniform_sq_500x1000()
     times = np.arange(0.0, 3.0 + 1e-12, 0.1)
     solved = []
-    real = flow_module.solve_edge
+    real = flow_module._find_roots
 
-    def recording(model_t, *, bracket=None):
-        edge = real(model_t, bracket=bracket)
-        solved.append((model_t, edge))
-        return edge
+    def recording(models, brackets):
+        found = real(models, brackets)
+        solved.extend(zip(models, found))
+        return found
 
-    monkeypatch.setattr(flow_module, "solve_edge", recording)
+    monkeypatch.setattr(flow_module, "_find_roots", recording)
     with caplog.at_level(logging.DEBUG, logger="spectraledge"):
         rows = flow_derivative_checks(model, times, step=1e-4)
     paths = [r.getMessage().split(",")[0] for r in caplog.records if r.getMessage().startswith("find_edge")]
     assert paths == ["find_edge: scan path"] + ["find_edge: bracket path"] * (3 * len(times) - 1)
     assert len(solved) == 3 * len(times)
-    for model_t, edge in solved:
-        assert abs(edge.xi_r - find_edge(model_t).xi_r) <= 4 * np.spacing(edge.xi_r)
+    for model_t, found in solved:
+        assert abs(found.xi_r - find_edge(model_t).xi_r) <= 4 * np.spacing(found.xi_r)
     assert all(max(res.values()) <= 1e-6 for res in rows)
+
+
+def test_flow_check_forms_d_squared_minus_w_at_most_200_times(monkeypatch):
+    # one d^2 - w block per evaluation: one per centre step, one per step of
+    # each stack of t +- step models, one for the completion of all of them
+    calls = []
+    real = edge_module._reciprocals
+
+    def counting(dsq, w):
+        calls.append(w.shape)
+        return real(dsq, w)
+
+    monkeypatch.setattr(edge_module, "_reciprocals", counting)
+    flow_derivative_checks(_uniform_sq_500x1000(), np.arange(0.0, 3.0 + 1e-12, 0.1), step=1e-4)
+    assert len(calls) <= 200
+    # no block is larger than the scan's _GRID_POINTS points
+    assert max(math.prod(shape) for shape in calls) <= edge_module._GRID_POINTS
+
+
+def test_ladder_ratios_are_the_sorted_union():
+    old = np.union1d(2.0 ** (np.arange(-8, 9) / 4.0), 2.0 ** (np.arange(-4, 5) / 64.0))
+    assert flow_module._LADDER_RATIOS.tobytes() == old.tobytes()
 
 
 def test_flow_models_are_scaled_without_revalidation(monkeypatch):
