@@ -310,7 +310,7 @@ def _bracket_cells(dsq: np.ndarray, c: float, brackets: list, los: list) -> list
         points = np.asarray(points, dtype=float)
         if points.ndim == 1 and points.size >= 2 and los[k] <= points[0] and (points[1:] > points[:-1]).all():
             by_size.setdefault(points.size, []).append((k, points))
-    found = []  # (row, points, i, f and f' at points[i + 1], phi' at the points)
+    found = []  # (row, its cell, f and f' at the cell's right end)
     for size, group in by_size.items():
         for block in _blocks(group, size):
             points = np.array([p for _, p in block])
@@ -320,13 +320,13 @@ def _bracket_cells(dsq: np.ndarray, c: float, brackets: list, los: list) -> list
                 while i >= 0 and not row[i] < 0.0:
                     i -= 1
                 if 0 <= i < size - 1 and all(v > 0.0 for v in row[i + 1:]):
-                    found.append((k, p, i, f[j, i + 1], fp[j, i + 1], phip[j]))
+                    found.append((k, (p[i], p[i + 1], phip[j, i], phip[j, i + 1]), f[j, i + 1], fp[j, i + 1]))
     if found:
-        ok = _no_root_right_of(_rows(dsq, [row[0] for row in found]), c, [p[i + 1] for _, p, i, *_ in found],
-                               [row[3] for row in found], [row[4] for row in found])
-        for (k, p, i, _, _, phip), proved in zip(found, ok):
-            if proved:
-                cells[k] = [(p[i], p[i + 1], phip[i], phip[i + 1])]
+        rows, cands, f_hi, fp_hi = zip(*found)
+        proved = _no_root_right_of(_rows(dsq, list(rows)), c, [cell[1] for cell in cands], f_hi, fp_hi)
+        for k, cell, ok in zip(rows, cands, proved):
+            if ok:
+                cells[k] = [cell]
     return cells
 
 
