@@ -1,6 +1,5 @@
 import logging
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
