@@ -73,8 +73,8 @@ def _json_body(obj, indent=0) -> str:
 
 
 def _write(body: str, path) -> str:
-    """Write body to the file at path, or to stdout when path is None or "-"; return body."""
-    if path is None or path == "-":
+    """Write body to the file at path, or to stdout when path is None; return body."""
+    if path is None:
         sys.stdout.write(body)
     else:
         with open(path, "w", encoding="utf-8") as fh:

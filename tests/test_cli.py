@@ -148,6 +148,94 @@ def test_malformed_spectrum_is_config_error(tmp_path):
     assert run_command(["edge", "--spectrum", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("body", [b'{"type": "constant", "d": 1,', b'{"type": "constant",\r\n "d" 1}\r\n',
+                                  b'\xff{"type": "constant"}', b"\xef\xbb\xbf{}"],
+                         ids=["truncated", "crlf", "not_utf8", "bom"])
+def test_invalid_spectrum_json_reports_the_text_mode_error(tmp_path, capsys, body):
+    # the file is read once as bytes; the message names the error, and its
+    # position, that a text-mode json.load reports
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(body)
+    with pytest.raises(ValueError) as info, open(bad, encoding="utf-8") as fh:
+        json.load(fh)
+    assert run_command(["edge", "--spectrum", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: spectrum file is not valid JSON: {info.value}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["edge", "--spectrum", str(GOLDEN_SPECTRUM)],
+    ["simulate", "--spectrum", str(GOLDEN_SPECTRUM), "--trials", "3", "--threads", "1"],
+    ["twtable", "--from", "-1", "--to", "1", "--step", "1"],
+], ids=lambda argv: argv[0])
+def test_out_dash_is_stdout_and_writes_no_file(tmp_path, monkeypatch, capsys, argv):
+    if argv[0] == "simulate":
+        expected = None  # --out is required; the CSV, then the summary JSON
+    else:
+        assert run_command(argv) == 0
+        expected = capsys.readouterr().out
+    monkeypatch.chdir(tmp_path)
+    assert run_command([*argv, "--out", "-"]) == 0
+    out = capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+    if expected is None:
+        assert out.startswith("trial,mu1,theta\n0,") and '"ks": ' in out
+    else:
+        assert out == expected
+
+
+def test_parser_is_built_once_and_reused():
+    assert cli_module._build_parser() is cli_module._build_parser()
+    assert cli_module._build_parser.cache_info().currsize == 1
+
+
+def test_reused_parser_carries_no_option_between_commands(tmp_path, capsys):
+    spectrum = str(GOLDEN_SPECTRUM)
+    sim = ["simulate", "--spectrum", spectrum, "--trials", "6", "--seed", "4", "--threads", "1"]
+
+    def run(argv, name):
+        out = tmp_path / name
+        assert run_command([*argv, "--out", str(out)]) == 0
+        return out.read_bytes(), out.with_name(out.name + ".summary.json").read_bytes()
+
+    cli_module._build_parser.cache_clear()
+    lone = run(sim, "lone.csv")
+    assert run(sim + ["--rescale"], "rescaled.csv") != lone
+    assert run(sim, "after.csv") == lone
+
+    assert run_command(["density", "--spectrum", spectrum, "--to", "3", "--out", str(tmp_path / "d3.csv")]) == 0
+    out = tmp_path / "default.csv"
+    assert run_command(["density", "--spectrum", spectrum, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_SPECTRUM.parent / "density_default.csv").read_bytes()
+
+    assert run_command(["edge", "--spectrum", spectrum, "--bogus"]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    out = tmp_path / "edge.json"
+    assert run_command(["edge", "--spectrum", spectrum, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_SPECTRUM.parent / "edge.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv, options", [
+    (["simulate", "--spectrum", str(GOLDEN_SPECTRUM), "--trials", "4", "--seed", "2", "--threads", "2",
+      "--rescale"],
+     {"command": "simulate", "trials": 4, "dist": "gaussian", "seed": 2, "rescale": True}),
+    (["twtable", "--from", "-2", "--to", "1", "--step", "0.5"],
+     {"command": "twtable", "start": -2.0, "stop": 1.0, "step": 0.5}),
+], ids=lambda v: v[0] if isinstance(v, list) else "")
+def test_config_hash_is_options_then_spectrum_bytes(tmp_path, argv, options):
+    # pinned independently of the code: SHA-256 of the sorted JSON of every
+    # option but out, threads and spectrum, then the spectrum file's bytes
+    out = tmp_path / "out.csv"
+    assert run_command([*argv, "--out", str(out)]) == 0
+    digest = hashlib.sha256(json.dumps(options, sort_keys=True, default=str).encode())
+    if "--spectrum" in argv:
+        digest.update(GOLDEN_SPECTRUM.read_bytes())
+    manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+    assert manifest["config_hash"] == digest.hexdigest()
+    if argv[0] == "simulate":
+        summary = json.loads((tmp_path / "out.csv.summary.json.manifest.json").read_text())
+        assert summary["config_hash"] == manifest["config_hash"]
+
+
 def test_simulate_outputs_and_manifest(const1, tmp_path):
     out = tmp_path / "thetas.csv"
     code = run_command([

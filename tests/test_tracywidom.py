@@ -426,17 +426,19 @@ def test_tw_table_logs_one_line_per_call(caplog):
 
 
 def test_import_does_not_build_the_table():
-    # the Airy coefficient table and the F1 table both load on first use, and
-    # numpy.ma (10-15 ms of import, which np.union1d pulls in) not at all
+    # the Airy coefficient table, the F1 table and the CLI's argument parser
+    # all load on first use, and numpy.ma (10-15 ms of import, which
+    # np.union1d pulls in) not at all
     src = os.path.dirname(os.path.dirname(spectraledge.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, spectraledge, spectraledge.cli\n"
+    code = ("import sys, spectraledge, spectraledge.cli as cli\n"
             "from spectraledge.tracywidom import _f1_table, _taylor_table\n"
             "print('scipy.special' in sys.modules, _taylor_table.cache_info().currsize,"
-            " _f1_table.cache_info().currsize, 'numpy.ma' in sys.modules)")
+            " _f1_table.cache_info().currsize, 'numpy.ma' in sys.modules,"
+            " cli._build_parser.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
-    assert out.stdout.split() == ["False", "0", "0", "False"]
+    assert out.stdout.split() == ["False", "0", "0", "False", "0"]
     _f1_table()
     assert _f1_table.cache_info().currsize == 1
 
