@@ -220,7 +220,7 @@ def test_reused_parser_carries_no_option_between_commands(tmp_path, capsys):
      {"command": "simulate", "trials": 4, "dist": "gaussian", "seed": 2, "rescale": True}),
     (["twtable", "--from", "-2", "--to", "1", "--step", "0.5"],
      {"command": "twtable", "start": -2.0, "stop": 1.0, "step": 0.5}),
-], ids=lambda v: v[0] if isinstance(v, list) else "")
+], ids=["simulate", "twtable"])
 def test_config_hash_is_options_then_spectrum_bytes(tmp_path, argv, options):
     # pinned independently of the code: SHA-256 of the sorted JSON of every
     # option but out, threads and spectrum, then the spectrum file's bytes
