@@ -183,10 +183,10 @@ def _cmd_edge(args) -> tuple[list[str], bytes | None]:
 def _cmd_density(args) -> tuple[list[str], bytes | None]:
     model, spectrum = _load_model(args)
     start, stop, step = args.start, args.stop, args.step
-    if stop is None or step is None:
-        lam = solve_edge(model).lambda_r
-        stop = stop if stop is not None else lam + 1.0
-        step = step if step is not None else (stop - start) / 400.0
+    if stop is None:
+        stop = solve_edge(model).lambda_r + 1.0
+    if step is None:
+        step = (stop - start) / 400.0
     E = grid(start, stop, step, "density")
     s = solve_stieltjes(model, E).s
     rows = zip(E, np.maximum(0.0, s.imag / math.pi), s.imag, s.real)

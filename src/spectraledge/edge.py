@@ -16,7 +16,6 @@ log = logging.getLogger("spectraledge")
 _GRID_POINTS = 512
 _NEWTON_ULPS = 4
 _NEWTON_MAX_STEPS = 200
-_DEGENERATE_REL = 1e-6
 _EDGE_EPS = 1e-8
 # certificate grid: hi, then 24 offsets growing geometrically from the first cell to the last point
 _CERT_FRACTIONS = np.linspace(0.0, 1.0, 24)
@@ -33,10 +32,10 @@ class EdgeSolution:
     rightmost support edge, b the boundary value 1 + c s(lambda_r).  tb and h
     are the unrescaled companions tb = lambda_r b - (1-c), h = lambda_r b + tb.
     After scaling completes: gamma0, E_plus = gamma0 lambda_r, xi = gamma0 xi_r
-    and tb_resc = E_plus b - gamma0 (1-c).  bracket is the interval (lo, hi)
-    that held xi_r, and iterations counts the phi' evaluations of the Newton
-    solves, after the scan or the bracket check and before the final
-    evaluation at xi_r.
+    and tb_resc = E_plus b - gamma0 (1-c).  bracket is the cell (lo, hi) that
+    held xi_r, the scan's or the ladder's (see find_edge), and iterations
+    counts the phi' evaluations of its Newton solve, after the scan or the
+    bracket check and before the final evaluation at xi_r.
     """
 
     xi_r: float
@@ -48,8 +47,6 @@ class EdgeSolution:
     E_plus: float | None = None
     xi: float | None = None
     tb_resc: float | None = None
-    roots: tuple = ()
-    near_degenerate: bool = False
     bracket: tuple = ()
     iterations: int = 0
 
@@ -62,14 +59,9 @@ class EdgeSolution:
 class _Roots(NamedTuple):
     """The root stage of one model's edge: what find_edge knows before it evaluates f and phi at xi_r."""
 
-    roots: tuple
-    near_degenerate: bool
+    xi_r: float
     bracket: tuple
     iterations: int
-
-    @property
-    def xi_r(self) -> float:
-        return self.roots[-1]
 
 
 def _stack(models) -> np.ndarray:
@@ -165,13 +157,14 @@ def _phi_newton(dsq: np.ndarray, c: float, w) -> list:
 def _newton_roots(dsq: np.ndarray, c: float, cells: list) -> tuple[list, list]:
     """Root of phi' in each cell (row, lo, hi, phi'(lo), phi'(hi)), phi' of opposite signs at the ends.
 
+    find_edge passes one cell per model, the row of dsq holding its d^2.
     Newton steps from the secant point, safeguarded by the cell (rtsafe): a
     step that would leave the cell, or be longer than half the step before
     last, becomes a bisection.  A cell stops when phi' is exactly 0 or its
     step is at most _NEWTON_ULPS ulp of w.  Each pass evaluates every
-    unfinished cell in one _phi_newton call, row being the cell's row of
-    dsq; each cell's steps are those it would take alone.  Returns the
-    roots and, per cell, [evaluations, Newton steps, bisections].
+    unfinished cell in one _phi_newton call; each cell's steps are those it
+    would take alone.  Returns the roots and, per cell, [evaluations,
+    Newton steps, bisections].
     """
     roots = [None] * len(cells)
     counts = [[0, 0, 0] for _ in cells]
@@ -294,91 +287,88 @@ def _pole_offset(model: SpectrumModel) -> float:
     return 0.5 * bound if bound > 0.0 else np.inf
 
 
-def _bracket_cells(dsq: np.ndarray, c: float, brackets: list, los: list) -> list:
-    """Per row, [(a, b, phi'(a), phi'(b))] for the rightmost -/+ sign change of phi' over its bracket, or [].
+def _cells(dsq: np.ndarray, c: float, ladders: dict) -> dict:
+    """{row: (cell, f and f' at its right end, phi' > 0 at each point)} for each row's ladder in {row: points}.
 
-    A bracket must be None or points that increase strictly from the row's
-    lo or beyond; phi' must be positive at every point right of the cell,
-    and _no_root_right_of must prove it positive on [b, inf).  Brackets of
-    one length are evaluated together, in runs within the scan's block.
+    The one cell rule of the scan and of a bracket: a ladder's cell
+    (a, b, phi'(a), phi'(b)) starts at its last point a where phi' <= 0 (or
+    is NaN), so phi' is positive at every point right of a, and a ladder
+    yields a cell only when a is not its last point.  A row without a cell
+    is left out.  Ladders of one length are evaluated together, in runs
+    within the scan's block.
     """
-    cells = [[] for _ in brackets]
     by_size = {}
-    for k, points in enumerate(brackets):
-        if points is None:
-            continue
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1 and points.size >= 2 and los[k] <= points[0] and (points[1:] > points[:-1]).all():
-            by_size.setdefault(points.size, []).append((k, points))
-    found = []  # (row, its cell, f and f' at the cell's right end)
+    for k, points in ladders.items():
+        by_size.setdefault(points.size, []).append(k)
+    out = {}
     for size, group in by_size.items():
         for block in _blocks(group, size):
-            points = np.array([p for _, p in block])
-            f, fp, _, phip = _family(_rows(dsq, [k for k, _ in block])[:, None, :], c, points)
-            for j, ((k, p), row) in enumerate(zip(block, phip.tolist())):
-                i = size - 1
-                while i >= 0 and not row[i] < 0.0:
-                    i -= 1
-                if 0 <= i < size - 1 and all(v > 0.0 for v in row[i + 1:]):
-                    found.append((k, (p[i], p[i + 1], phip[j, i], phip[j, i + 1]), f[j, i + 1], fp[j, i + 1]))
-    if found:
-        rows, cands, f_hi, fp_hi = zip(*found)
-        proved = _no_root_right_of(_rows(dsq, list(rows)), c, [cell[1] for cell in cands], f_hi, fp_hi)
-        for k, cell, ok in zip(rows, cands, proved):
-            if ok:
-                cells[k] = [cell]
-    return cells
-
-
-def _scan_cells(model: SpectrumModel, lo: float) -> list:
-    """[(a, b, phi'(a), phi'(b))] for every sign change of phi' on the scan grid from lo."""
-    c = model.c_N
-    d1sq = float(model.d_sq[0])
-    # w_max - d_1^2 exceeds max(4, 2 d_1^2), where _no_root_right_of's bound
-    # gives phi' > 0 onwards, so a wider grid would add no sign change
-    w_max = 4.0 * (d1sq + 1.0) * (1.0 + np.sqrt(c)) ** 2
-    grid = np.geomspace(lo, w_max, _GRID_POINTS)
-    phip = phi_family(model, grid)[3]
-    cells = [(grid[i], grid[i + 1], phip[i], phip[i + 1]) for i in np.nonzero(np.diff(np.sign(phip)) != 0)[0]]
-    if not cells:
-        raise EdgeNotFoundError(
-            "no sign change of phi' found; the spectrum may violate the edge-separation assumption"
-        )
-    return cells
+            points = np.array([ladders[k] for k in block])
+            f, fp, _, phip = _family(_rows(dsq, block)[:, None, :], c, points)
+            positive = phip > 0.0
+            # the last point where phi' <= 0, or size - 1 where phi' > 0 at every point
+            last = size - 1 - positive[:, ::-1].argmin(axis=-1)
+            for j, (k, i) in enumerate(zip(block, last.tolist())):
+                if i < size - 1:
+                    cell = (points[j, i], points[j, i + 1], phip[j, i], phip[j, i + 1])
+                    out[k] = (cell, f[j, i + 1], fp[j, i + 1], positive[j])
+    return out
 
 
 def _find_roots(models: list, brackets: list) -> list:
     """The root stage of find_edge for a stack of models that share M and N, one bracket (or None) each.
 
-    The rows go through each stage together: one evaluation per run of
-    brackets of one length, one certificate evaluation per run of grids,
-    then one Newton pass per step over every unsolved cell of every row.  A
-    row whose bracket fails scans alone and adds all its cells to the
-    Newton stack.  Each row logs its own certificate and find_edge lines;
-    its roots, cell and counts are the bits of its own solve.
+    A bracket must be None or points that increase strictly from the row's
+    lo (d_1^2 plus the scan's offset) or beyond.  The rows go through each
+    stage together: one evaluation per run of brackets of one length, one
+    certificate evaluation per run of grids, then one Newton pass per step
+    over the one cell of every unsolved row.  A row whose bracket yields no
+    certified cell scans alone.  Each row logs its own certificate and
+    find_edge lines; its root, cell and counts are the bits of its own
+    solve.
     """
     c = models[0].c_N
     dsq = _stack(models)
-    los = []
-    for model in models:
+    los, ladders = [], {}
+    for k, (model, points) in enumerate(zip(models, brackets)):
         d1sq = float(model.d_sq[0])
         los.append(d1sq + min(_EDGE_EPS * max(1.0, d1sq), _pole_offset(model)))
-    cells = _bracket_cells(dsq, c, brackets, los)
-    paths = ["bracket" if row else "scan" for row in cells]
+        if points is not None:
+            points = np.asarray(points, dtype=float)
+            if points.ndim == 1 and points.size >= 2 and los[k] <= points[0] and (points[1:] > points[:-1]).all():
+                ladders[k] = points
+    found = _cells(dsq, c, ladders)
+    cells = {}
+    if found:
+        rows = list(found)
+        cands, f_hi, fp_hi, _ = zip(*found.values())
+        proved = _no_root_right_of(_rows(dsq, rows), c, [cell[1] for cell in cands], f_hi, fp_hi)
+        cells = {k: cell for k, cell, ok in zip(rows, cands, proved) if ok}
+    grids = {}
     for k, model in enumerate(models):
-        if not cells[k]:
-            cells[k] = _scan_cells(model, los[k])
-    roots, counts = _newton_roots(dsq, c, [(k, *cell) for k, row in enumerate(cells) for cell in row])
-    out, j = [], 0
-    for path, row in zip(paths, cells):
-        mine, work = tuple(roots[j:j + len(row)]), counts[j:j + len(row)]
-        j += len(row)
-        log.debug("find_edge: %s path, %d bracket(s), %d Newton steps, %d bisection fallbacks",
-                  path, len(row), sum(n[1] for n in work), sum(n[2] for n in work))
-        near_degenerate = any(
-            abs(mine[i + 1] - mine[i]) <= _DEGENERATE_REL * abs(mine[i + 1]) for i in range(len(mine) - 1)
-        )
-        out.append(_Roots(mine, near_degenerate, tuple(float(x) for x in row[-1][:2]), sum(n[0] for n in work)))
+        if k not in cells:
+            # w_max - d_1^2 exceeds max(4, 2 d_1^2), where _no_root_right_of's bound
+            # gives phi' > 0 onwards, so the grid's cell needs no certificate
+            w_max = 4.0 * (float(model.d_sq[0]) + 1.0) * (1.0 + np.sqrt(c)) ** 2
+            grids[k] = np.geomspace(los[k], w_max, _GRID_POINTS)
+    scanned = _cells(dsq, c, grids)
+    for k in grids:
+        if k not in scanned:
+            raise EdgeNotFoundError(
+                "no sign change of phi' found; the spectrum may violate the edge-separation assumption"
+            )
+        cells[k] = scanned[k][0]
+    roots, counts = _newton_roots(dsq, c, [(k, *cells[k]) for k in range(len(models))])
+    out = []
+    for k, (root, (evaluations, newton, bisections)) in enumerate(zip(roots, counts)):
+        if k in scanned:
+            positive = scanned[k][3]
+            log.debug("find_edge: scan path, %d Newton steps, %d bisection fallbacks, "
+                      "%d sign change(s) of phi' on the grid", newton, bisections,
+                      np.count_nonzero(positive[1:] != positive[:-1]))
+        else:
+            log.debug("find_edge: bracket path, %d Newton steps, %d bisection fallbacks", newton, bisections)
+        out.append(_Roots(root, tuple(float(x) for x in cells[k][:2]), evaluations))
     return out
 
 
@@ -397,40 +387,36 @@ def _complete(models: list, found: list) -> list:
             lambda_r = float(xi[j] * one**2 + (1.0 - c) * one)
             tb = lambda_r * b - (1.0 - c)
             h = lambda_r * b + tb
-            r = found[k]
             out.append(EdgeSolution(
                 xi_r=xi[j], lambda_r=lambda_r, b=b, tb=tb, h=h,
-                roots=r.roots, near_degenerate=r.near_degenerate, bracket=r.bracket, iterations=r.iterations,
+                bracket=found[k].bracket, iterations=found[k].iterations,
             ))
     return out
 
 
-def find_edge(model: SpectrumModel, *, bracket=None) -> EdgeSolution:
+def find_edge(model: SpectrumModel) -> EdgeSolution:
     """Locate the rightmost critical point xi_r and the edge lambda_r = phi(xi_r).
 
     lambda_r is where the real branch of z = phi(w) that solve_stieltjes
     follows turns back, so phi'(xi_r) = 0.  phi' tends to -inf just right of
     d_1^2 and to a positive limit at +inf, so a sign change exists whenever
     the edge separates from the spectrum.  The scan evaluates phi' on a
-    log-spaced grid in one call; every cell where phi' changes sign is solved
-    by Newton's method safeguarded inside the cell, all cells in one stack
-    (_newton_roots), and the largest root is xi_r.
-
-    bracket = (lo, hi), typically the bracket of a nearby model's edge, or a
-    longer increasing ladder of points, such as one around a nearby model's
-    xi_r, skips the scan.  One call evaluates phi' at every point; the cell
-    is the rightmost -/+ sign change, phi' must be positive at every point
-    right of it, and a certificate (_no_root_right_of: one more call on
-    about 25 points) must prove phi' > 0 from the cell's right end to
-    infinity, so the root found is the rightmost one.  The solution then
-    lists only that root and near_degenerate is False.  Otherwise the scan
-    runs as if no bracket were given.
+    log-spaced grid in one call and takes its one cell (_cells): the cell
+    that starts at the last grid point where phi' <= 0.  The grid ends
+    where _no_root_right_of's bound gives phi' > 0 onwards, so that cell
+    holds the largest root; Newton's method safeguarded inside the cell
+    (_newton_roots) solves it, and the root is xi_r.  The debug line counts
+    the sign changes of phi' on the grid, which show a second critical
+    point right of d_1^2 where there is one.
 
     This is the one-model case of the stacked solve (_find_roots, then
     _complete) that flow_derivative_checks runs on many models at once;
-    a model gets the same bits either way.
+    there a model may start from a bracket, a ladder of points around a
+    nearby model's xi_r, whose cell is taken by the same rule and solved
+    only once a certificate (_no_root_right_of) proves phi' > 0 from the
+    cell's right end to infinity.  A model gets the same bits either way.
     """
-    return _complete([model], _find_roots([model], [bracket]))[0]
+    return _complete([model], _find_roots([model], [None]))[0]
 
 
 def scaling_sums(models: list, edges: list) -> tuple[list, list]:
@@ -483,9 +469,9 @@ def gamma0(model: SpectrumModel, edge: EdgeSolution) -> EdgeSolution:
     return _scaled([model], [edge])[0]
 
 
-def solve_edge(model: SpectrumModel, *, bracket=None) -> EdgeSolution:
-    """find_edge (with an optional bracket, see there) followed by gamma0."""
-    return gamma0(model, find_edge(model, bracket=bracket))
+def solve_edge(model: SpectrumModel) -> EdgeSolution:
+    """find_edge followed by gamma0."""
+    return gamma0(model, find_edge(model))
 
 
 def edge_residuals(model: SpectrumModel, edge: EdgeSolution) -> dict:

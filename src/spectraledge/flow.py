@@ -6,7 +6,8 @@ times themselves are found one after another, each carried from the last
 (_ladder).  The models at t +- step then start from their time's bracket,
 all in one stack, and all the models are completed (f and phi at xi_r, the
 scaling constant) together.  The stacks are edge's one root-and-completion
-core, which gives each model the bits of its own solve.
+core, which solves one cell per model, the one that holds its rightmost
+root, and gives each model the bits of its own solve.
 """
 
 from __future__ import annotations
@@ -145,12 +146,11 @@ def flow_derivative_checks(model: SpectrumModel, times, step: float = DEFAULT_ST
     1. The edge roots at the times, in order.  Only the first time scans.
        Each later time hands the root stage a ladder of points around the
        xi_r extrapolated from the previous one or two times (_ladder); it
-       solves the rightmost -/+ sign change of phi' on it once a
-       certificate proves that no root lies further right, and scans
-       otherwise.  A near-degenerate edge makes the next time scan.
+       solves the ladder's cell, which starts at the last point where
+       phi' <= 0, once a certificate proves that no root lies further
+       right, and scans otherwise.
     2. The roots of every model at t +- step, in one stack, each started
-       from its time's bracket under the same certificate; after a
-       near-degenerate edge at t, both scan.
+       from its time's bracket under the same rule and certificate.
     3. The completion of all the models together: f and phi at xi_r, then
        the scaling constant.
     """
@@ -164,15 +164,15 @@ def flow_derivative_checks(model: SpectrumModel, times, step: float = DEFAULT_ST
     # per time: the model at t, then at t + step and t - step
     models = [_model_at(model, s) for t in times for s in (t, t + step, t - step)]
     centres = []
-    history = []  # (t, xi_r) of the last two times, emptied by a near-degenerate edge
+    history = []  # (t, xi_r) of the last two times
     for t, model_t in zip(times, models[::3]):
         ladder = _ladder(model_t, t, history) if history else None
         (centre,) = _find_roots([model_t], [ladder])
         centres.append(centre)
-        history = [] if centre.near_degenerate else history[-1:] + [(t, centre.xi_r)]
-    # both models at t +- step start from the bracket of t, or scan after a near-degenerate edge
-    brackets = [None if centre.near_degenerate else centre.bracket for centre in centres]
-    shifted = _find_roots([m for k, m in enumerate(models) if k % 3], [b for b in brackets for _ in (0, 1)])
+        history = history[-1:] + [(t, centre.xi_r)]
+    # both models at t +- step start from the bracket of t
+    brackets = [centre.bracket for centre in centres for _ in (0, 1)]
+    shifted = _find_roots([m for k, m in enumerate(models) if k % 3], brackets)
     roots = [r for k, centre in enumerate(centres) for r in (centre, *shifted[2 * k:2 * k + 2])]
     edges = _scaled(models, _complete(models, roots))
     out = []
@@ -189,9 +189,9 @@ def flow_derivative_check(model: SpectrumModel, t: float, step: float = DEFAULT_
     """Central finite differences vs the analytic derivatives at one time t (flow_derivative_checks).
 
     The model at t scans for its edge; the models at t +- step start from
-    its bracket, which find_edge takes only once its certificate proves
-    that phi' has no root right of the bracket, and scans otherwise.  Over
-    many times, flow_derivative_checks also carries each edge to the next
-    time instead of scanning again.
+    its bracket, whose cell the root stage solves only once its certificate
+    proves that phi' has no root right of the cell, and scans otherwise.
+    Over many times, flow_derivative_checks also carries each edge to the
+    next time instead of scanning again.
     """
     return flow_derivative_checks(model, [t], step)[0]

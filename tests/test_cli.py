@@ -87,6 +87,29 @@ def test_density_grid_is_indexed(zeros_c_half, tmp_path):
     assert E == [0.1 + k * 0.1 for k in range(15)]
 
 
+def test_density_with_stop_needs_no_edge(tmp_path, monkeypatch):
+    # the default step needs only start and stop; SHA-256 of the CSV that
+    # density wrote for this grid when it still solved the edge first
+    def no_edge(model):
+        raise AssertionError("density --to solved the edge")
+
+    monkeypatch.setattr(cli_module, "solve_edge", no_edge)
+    out = tmp_path / "d3.csv"
+    assert run_command(["density", "--spectrum", str(GOLDEN_SPECTRUM), "--to", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "fb982d71e02b42e41fbdce846b189195b4e0bc1734d943c48053d12998f82c43"
+    )
+
+
+def test_density_without_stop_solves_the_edge_once(tmp_path, monkeypatch):
+    calls = []
+    real = cli_module.solve_edge
+    monkeypatch.setattr(cli_module, "solve_edge", lambda model: calls.append(model) or real(model))
+    out = tmp_path / "default.csv"
+    assert run_command(["density", "--spectrum", str(GOLDEN_SPECTRUM), "--step", "0.5", "--out", str(out)]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("grid", [("--to", "inf"), ("--to", "nan"), ("--step", "nan"),
                                   ("--step", "inf"), ("--from", "nan"), ("--from=-inf",)])
 def test_density_non_finite_grid_is_argument_error(zeros_c_half, tmp_path, capsys, grid):

@@ -6,7 +6,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from spectraledge import (
     DegenerateScalingError,
@@ -132,7 +132,6 @@ def test_find_edge_constant_unit_spectrum():
     assert sol.xi_r == pytest.approx(3.0, abs=1e-11)
     assert sol.lambda_r == pytest.approx(6.75, abs=1e-11)
     assert sol.b == pytest.approx(2.0 / 3.0, abs=1e-11)
-    assert not sol.near_degenerate
 
 
 def test_find_edge_uniform_example():
@@ -227,12 +226,6 @@ def test_unrescaled_companions():
     assert sol.h_resc == pytest.approx(sol.gamma0 * sol.h, abs=1e-12)
 
 
-def test_roots_reported_sorted():
-    sol = find_edge(constant_model(1, 30, 30))
-    assert sol.roots == tuple(sorted(sol.roots))
-    assert sol.roots[-1] == sol.xi_r
-
-
 def _counted_find_edge(model, monkeypatch):
     # every evaluation of the phi family forms d^2 - w in _reciprocals: the
     # scan, each Newton pass and the final evaluation at xi_r
@@ -278,6 +271,17 @@ def test_xi_r_within_four_ulp_of_50_digit_root(d, c):
     assert err <= 4 * np.spacing(sol.xi_r)
 
 
+def _from_bracket(model, bracket):
+    # find_edge started from a bracket: the one-model stack of the root stage,
+    # the path flow-check takes for a model near one already solved
+    return _complete([model], _find_roots([model], [bracket]))[0]
+
+
+def _solved_from_bracket(model, bracket):
+    # solve_edge started from a bracket
+    return _scaled([model], [_from_bracket(model, bracket)])[0]
+
+
 def _flowed(model, t):
     # the flow's time-t model d_i(t) = e^{-t/2} d_i, also for t slightly below 0
     return SpectrumModel(d=model.d * math.exp(-t / 2.0), M=model.M, N=model.N)
@@ -293,11 +297,10 @@ def test_bracket_of_flow_centre_agrees_with_scan(d, c, t, step):
     M = len(d)
     model = SpectrumModel(d=np.array(d), M=M, N=max(M, round(M / c)))
     centre = solve_edge(_flowed(model, t))
-    assume(not centre.near_degenerate)
     for side in (t + step, t - step):
         flowed = _flowed(model, side)
         scan = solve_edge(flowed)
-        fast = solve_edge(flowed, bracket=centre.bracket)
+        fast = _solved_from_bracket(flowed, centre.bracket)
         assert abs(fast.xi_r - scan.xi_r) <= 4 * np.spacing(scan.xi_r)
         for key in ("lambda_r", "b", "gamma0"):
             assert getattr(fast, key) == pytest.approx(getattr(scan, key), rel=1e-13, abs=0.0)
@@ -305,34 +308,38 @@ def test_bracket_of_flow_centre_agrees_with_scan(d, c, t, step):
     right = (centre.xi_r * (1.0 + 1e-3), centre.xi_r * (1.0 + 2e-3))
     flowed = _flowed(model, t)
     for bad in (right, right[::-1], (centre.xi_r, centre.xi_r)):
-        assert solve_edge(flowed, bracket=bad) == centre
+        assert _solved_from_bracket(flowed, bad) == centre
 
 
 def test_bracket_across_the_pole_falls_back_to_scan():
     model = constant_model(2.0, 40, 80)
     ref = find_edge(model)
-    assert find_edge(model, bracket=(1.0, 4.5)) == ref  # d^2 = 4 inside
-    assert find_edge(model, bracket=ref.bracket) == ref
+    assert _from_bracket(model, (1.0, 4.5)) == ref  # d^2 = 4 inside
+    assert _from_bracket(model, ref.bracket) == ref
 
 
 def test_bracket_too_wide_to_settle_raises():
     # phi' changes sign across (1.5, 1e300), but halving that width down to a
     # few ulp of the root takes about 1000 steps, more than the solve allows
     with pytest.raises(NumericError):
-        find_edge(constant_model(1, 50, 100), bracket=(1.5, 1e300))
+        _from_bracket(constant_model(1, 50, 100), (1.5, 1e300))
 
 
 def test_find_edge_logs_path_and_steps(caplog):
     model = constant_model(1, 50, 100)
     with caplog.at_level(logging.DEBUG, logger="spectraledge"):
         sol = find_edge(model)
-        again = find_edge(model, bracket=sol.bracket)
+        again = _from_bracket(model, sol.bracket)
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("find_edge")]
     assert [line.split(",")[0] for line in lines] == ["find_edge: scan path", "find_edge: bracket path"]
-    for line, result in zip(lines, (sol, again)):
-        brackets, newton, bisections = map(int, re.findall(r"(\d+) ", line))
-        assert brackets == 1
+    scan = re.fullmatch(r"find_edge: scan path, (\d+) Newton steps, (\d+) bisection fallbacks, "
+                        r"(\d+) sign change\(s\) of phi' on the grid", lines[0])
+    bracket = re.fullmatch(r"find_edge: bracket path, (\d+) Newton steps, (\d+) bisection fallbacks", lines[1])
+    assert scan and bracket
+    for match, result in zip((scan, bracket), (sol, again)):
+        newton, bisections = map(int, match.groups()[:2])
         assert newton + bisections == result.iterations
+    assert int(scan.group(3)) == 1
     assert again.xi_r == sol.xi_r and again.bracket == sol.bracket
 
 
@@ -431,31 +438,30 @@ def test_ladder_bracket_solves_its_rightmost_cell():
     model = constant_model(1, 50, 100)
     scan = find_edge(model)
     ladder = _distance_ladder(model, scan.xi_r, 2.0 ** ((np.arange(-8, 8) + 0.5) / 4.0))
-    fast = find_edge(model, bracket=ladder)
+    fast = _from_bracket(model, ladder)
     k = int(np.searchsorted(ladder, scan.xi_r))
     assert fast.bracket == (ladder[k - 1], ladder[k])
     assert abs(fast.xi_r - scan.xi_r) <= 4 * np.spacing(scan.xi_r)
-    assert fast.roots == (fast.xi_r,) and not fast.near_degenerate
     # a ladder that ends left of the edge, or is not increasing, falls back to the scan
-    assert find_edge(model, bracket=ladder[:k]) == scan
-    assert find_edge(model, bracket=ladder[::-1]) == scan
+    assert _from_bracket(model, ladder[:k]) == scan
+    assert _from_bracket(model, ladder[::-1]) == scan
 
 
 def test_forced_certificate_rejection_returns_the_scan(monkeypatch):
     model = constant_model(1, 50, 100)
     scan = find_edge(model)
     ladder = _distance_ladder(model, scan.xi_r, 2.0 ** (np.arange(-8, 9) / 4.0))
-    assert find_edge(model, bracket=ladder).bracket != scan.bracket
+    assert _from_bracket(model, ladder).bracket != scan.bracket
     monkeypatch.setattr(edge_module, "_no_root_right_of", lambda dsq, c, hi, *sums: [False] * len(hi))
-    assert find_edge(model, bracket=ladder) == scan
-    assert find_edge(model, bracket=scan.bracket) == scan
+    assert _from_bracket(model, ladder) == scan
+    assert _from_bracket(model, scan.bracket) == scan
 
 
 def test_every_bracket_solve_logs_one_certificate(caplog):
     model = constant_model(1, 50, 100)
     with caplog.at_level(logging.DEBUG, logger="spectraledge"):
         sol = find_edge(model)
-        find_edge(model, bracket=sol.bracket)
+        _from_bracket(model, sol.bracket)
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("edge certificate")]
     assert len(lines) == 1
     cells, margin = re.match(r"edge certificate: (\d+) cells right of .*, smallest margin (\S+), accepted$",
@@ -471,9 +477,9 @@ def test_every_bracket_solve_logs_one_certificate(caplog):
 )
 def test_stack_gives_each_model_the_bits_of_its_own_solve(u, scale, c, step):
     # flowed models share M and N and so stack: the models at t +- step from the
-    # bracket of the centre at t, as flow-check solves them, and three rows that
-    # must scan inside the stack: one without a bracket, one whose certificate is
-    # forced to fail, and one near-degenerate (its scan's last cell twice)
+    # bracket of the centre at t, as flow-check solves them, and two rows that
+    # must scan inside the stack: one without a bracket and one whose
+    # certificate is forced to fail
     M = len(u)
     model = SpectrumModel(d=10.0**scale * np.sqrt(np.array(u)), M=M, N=max(M, round(M / c)))
     models, brackets = [], []
@@ -481,31 +487,25 @@ def test_stack_gives_each_model_the_bits_of_its_own_solve(u, scale, c, step):
         centre = solve_edge(_flowed(model, t))
         models += [_flowed(model, t + step), _flowed(model, t - step)]
         brackets += [centre.bracket] * 2
-    unbracketed, refused, degenerate = (_flowed(model, t) for t in (0.25, 0.75, 1.25))
-    models += [unbracketed, refused, degenerate]
-    brackets += [None, solve_edge(refused).bracket, None]
-    refused_d1sq, degenerate_d1sq = float(refused.d_sq[0]), float(degenerate.d_sq[0])
-    real_certificate, real_scan = edge_module._no_root_right_of, edge_module._scan_cells
+    unbracketed, refused = (_flowed(model, t) for t in (0.25, 0.75))
+    models += [unbracketed, refused]
+    brackets += [None, solve_edge(refused).bracket]
+    refused_d1sq = float(refused.d_sq[0])
+    real_certificate = edge_module._no_root_right_of
 
     def certificate(dsq, c, hi, f_hi, fp_hi):
         ok = real_certificate(dsq, c, hi, f_hi, fp_hi)
         return [proved and float(row[0]) != refused_d1sq for proved, row in zip(ok, dsq)]
 
-    def scan(model, lo):
-        cells = real_scan(model, lo)
-        return cells + cells[-1:] if float(model.d_sq[0]) == degenerate_d1sq else cells
-
     with pytest.MonkeyPatch.context() as patch, _debug_lines() as lines:
         patch.setattr(edge_module, "_no_root_right_of", certificate)
-        patch.setattr(edge_module, "_scan_cells", scan)
         stack = _scaled(models, _complete(models, _find_roots(models, brackets)))
         stack_lines = lines[:]
-        alone = [solve_edge(m, bracket=b) for m, b in zip(models, brackets)]
+        alone = [_solved_from_bracket(m, b) for m, b in zip(models, brackets)]
         alone_lines = lines[len(stack_lines):]
-        scans = [solve_edge(m) for m in models[-3:]]
+        scans = [solve_edge(m) for m in models[-2:]]
     assert stack == alone
-    assert stack[-3:] == scans
-    assert stack[-1].near_degenerate and stack[-1].roots == (stack[-1].xi_r,) * 2
+    assert stack[-2:] == scans
     # each model logs its own find_edge and certificate lines, in stack order
     assert sorted(stack_lines) == sorted(alone_lines)
     assert sum(line.startswith("find_edge") for line in stack_lines) == len(models)
@@ -526,3 +526,41 @@ def _debug_lines():
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
+
+
+@st.composite
+def _edge_spectra(draw):
+    # one or two spikes over a bulk, two clusters, or a constant block padded
+    # with zeros; d scale 1e-3 to 1e6 and c_N log-uniform over [1e-8, 1]
+    kind = draw(st.sampled_from(("spikes", "clusters", "block")))
+    if kind == "spikes":
+        bulk = np.sqrt(draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30)))
+        spikes = draw(st.lists(st.floats(min_value=1.0, max_value=10.0), min_size=1, max_size=2))
+        d = np.concatenate((bulk, spikes))
+    elif kind == "clusters":
+        jitter = st.lists(st.floats(min_value=-1e-3, max_value=1e-3), min_size=1, max_size=15)
+        d = np.concatenate([draw(st.floats(min_value=0.0, max_value=1.0)) * (1.0 + np.array(draw(jitter)))
+                            for _ in range(2)])
+    else:
+        d = np.concatenate((np.ones(draw(st.integers(1, 20))), np.zeros(draw(st.integers(0, 20)))))
+    d *= 10.0 ** draw(st.floats(min_value=-3.0, max_value=6.0))
+    c = 10.0 ** draw(st.floats(min_value=-8.0, max_value=0.0))
+    return SpectrumModel(d=d, M=d.size, N=max(d.size, round(d.size / c)))
+
+
+@given(model=_edge_spectra())
+def test_no_critical_point_right_of_the_solved_cell(model):
+    # the scan solves one cell, the one that starts at the last grid point where
+    # phi' <= 0: phi' must then be positive everywhere right of it, here on a
+    # dense log grid out to the scan's w_max, beyond which the certificate's
+    # bound holds.  The edge relations hold to rounding: first_order is
+    # |phi'(xi_r)| / g^2, which moves by xi_r / (xi_r - d_1^2) relative per
+    # relative rounding of xi_r, and 1/b is 1 - c f to within a few ulp.
+    sol = find_edge(model)
+    d1sq = float(model.d_sq[0])
+    w_max = 4.0 * (d1sq + 1.0) * (1.0 + math.sqrt(model.c_N)) ** 2
+    assert np.all(phi_family(model, np.geomspace(sol.bracket[1], w_max, 20_000))[3] > 0.0)
+    res = edge_residuals(model, sol)
+    eps = np.finfo(float).eps
+    assert res["first_order"] <= 32 * eps * sol.xi_r / (sol.xi_r - d1sq)
+    assert res["b_relation"] <= 4 * eps / sol.b

@@ -92,15 +92,14 @@ def test_derivatives_match_over_flow_randomized():
             assert max(res.values()) <= 1e-6
 
 
-def _recorded_brackets(monkeypatch, near_degenerate=None):
+def _recorded_brackets(monkeypatch):
     # the brackets of each call of the stacked root stage, one list per call
     seen = []
     real = flow_module._find_roots
 
     def recording(models, brackets):
         seen.append(list(brackets))
-        found = real(models, brackets)
-        return found if near_degenerate is None else [r._replace(near_degenerate=near_degenerate) for r in found]
+        return real(models, brackets)
 
     monkeypatch.setattr(flow_module, "_find_roots", recording)
     return seen
@@ -113,12 +112,6 @@ def test_shifted_models_start_from_centre_bracket(monkeypatch):
     flow_derivative_check(model, 0.5, step=1e-4)
     assert seen == [[None], [centre.bracket, centre.bracket]]
     assert centre.bracket[0] < centre.xi_r < centre.bracket[1]
-
-
-def test_near_degenerate_centre_makes_every_model_scan(monkeypatch):
-    seen = _recorded_brackets(monkeypatch, near_degenerate=True)
-    flow_derivative_check(constant_model(50, 50), 0.5, step=1e-4)
-    assert seen == [[None], [None, None]]
 
 
 def test_central_difference_is_second_order():
@@ -186,14 +179,18 @@ def test_later_times_start_from_a_ladder_around_the_last_edge(monkeypatch):
     assert len({shifted[0], shifted[2], shifted[4]}) == 3
 
 
-def test_near_degenerate_edge_makes_the_next_time_scan(monkeypatch):
-    seen = _recorded_brackets(monkeypatch, near_degenerate=True)
-    flow_derivative_checks(constant_model(50, 50), [0.0, 0.25, 0.5], step=1e-4)
-    assert seen == [[None]] * 3 + [[None] * 6]
-
-
 def _uniform_sq_500x1000():
     return load_spectrum({"type": "uniform_sq", "v_min": 0.5, "v_max": 2.0, "M": 500, "N": 1000})
+
+
+def test_scan_sees_one_sign_change_on_the_500x1000_spectrum(caplog):
+    # the scan's debug line counts the sign changes of phi' on its grid; a second
+    # critical point right of d_1^2 would show here as 3
+    with caplog.at_level(logging.DEBUG, logger="spectraledge"):
+        find_edge(_uniform_sq_500x1000())
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("find_edge")]
+    assert line.startswith("find_edge: scan path, ")
+    assert line.endswith(", 1 sign change(s) of phi' on the grid")
 
 
 def test_flow_check_scans_once_and_matches_per_time_scans(monkeypatch, caplog):
