@@ -23,18 +23,18 @@ from .flow import FlowState, analytic_derivatives, flow_derivative_check, flow_d
 from .identities import EdgeFunctionals, edge_functionals, identity_residuals
 from .locallaw import LocalLawReport, build_linearization, locallaw_deviation, rigidity_scan
 from .montecarlo import EnsembleResult, ks_distance, largest_eigenvalue, run_ensemble, sample_matrix
-from .spectrum import SpectrumModel, check_assumption3, load_spectrum, with_size
+from .spectrum import SpectrumModel, load_spectrum, with_size
 from .stieltjes import StieltjesValue, density, solve_stieltjes
-from .tracywidom import airy_ai, f1_cdf, f1_pdf, tw_table
+from .tracywidom import f1_cdf, f1_pdf, tw_table
 
 __all__ = [
     "__version__",
-    "SpectrumModel", "load_spectrum", "with_size", "check_assumption3",
+    "SpectrumModel", "load_spectrum", "with_size",
     "StieltjesValue", "solve_stieltjes", "density",
     "EdgeSolution", "phi_family", "find_edge", "gamma0", "solve_edge", "edge_residuals",
     "FlowState", "flow_state", "flow_derivative_check", "flow_derivative_checks", "analytic_derivatives",
     "EdgeFunctionals", "edge_functionals", "identity_residuals",
-    "airy_ai", "f1_cdf", "f1_pdf", "tw_table",
+    "f1_cdf", "f1_pdf", "tw_table",
     "EnsembleResult", "sample_matrix", "largest_eigenvalue", "run_ensemble", "ks_distance",
     "LocalLawReport", "build_linearization", "locallaw_deviation", "rigidity_scan",
     "SpectralEdgeError", "InvalidConfigError", "InvalidArgumentError", "DomainError",

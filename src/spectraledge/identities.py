@@ -16,25 +16,23 @@ _POLE_EPS = 1e-120
 class EdgeFunctionals:
     """Resolvent-type sums of the rescaled model at one flow state.
 
-    varphi_k = (1/N) sum 1/(g d_a^2 - xi)^k,  psi_k = (1/N) sum g d_a^2/(g d_a^2 - xi)^k;
-    varpi2, Phi1, Phi2 and theta4 are the composite sums entering the optical
-    cancellations; C0..C3 are the Green-function-derivative coefficients.
+    varphi_k = (1/N) sum 1/(g d_a^2 - xi)^k for k = 1..4 and
+    psi2 = (1/N) sum g d_a^2/(g d_a^2 - xi)^2; varpi2, Phi1, Phi2 and theta4
+    are the composite sums entering the optical cancellations; C1 and C3 are
+    the Green-function-derivative coefficients that the imcancel identity
+    combines.
     """
 
     varphi1: float
     varphi2: float
     varphi3: float
     varphi4: float
-    varphi6: float
     psi2: float
-    psi3: float
     varpi2: float
     Phi1: float
     Phi2: float
     theta4: float
-    C0: float
     C1: float
-    C2: float
     C3: float
 
 
@@ -52,9 +50,10 @@ def edge_functionals(state: FlowState) -> EdgeFunctionals:
     diff2 = diff * diff
     diff3 = diff2 * diff
     diff4 = diff2 * diff2
-    power = {1: diff, 2: diff2, 3: diff3, 4: diff4, 6: diff3 * diff3}
-    varphi = {k: float(np.sum(1.0 / power[k]) / N) for k in (1, 2, 3, 4, 6)}
-    psi = {k: float(np.sum(u / power[k]) / N) for k in (2, 3)}
+    varphi1, varphi2, varphi3, varphi4 = (
+        float(np.sum(1.0 / power) / N) for power in (diff, diff2, diff3, diff4)
+    )
+    psi2 = float(np.sum(u / diff2) / N)
     varpi2 = float(np.sum(tb**2 / diff2) / N + (1.0 - c) / b**2)
     Phi1 = float(
         np.sum((g**3 * dsq * tb + 2.0 * g**3 * dsq * b * E + g**2 * b**3 * E**2) / diff3) / N
@@ -79,17 +78,9 @@ def edge_functionals(state: FlowState) -> EdgeFunctionals:
 
     gd = gamma_time_derivative(state)
     cm = (b - 1.0) / g
-    C0 = (h / (g * E) - 1.0 / g) * (b - gd / g)
     C1 = 2.0 * tb * b / (g * E) - 2.0 * g * E - 2.0 * tb * gd / (g**2 * E)
-    C2 = (
-        2.0 * b**2 * (b * tb - g**2 * E**2) / (g**2 * E * h)
-        - g * cm
-        - g**3 * (1.0 - c) / b**3
-        - 2.0 * b * (b * tb - g**2 * E**2) / (g**3 * E * h) * gd
-        + g**2 * (1.0 - c) / b**3 * gd
-    )
     C3 = (
-        g**3 * h**4 * tb * varphi[4] / E
+        g**3 * h**4 * tb * varphi4 / E
         - 3.0 * tb / h
         - 3.0 * g**2 * tb / b**3
         - 3.0 * g**2 * E * tb / (b**2 * h)
@@ -99,11 +90,8 @@ def edge_functionals(state: FlowState) -> EdgeFunctionals:
     ) * (b - gd / g) + gd * g**3 * cm * (1.0 - c) / b**4
 
     return EdgeFunctionals(
-        varphi1=varphi[1], varphi2=varphi[2], varphi3=varphi[3],
-        varphi4=varphi[4], varphi6=varphi[6],
-        psi2=psi[2], psi3=psi[3],
-        varpi2=varpi2, Phi1=Phi1, Phi2=Phi2, theta4=theta4,
-        C0=C0, C1=C1, C2=C2, C3=C3,
+        varphi1=varphi1, varphi2=varphi2, varphi3=varphi3, varphi4=varphi4, psi2=psi2,
+        varpi2=varpi2, Phi1=Phi1, Phi2=Phi2, theta4=theta4, C1=C1, C3=C3,
     )
 
 

@@ -29,33 +29,21 @@ DEVIATION_CLASSES = ("ii", "barbar", "cross", "mumu", "offdiag", "avg")
 class LocalLawReport:
     """Deviations of resolvent entries from their deterministic profiles, per entry class.
 
-    dev_* fields are maxima over the class; mean_deviations carries the
-    class averages, whose size-N constants are far tamer than the maxima
-    (the maxima are dominated by chi-square tails of the few eigenvalues
-    within eta of the edge).
+    Each dict is keyed by DEVIATION_CLASSES, in that order.  deviations holds
+    the maxima over each class and ratios those maxima over psi;
+    mean_deviations and mean_ratios hold the class averages, whose size-N
+    constants are far tamer than the maxima (the maxima are dominated by
+    chi-square tails of the few eigenvalues within eta of the edge).  The
+    avg class is a single number, the same in both, with ratio
+    deviation * N eta.  A class with no entries reads 0.0.
     """
 
     z: complex
-    dev_ii: float
-    dev_barbar: float
-    dev_cross: float
-    dev_mumu: float
-    dev_offdiag: float
-    dev_avg: float
     psi: float
+    deviations: dict
     ratios: dict
     mean_deviations: dict
     mean_ratios: dict
-
-    def deviations(self) -> dict:
-        return {
-            "ii": self.dev_ii,
-            "barbar": self.dev_barbar,
-            "cross": self.dev_cross,
-            "mumu": self.dev_mumu,
-            "offdiag": self.dev_offdiag,
-            "avg": self.dev_avg,
-        }
 
 
 def build_linearization(Y: np.ndarray, z: complex) -> np.ndarray:
@@ -189,24 +177,21 @@ def locallaw_deviation(
     maxima = {cls: float(v.max()) for cls, v in class_devs.items()}
     means = {cls: float(v.mean()) for cls, v in class_devs.items()}
     # the mean runs over every off-diagonal entry of G but the partner pairs
-    # (i, M+i) and (M+i, i)
+    # (i, M+i) and (M+i, i); at M = N = 1 there is none
+    off_count = M * M - M + N * N - N + 2 * (M * N - M)
     maxima["offdiag"] = off_max
-    means["offdiag"] = off_sum / (M * M - M + N * N - N + 2 * (M * N - M))
+    means["offdiag"] = off_sum / off_count if off_count else 0.0
 
     dev_avg = float(abs(complex(np.mean(g11)) - s_avg))
 
     eta = z.imag
     psi = math.sqrt(max(sv.s.imag, 0.0) / (N * eta)) + 1.0 / (N * eta)
-    means["avg"] = dev_avg
+    maxima["avg"] = means["avg"] = dev_avg
     ratios = {cls: maxima[cls] / psi for cls in maxima}
-    ratios["avg"] = dev_avg * (N * eta)
-    mean_ratios = {cls: means[cls] / psi for cls in maxima}
-    mean_ratios["avg"] = dev_avg * (N * eta)
-    return LocalLawReport(
-        z=z, dev_ii=maxima["ii"], dev_barbar=maxima["barbar"], dev_cross=maxima["cross"],
-        dev_mumu=maxima["mumu"], dev_offdiag=maxima["offdiag"], dev_avg=dev_avg,
-        psi=psi, ratios=ratios, mean_deviations=means, mean_ratios=mean_ratios,
-    )
+    mean_ratios = {cls: means[cls] / psi for cls in means}
+    ratios["avg"] = mean_ratios["avg"] = dev_avg * (N * eta)
+    return LocalLawReport(z=z, psi=psi, deviations=maxima, ratios=ratios,
+                          mean_deviations=means, mean_ratios=mean_ratios)
 
 
 def rigidity_scan(model: SpectrumModel, Ns, trials: int, seed: int = 0) -> float:
@@ -214,16 +199,20 @@ def rigidity_scan(model: SpectrumModel, Ns, trials: int, seed: int = 0) -> float
 
     The model is regenerated at each size with the same aspect ratio and
     spectral shape; per size, one Gaussian `run_ensemble` keyed by seed + N
-    gives mu1 per trial and the deterministic edge lambda_r.
+    gives mu1 per trial and the deterministic edge lambda_r.  A slope needs
+    at least two distinct sizes, each at least 50; the sizes are checked
+    before anything is sampled.
     """
     if trials < 1:
         raise InvalidArgumentError("trials must be positive")
+    if len(set(Ns)) < 2:
+        raise InvalidArgumentError(f"rigidity scan needs at least two distinct sizes, got {list(Ns)}")
+    if min(Ns) < 50:
+        raise InvalidArgumentError("rigidity scan sizes must be at least 50")
     if trials == 1:
         log.warning("rigidity_scan with a single trial per size; slope is low-confidence")
     medians = []
     for N in Ns:
-        if N < 50:
-            raise InvalidArgumentError("rigidity scan sizes must be at least 50")
         r = run_ensemble(with_size(model, N), trials, "gaussian", seed + N)
         medians.append(np.median(np.abs(r.mu1s - r.lambda_r)))
     slope = float(np.polyfit(np.log(np.asarray(Ns, dtype=float)), np.log(medians), 1)[0])

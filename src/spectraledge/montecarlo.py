@@ -45,8 +45,6 @@ class EnsembleResult:
     mean: float
     variance: float
     ks_distance: float
-    seed: int
-    noise_dist: str
     lambda_r: float
     gamma0: float
 
@@ -58,9 +56,15 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def sample_matrix(model: SpectrumModel, dist: str, seed: int, trial: int) -> np.ndarray:
-    """Draw Y = R + X with iid mean-0 variance-1/N noise entries from dist."""
+    """Draw Y = R + X with iid mean-0 variance-1/N noise entries from dist.
+
+    seed and trial, Python or numpy integers, key the stream (`_trial_rng`);
+    a negative one raises InvalidArgumentError.
+    """
     if dist not in NOISE_DISTS:
         raise InvalidConfigError(f"unknown noise distribution {dist!r}; expected one of {NOISE_DISTS}")
+    if seed < 0 or trial < 0:
+        raise InvalidArgumentError(f"seed and trial must be nonnegative, got seed={seed}, trial={trial}")
     rng = _trial_rng(seed, trial)
     M, N = model.M, model.N
     root_n = math.sqrt(N)
@@ -267,5 +271,5 @@ def run_ensemble(
     return EnsembleResult(
         thetas=thetas, mu1s=mu1s, n_trials=n_trials,
         mean=mean, variance=variance, ks_distance=ks,
-        seed=seed, noise_dist=dist, lambda_r=lam, gamma0=g,
+        lambda_r=lam, gamma0=g,
     )

@@ -75,12 +75,6 @@ class SpectrumModel:
         dsq.flags.writeable = False
         return dsq
 
-    def to_config(self) -> dict:
-        """Serializable spectrum spec reproducing (d, M, N) on reload."""
-        if self.config is not None:
-            return dict(self.config)
-        return {"type": "explicit", "d": [float(x) for x in self.d], "M": self.M, "N": self.N}
-
 
 def _require_number(config, key):
     value = config.get(key)
@@ -172,8 +166,3 @@ def with_size(model: SpectrumModel, N: int) -> SpectrumModel:
     new_config["M"] = M
     new_config["N"] = N
     return load_spectrum(new_config)
-
-
-def check_assumption3(model: SpectrumModel, edge) -> float:
-    """Margin xi_r - d_1^2; positive means the edge stays separated from the spectrum."""
-    return float(edge.xi_r - model.d_sq[0])

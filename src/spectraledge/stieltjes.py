@@ -51,7 +51,7 @@ class StieltjesValue:
     iterations: int
 
 
-def _newton(model: SpectrumModel, z: np.ndarray, w: np.ndarray, tol: float):
+def _newton(model: SpectrumModel, z: np.ndarray, w: np.ndarray):
     """Newton's method for phi(w) = z from w, pointwise; returns (w, steps taken)."""
     w = w.copy()
     active = np.arange(z.size)
@@ -62,7 +62,7 @@ def _newton(model: SpectrumModel, z: np.ndarray, w: np.ndarray, tol: float):
         dw = r / phip
         w[active] -= dw
         steps += active.size
-        moving = (np.abs(dw) > tol * np.maximum(1.0, np.abs(w[active]))) & (
+        moving = (np.abs(dw) > TOL * np.maximum(1.0, np.abs(w[active]))) & (
             np.abs(r) > _ROUNDOFF * np.maximum(1.0, np.abs(z[active]))
         )
         active = active[moving]
@@ -71,7 +71,7 @@ def _newton(model: SpectrumModel, z: np.ndarray, w: np.ndarray, tol: float):
     return w, steps
 
 
-def solve_stieltjes(model: SpectrumModel, z, *, tol: float = TOL) -> StieltjesValue:
+def solve_stieltjes(model: SpectrumModel, z) -> StieltjesValue:
     """Solve the self-consistent equation at z (Im z > 0, or real E != 0 as a boundary value).
 
     z is a scalar or an array.  Domain: every z finite, Im z >= 0 and z != 0,
@@ -80,9 +80,10 @@ def solve_stieltjes(model: SpectrumModel, z, *, tol: float = TOL) -> StieltjesVa
     part: it starts at eta = max(10, 2|z|) from w = z - (1+c), the large-|z|
     limit of the branch, and shrinks eta by _ETA_STEP per level down to its
     target, each level starting from the w of the level before; points leave
-    the iteration once converged.  Raises SolverFailureError if a point ends
-    with a fixed-point residual above 10 tol max(1, |s|) or off the branch
-    Im s >= 0, Im(z s) >= 0.
+    the iteration once a step is below TOL max(1, |w|) or |phi(w) - z| is
+    rounding.  Raises SolverFailureError if a point ends with a fixed-point
+    residual above 10 TOL max(1, |s|) or off the branch Im s >= 0,
+    Im(z s) >= 0.  TOL is the module constant, read at call time.
     """
     z_in = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z_in)):
@@ -100,7 +101,7 @@ def solve_stieltjes(model: SpectrumModel, z, *, tol: float = TOL) -> StieltjesVa
     todo = np.ones(E.shape, dtype=bool)
     iterations = 0
     while todo.any():
-        w[todo], steps = _newton(model, E[todo] + 1j * eta[todo], w[todo], tol)
+        w[todo], steps = _newton(model, E[todo] + 1j * eta[todo], w[todo])
         iterations += steps
         todo = eta > eta_target
         eta = np.maximum(eta * _ETA_STEP, eta_target)
@@ -113,7 +114,7 @@ def solve_stieltjes(model: SpectrumModel, z, *, tol: float = TOL) -> StieltjesVa
     # T(s) = mean 1/(d^2/b - z b + 1 - c) = b f(w) at the w that z and b give
     residuals = np.abs(b * phi_family(model, w)[0] - s)
     # rounding in T(s) grows like eps |s|^2, so the gate is relative once |s| > 1
-    bound = 10 * tol * np.maximum(1.0, np.abs(s))
+    bound = 10 * TOL * np.maximum(1.0, np.abs(s))
     failed = ~(residuals <= bound) | (s.imag < -1e-12) | ((zt * s).imag < -1e-8)
     if failed.any():
         k = int(np.argmax(failed))
@@ -134,7 +135,7 @@ def solve_stieltjes(model: SpectrumModel, z, *, tol: float = TOL) -> StieltjesVa
     )
 
 
-def density(model: SpectrumModel, E, **kwargs):
+def density(model: SpectrumModel, E):
     """Density of the limiting law at E != 0: (1/pi) Im s(E), clipped at 0; E scalar or array."""
-    rho = np.maximum(0.0, solve_stieltjes(model, E, **kwargs).s.imag / np.pi)
+    rho = np.maximum(0.0, solve_stieltjes(model, E).s.imag / np.pi)
     return float(rho) if np.ndim(E) == 0 else rho

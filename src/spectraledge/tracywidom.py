@@ -45,9 +45,9 @@ from numpy.polynomial.legendre import leggauss
 from .errors import DomainError, NumericError
 from .spectrum import grid
 
-AIRY_RANGE = (-20.0, 40.0)
-# Taylor series about the anchors AIRY_RANGE[0] + k _TAYLOR_STEP up to _SERIES_FROM,
-# the decaying expansion above it
+# Ai and Ai' are evaluated for x >= AIRY_MIN: a Taylor series about the anchors
+# AIRY_MIN + k _TAYLOR_STEP up to _SERIES_FROM, the decaying expansion above it
+AIRY_MIN = -20.0
 _SERIES_FROM = 10.0
 # the term k = 20 is the first below 2**-53 at x = 10 (zeta = 21.08), for Ai and Ai'
 _SERIES_TERMS = 21
@@ -163,7 +163,7 @@ def _taylor_table():
     """
     started = time.perf_counter()
     ai, aip = np.array(_ANCHORS).T
-    xk = AIRY_RANGE[0] + _TAYLOR_STEP * np.arange(len(ai))
+    xk = AIRY_MIN + _TAYLOR_STEP * np.arange(len(ai))
     a = [ai, aip, 0.5 * xk * ai]
     for j in range(1, _TAYLOR_TERMS - 1):
         a.append((xk * a[j] + a[j - 1]) / ((j + 1) * (j + 2)))
@@ -184,14 +184,14 @@ def _airy_pair(x):
     DomainError for x < -20 or NaN, which the anchor index would otherwise wrap.
     """
     x = np.asarray(x, dtype=float)
-    if not np.all(x >= AIRY_RANGE[0]):
-        raise DomainError(f"Airy evaluation needs x >= {AIRY_RANGE[0]}, got {np.min(x)}")
+    if not np.all(x >= AIRY_MIN):
+        raise DomainError(f"Airy evaluation needs x >= {AIRY_MIN}, got {np.min(x)}")
     ai = np.empty_like(x)
     aip = np.empty_like(x)
     low = x <= _SERIES_FROM
     xl = x[low]
-    k = np.rint((xl - AIRY_RANGE[0]) / _TAYLOR_STEP).astype(np.intp)
-    t = xl - (AIRY_RANGE[0] + _TAYLOR_STEP * k)
+    k = np.rint((xl - AIRY_MIN) / _TAYLOR_STEP).astype(np.intp)
+    t = xl - (AIRY_MIN + _TAYLOR_STEP * k)
     table = _taylor_table()
     sums = np.take(table[-1], k, axis=1)
     for coef in table[-2::-1]:
@@ -211,22 +211,6 @@ def _airy_pair(x):
     ai[high] = scale * sums[0] / quarter
     aip[high] = -scale * quarter * sums[1]
     return ai, aip
-
-
-def airy_ai(x):
-    """Airy function Ai on [-20, 40], relative error well below 1e-10.
-
-    A 22-term Taylor series about the nearest of the anchors -20, -19.5, ..., 10
-    up to x = 10, within 1e-16 of 40-digit mpmath in absolute terms; the DLMF
-    9.7.5 expansion above it, within 0.98 zeta eps relative, zeta = 2/3 x^{3/2}
-    (about 3.7e-14 at x = 40).  numpy alone; the coefficient table is built on
-    the first call in a process.
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < AIRY_RANGE[0]) or np.any(arr > AIRY_RANGE[1]):
-        raise DomainError(f"airy_ai is specified on [{AIRY_RANGE[0]}, {AIRY_RANGE[1]}]")
-    value = _airy_pair(arr)[0]
-    return float(value) if np.isscalar(x) or arr.ndim == 0 else value
 
 
 @lru_cache(maxsize=8)
@@ -300,43 +284,48 @@ def _f1_pairs(s, n: int):
     return F, f
 
 
-def _f1_shaped(s, n: int, which: int):
+def _f1_shaped(s, which: int):
     """F1 (which = 0) or f1 (which = 1) at a scalar or an array s, in the shape of s."""
     arr = np.asarray(s, dtype=float)
-    value = _f1_pairs(arr.ravel(), n)[which].reshape(arr.shape)
+    value = _f1_pairs(arr.ravel(), DEFAULT_NODES)[which].reshape(arr.shape)
     return float(value) if value.ndim == 0 else value
 
 
-def f1_cdf(s, n: int = DEFAULT_NODES):
+def f1_cdf(s):
     """F1(s) as the Fredholm determinant det(I - A_s) of the Airy-shift kernel on (0, inf).
 
-    Direct path: one Nystrom determinant per point, on the n-point
-    Gauss-Legendre rule of [0, L(s)] (see `_kernel_stack`); at 26 nodes
+    Direct path: one Nystrom determinant per point, on the Gauss-Legendre
+    rule of DEFAULT_NODES = 26 nodes on [0, L(s)] (see `_kernel_stack`),
     within 7.8e-15 of a 128-node half-line rule on [-14, 14].  Exactly 0 at
     and left of LEFT_CUT = -10, where F1 < 1e-21.  A scalar s gives a float,
     an array one of its shape; NaN raises DomainError.
     """
-    return _f1_shaped(s, n, 0)
+    return _f1_shaped(s, 0)
 
 
-def f1_pdf(s, n: int = DEFAULT_NODES):
-    """Density of F1 by differentiating the determinant (direct path); scalar or array, as f1_cdf."""
-    return _f1_shaped(s, n, 1)
+def f1_pdf(s):
+    """Density of F1 by differentiating the determinant (direct path, f1_cdf's rule).
+
+    Within 1.1e-14 of a 128-node half-line rule on [-14, 14]; 0 at and left
+    of LEFT_CUT; scalar or array, as f1_cdf.
+    """
+    return _f1_shaped(s, 1)
 
 
-def tw_table(start: float, stop: float, step: float, n: int = DEFAULT_NODES):
+def tw_table(start: float, stop: float, step: float):
     """Rows (s, F1(s), f1(s)) on the closed grid start, start+step, ..., stop (direct path).
 
     The grid is `spectrum.grid`'s: finite bounds, step > 0 and stop >= start,
-    else DomainError.  Every row equals the `f1_cdf` and `f1_pdf` calls at its
-    point bit for bit.  Logs one debug line per call with the rule and the time.
+    else DomainError.  The rule is f1_cdf's, of DEFAULT_NODES nodes, and
+    every row equals the `f1_cdf` and `f1_pdf` calls at its point bit for
+    bit.  Logs one debug line per call with the rule and the time.
     """
     started = time.perf_counter()
     s = grid(start, stop, step, "twtable")
-    F, f = _f1_pairs(s, n)
+    F, f = _f1_pairs(s, DEFAULT_NODES)
     rows = list(zip(s.tolist(), F.tolist(), f.tolist()))
     log.debug("tw_table: %d rows on a %d-node rule to X_CAP = %g in %.3f s",
-              len(rows), n, X_CAP, time.perf_counter() - started)
+              len(rows), DEFAULT_NODES, X_CAP, time.perf_counter() - started)
     return rows
 
 

@@ -355,7 +355,7 @@ def dense_locallaw_report(model, Y, z, rescaled=False, gamma0=None):
     maxima["avg"] = means["avg"] = dev_avg
     return {
         "z": z,
-        "dev": maxima,
+        "deviations": maxima,
         "psi": psi,
         "ratios": {**{k: maxima[k] / psi for k in classes}, "avg": dev_avg * N * eta},
         "mean_deviations": means,

@@ -156,6 +156,28 @@ def test_thread_count_below_one_is_config_error(const1, tmp_path, capsys, comman
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "locallaw"])
+def test_negative_seed_is_argument_error(tmp_path, capsys, command):
+    extra = ["--trials", "2"] if command == "simulate" else ["--seeds", "2"]
+    out = tmp_path / "x.csv"
+    code = run_command([command, "--spectrum", str(GOLDEN_SPECTRUM), *extra, "--seed", "-1",
+                        "--out", str(out)])
+    assert code == 2
+    assert "seed and trial must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_locallaw_on_a_one_by_one_model(tmp_path):
+    # at M = N = 1 the off-diagonal class has no entry; it reads 0.0
+    spectrum = tmp_path / "one.json"
+    spectrum.write_text(json.dumps({"type": "constant", "d": 1.0, "M": 1, "N": 1}))
+    out = tmp_path / "ll.csv"
+    assert run_command(["locallaw", "--spectrum", str(spectrum), "--seeds", "2", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 2 * 6
+    assert all(float(row[2]) == 0.0 for row in rows if row[1] in ("mumu", "offdiag"))
+
+
 def test_unknown_command_is_usage_error():
     assert run_command(["frobnicate"]) == 2
 

@@ -52,7 +52,6 @@ def test_even_odd_sign_pattern():
         assert fn.varphi2 > 0
         assert fn.varphi3 < 0
         assert fn.varphi4 > 0
-        assert fn.varphi6 > 0
 
 
 def test_identity_residual_keys():
@@ -99,4 +98,3 @@ def test_psi_fields_are_direct_sums():
     u = state.gamma * state.model_t.d_sq
     diff = u - state.xi
     assert fn.psi2 == pytest.approx(float(np.sum(u / diff**2) / state.model_t.N), abs=1e-15)
-    assert fn.psi3 == pytest.approx(float(np.sum(u / diff**3) / state.model_t.N), abs=1e-15)

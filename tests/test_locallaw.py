@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from spectraledge import (
     solve_edge,
 )
 
-from spectraledge.locallaw import _resolvent_reduce
+from spectraledge.locallaw import DEVIATION_CLASSES, _resolvent_reduce
 
 from oracles import dense_locallaw_report, minor_noise_resolvent, resolvent_identity_residual
 
@@ -57,7 +58,7 @@ def test_deviation_report_structure():
     Y = sample_matrix(model, "gaussian", seed=0, trial=0)
     z = complex(sol.lambda_r, model.N ** -0.5)
     report = locallaw_deviation(model, Y, z)
-    devs = report.deviations()
+    devs = report.deviations
     assert set(devs) == {"ii", "barbar", "cross", "mumu", "offdiag", "avg"}
     assert all(np.isfinite(v) and v >= 0 for v in devs.values())
     assert report.psi > 0
@@ -85,7 +86,19 @@ def test_mumu_class_empty_for_square_model():
     sol = solve_edge(model)
     Y = sample_matrix(model, "gaussian", seed=1, trial=0)
     report = locallaw_deviation(model, Y, complex(sol.lambda_r, 0.2))
-    assert report.dev_mumu == 0.0
+    assert report.deviations["mumu"] == 0.0
+
+
+def test_one_by_one_model_reports_empty_classes_as_zero():
+    # M = N = 1 leaves no pure-noise diagonal and no off-diagonal entry
+    # besides the partner pair
+    model = constant_model(1, 1)
+    Y = sample_matrix(model, "gaussian", seed=0, trial=0)
+    report = locallaw_deviation(model, Y, complex(solve_edge(model).lambda_r, 0.5))
+    for stats in (report.deviations, report.mean_deviations, report.ratios, report.mean_ratios):
+        assert list(stats) == list(DEVIATION_CLASSES)
+        assert stats["mumu"] == stats["offdiag"] == 0.0
+        assert all(math.isfinite(v) for v in stats.values())
 
 
 def test_deterministic_instance_reports_finite_n_gap():
@@ -95,8 +108,8 @@ def test_deterministic_instance_reports_finite_n_gap():
     sol = solve_edge(model)
     R = np.diag(model.d)
     report = locallaw_deviation(model, R, complex(sol.lambda_r, 0.3))
-    assert report.dev_ii > 1e-3
-    assert np.isfinite(report.dev_avg)
+    assert report.deviations["ii"] > 1e-3
+    assert np.isfinite(report.deviations["avg"])
 
 
 def test_large_eta_average_law():
@@ -104,7 +117,7 @@ def test_large_eta_average_law():
     Y = sample_matrix(model, "gaussian", seed=2, trial=0)
     eta = 100.0
     report = locallaw_deviation(model, Y, complex(6.75, eta))
-    assert report.dev_avg <= 10.0 / (model.N * eta)
+    assert report.deviations["avg"] <= 10.0 / (model.N * eta)
 
 
 def test_ward_identity_exact():
@@ -157,7 +170,7 @@ def test_deviations_decrease_with_n():
         devs = []
         for seed in range(10):
             Y = sample_matrix(model, "gaussian", seed=seed, trial=0)
-            devs.append(locallaw_deviation(model, Y, complex(lam, 0.3)).dev_ii)
+            devs.append(locallaw_deviation(model, Y, complex(lam, 0.3)).deviations["ii"])
         medians[N] = np.median(devs)
     assert medians[400] < medians[100]
 
@@ -169,7 +182,7 @@ def test_mean_statistics_reported():
     report = locallaw_deviation(model, Y, complex(sol.lambda_r, 50 ** -0.5))
     assert set(report.mean_deviations) == {"ii", "barbar", "cross", "mumu", "offdiag", "avg"}
     for cls in ("ii", "barbar", "cross", "offdiag"):
-        assert report.mean_deviations[cls] <= report.deviations()[cls]
+        assert report.mean_deviations[cls] <= report.deviations[cls]
         assert report.mean_ratios[cls] <= report.ratios[cls]
 
 
@@ -199,6 +212,11 @@ def test_rigidity_scan_validates_sizes():
         rigidity_scan(model, [20, 100], trials=2, seed=0)
     with pytest.raises(InvalidArgumentError):
         rigidity_scan(model, [100], trials=0, seed=0)
+    # a slope needs two distinct sizes: one size, or one size twice, is refused
+    # before anything is sampled
+    for sizes in ([100], [100, 100], np.array([100, 100])):
+        with pytest.raises(InvalidArgumentError, match="two distinct sizes"):
+            rigidity_scan(model, sizes, trials=2, seed=0)
 
 
 def _assert_matches_dense(model, Y, z, **kwargs):
@@ -206,9 +224,8 @@ def _assert_matches_dense(model, Y, z, **kwargs):
     report = locallaw_deviation(model, Y, z, **kwargs)
     ref = dense_locallaw_report(model, Y, z, **kwargs)
     assert report.z == ref["z"]
-    assert report.deviations() == pytest.approx(ref["dev"], rel=1e-10, abs=1e-10)
     assert report.psi == pytest.approx(ref["psi"], rel=1e-10)
-    for field in ("ratios", "mean_deviations", "mean_ratios"):
+    for field in ("deviations", "ratios", "mean_deviations", "mean_ratios"):
         ours = getattr(report, field)
         assert list(ours) == list(ref[field])
         assert ours == pytest.approx(ref[field], rel=1e-10, abs=1e-10)
@@ -228,7 +245,7 @@ def test_blockwise_resolvent_matches_dense_square():
     lam = solve_edge(model).lambda_r
     Y = sample_matrix(model, "rademacher", seed=6, trial=0)
     report = _assert_matches_dense(model, Y, complex(lam, 0.2))
-    assert report.dev_mumu == 0.0
+    assert report.deviations["mumu"] == 0.0
 
 
 def test_blockwise_resolvent_matches_dense_without_noise():
@@ -261,7 +278,7 @@ def test_blockwise_resolvent_matches_dense_square_across_chunks():
     model = constant_model(260, 260)
     Y = sample_matrix(model, "rademacher", seed=9, trial=0)
     report = _assert_matches_dense(model, Y, complex(solve_edge(model).lambda_r, 0.1))
-    assert report.dev_mumu == 0.0
+    assert report.deviations["mumu"] == 0.0
 
 
 def test_blockwise_resolvent_matches_dense_rescaled_across_chunks():

@@ -84,6 +84,13 @@ def test_unknown_distribution_rejected():
         sample_matrix(constant_model(4, 4), "cauchy", seed=0, trial=0)
 
 
+@pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1), (np.int64(-3), 0)])
+def test_negative_seed_or_trial_is_refused(seed, trial):
+    # the stream key must be nonnegative; numpy's SeedSequence would raise a bare ValueError
+    with pytest.raises(InvalidArgumentError, match="nonnegative"):
+        sample_matrix(constant_model(4, 4), "gaussian", seed=seed, trial=trial)
+
+
 def test_largest_eigenvalue_deterministic_inputs():
     model = constant_model(6, 9)
     R = np.hstack([np.eye(6), np.zeros((6, 3))])
@@ -296,6 +303,8 @@ def test_sample_matrix_streams_are_pinned(dist):
         X = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(7, 40)) / root_n
     X[np.arange(7), np.arange(7)] += model.d
     assert np.array_equal(sample_matrix(model, dist, 21, 4), X)
+    # numpy integers key the same stream (rigidity_scan passes seed + N)
+    assert np.array_equal(sample_matrix(model, dist, np.int64(21), np.int64(4)), X)
 
 
 def test_rescaling_conventions_agree_per_trial():

@@ -13,10 +13,10 @@ from numpy.polynomial.chebyshev import Chebyshev, chebpts2
 from scipy.special import airy as scipy_airy
 
 import spectraledge
-from spectraledge import DomainError, NumericError, airy_ai, f1_cdf, f1_pdf, tw_table
+from spectraledge import DomainError, NumericError, f1_cdf, f1_pdf, tw_table
 from spectraledge import tracywidom
 from spectraledge.tracywidom import (
-    _ANCHORS, _ASYMPTOTIC, _SERIES_FROM, _TAYLOR_STEP, _TAYLOR_TERMS, AIRY_RANGE, DEFAULT_NODES, LEFT_CUT,
+    _ANCHORS, _ASYMPTOTIC, _SERIES_FROM, _TAYLOR_STEP, _TAYLOR_TERMS, AIRY_MIN, DEFAULT_NODES, LEFT_CUT,
     TABLE_NODES, TABLE_RANGE, _airy_pair, _chebyshev_f1, _f1_pairs, _f1_table, _half_length, _kernel_stack,
     _taylor_table, _unit_rule, f1_cdf_tabulated,
 )
@@ -36,13 +36,18 @@ def painleve():
 # Airy function
 # ---------------------------------------------------------------------------
 
+def _ai(x):
+    # Ai alone from the package's one Airy evaluator
+    return _airy_pair(x)[0]
+
+
 def test_airy_at_zero_closed_form():
     expected = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
-    assert airy_ai(0.0) == pytest.approx(expected, rel=1e-12)
+    assert _ai(0.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_airy_at_ten_matches_asymptotic_oracle():
-    value = airy_ai(10.0)
+    value = _ai(10.0)
     assert value == pytest.approx(1.1047532552898685e-10, rel=1e-10)
     leading = math.exp(-(2.0 / 3.0) * 10.0**1.5) / (2.0 * math.sqrt(math.pi) * 10.0**0.25)
     assert value == pytest.approx(leading, rel=5e-3)
@@ -51,7 +56,7 @@ def test_airy_at_ten_matches_asymptotic_oracle():
 
 def test_airy_monotone_decay_right_of_one():
     xs = np.linspace(1.0, 40.0, 200)
-    values = airy_ai(xs)
+    values = _ai(xs)
     assert np.all(np.diff(values) < 0)
     assert values[-1] < 1e-20
 
@@ -60,7 +65,7 @@ def test_airy_against_maclaurin_oracle():
     # the series oracle keeps full accuracy to x ~ 4 on the right (cancellation
     # grows like e^{2 zeta}) and much further on the oscillatory side
     xs = np.linspace(-7.5, 4.0, 96)
-    ours = airy_ai(xs)
+    ours = _ai(xs)
     oracle = airy_maclaurin(xs)
     # absolute floor covers grid points sitting next to zeros of Ai
     assert np.all(np.abs(ours - oracle) <= 1e-11 * np.abs(oracle) + 5e-12)
@@ -68,9 +73,9 @@ def test_airy_against_maclaurin_oracle():
 
 def test_airy_against_asymptotic_oracles():
     for x in np.linspace(6.5, 40.0, 30):
-        assert airy_ai(float(x)) == pytest.approx(airy_asymptotic_pos(x), rel=1e-11)
+        assert _ai(float(x)) == pytest.approx(airy_asymptotic_pos(x), rel=1e-11)
     for x in np.linspace(-20.0, -8.0, 25):
-        assert airy_ai(float(x)) == pytest.approx(airy_asymptotic_neg(x), rel=1e-9)
+        assert _ai(float(x)) == pytest.approx(airy_asymptotic_neg(x), rel=1e-9)
 
 
 def test_airy_against_mpmath_reference():
@@ -78,7 +83,7 @@ def test_airy_against_mpmath_reference():
     xs = np.linspace(-20.0, 40.0, 121)
     for x in xs:
         ref = float(mpmath.airyai(float(x)))
-        assert airy_ai(float(x)) == pytest.approx(ref, rel=1e-10, abs=1e-300)
+        assert _ai(float(x)) == pytest.approx(ref, rel=1e-10, abs=1e-300)
 
 
 def test_airy_pair_up_to_ten_within_a_bound_cephes_fails():
@@ -108,16 +113,16 @@ def test_airy_pair_up_to_ten_within_a_bound_cephes_fails():
 
 def test_airy_anchors_are_mpmath_rounded_to_nearest():
     # the literals regenerate bit for bit from 40-digit mpmath
-    assert len(_ANCHORS) == round((_SERIES_FROM - AIRY_RANGE[0]) / _TAYLOR_STEP) + 1
+    assert len(_ANCHORS) == round((_SERIES_FROM - AIRY_MIN) / _TAYLOR_STEP) + 1
     with mpmath.workdps(40):
         for k, (ai, aip) in enumerate(_ANCHORS):
-            x = mpmath.mpf(AIRY_RANGE[0]) + k * mpmath.mpf(_TAYLOR_STEP)
+            x = mpmath.mpf(AIRY_MIN) + k * mpmath.mpf(_TAYLOR_STEP)
             assert ai == float(mpmath.airyai(x)) and aip == float(mpmath.airyai(x, derivative=1)), k
 
 
 def test_airy_pair_is_exact_at_the_anchors():
     # t = 0 leaves a_0 and a_1 themselves
-    xs = AIRY_RANGE[0] + _TAYLOR_STEP * np.arange(len(_ANCHORS))
+    xs = AIRY_MIN + _TAYLOR_STEP * np.arange(len(_ANCHORS))
     ai, aip = _airy_pair(xs)
     assert np.array_equal(np.stack([ai, aip], axis=1), np.array(_ANCHORS))
 
@@ -154,13 +159,6 @@ def test_asymptotic_series_ends_at_first_term_below_half_ulp_at_ten():
     terms = np.abs(_ASYMPTOTIC[:, :, 0]) / zeta ** np.arange(len(_ASYMPTOTIC))[:, None]
     assert np.all(terms[-1] < 2.0**-53)
     assert np.any(terms[-2] >= 2.0**-53)
-
-
-def test_airy_range_enforced():
-    with pytest.raises(DomainError):
-        airy_ai(41.0)
-    with pytest.raises(DomainError):
-        airy_ai(np.array([0.0, -25.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +270,8 @@ def test_f1_value_near_the_mean(painleve):
 def test_quadrature_convergence():
     # doubling the node count moves F1 and f1 by no more than the stated accuracy
     coarse = np.array(tw_table(-10.0, 12.0, 0.05))
-    fine = np.array(tw_table(-10.0, 12.0, 0.05, n=2 * DEFAULT_NODES))
-    assert np.max(np.abs(coarse[:, 1:] - fine[:, 1:])) <= 2e-14
+    fine = np.stack(_f1_pairs(coarse[:, 0], 2 * DEFAULT_NODES), axis=1)
+    assert np.max(np.abs(coarse[:, 1:] - fine)) <= 2e-14
 
 
 def test_direct_f1_matches_halfline_oracle():
@@ -417,12 +415,13 @@ def test_table_build_logs_its_accuracy(caplog):
 def test_tw_table_logs_one_line_per_call(caplog):
     with caplog.at_level(logging.DEBUG, logger="spectraledge"):
         tw_table(-1.0, 1.0, 0.5)
-        tw_table(-12.0, -11.0, 1.0, n=30)
+        tw_table(-12.0, -11.0, 1.0)
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("tw_table")]
     assert len(lines) == 2
     assert re.fullmatch(rf"tw_table: 5 rows on a {DEFAULT_NODES}-node rule to X_CAP = 20 in \d+\.\d{{3}} s",
                         lines[0])
-    assert re.fullmatch(r"tw_table: 2 rows on a 30-node rule to X_CAP = 20 in \d+\.\d{3} s", lines[1])
+    assert re.fullmatch(rf"tw_table: 2 rows on a {DEFAULT_NODES}-node rule to X_CAP = 20 in \d+\.\d{{3}} s",
+                        lines[1])
 
 
 def test_import_does_not_build_the_table():
@@ -465,8 +464,8 @@ def test_f1_commands_never_load_scipy_special(tmp_path):
 def test_first_airy_evaluation_logs_the_table_build(caplog):
     _taylor_table.cache_clear()
     with caplog.at_level(logging.DEBUG, logger="spectraledge"):
-        airy_ai(0.5)
-        airy_ai(np.array([-3.0, 1.0, 20.0]))
+        _ai(0.5)
+        _ai(np.array([-3.0, 1.0, 20.0]))
         f1_cdf(-2.0)
     [record] = [r for r in caplog.records if "Taylor table" in r.getMessage()]
     assert record.name == "spectraledge"
