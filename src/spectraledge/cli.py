@@ -204,10 +204,7 @@ def _cmd_simulate(args) -> tuple[list[str], bytes | None]:
         raise InvalidConfigError("simulate requires at least one trial")
     _check_threads(args)
     model, spectrum = _load_model(args)
-    result = run_ensemble(
-        model, args.trials, dist=args.dist, seed=args.seed,
-        rescale=args.rescale, threads=args.threads,
-    )
+    result = run_ensemble(model, args.trials, dist=args.dist, seed=args.seed, threads=args.threads)
     rows = [(k, result.mu1s[k], result.thetas[k]) for k in range(result.n_trials)]
     emit_csv(rows, ("trial", "mu1", "theta"), args.out)
     summary = {
@@ -316,8 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     # mu1 runs on one BLAS thread per call, so the worker count moves no output
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--rescale", action="store_true",
-                   help="scale the matrix by sqrt(gamma0) and center at E_plus instead")
     add_out(p, required=True)
 
     p = sub.add_parser("twtable", help="table of the type-1 Tracy-Widom law")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -76,11 +77,14 @@ class SpectrumModel:
         return dsq
 
 
-def _require_number(config, key):
-    value = config.get(key)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise InvalidConfigError(f"spectrum config field {key!r} must be a number")
-    return float(value)
+def _as_number(value, what: str) -> float:
+    """A JSON number (an int or float, not a bool) as a float; InvalidConfigError naming `what` otherwise."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise InvalidConfigError(f"spectrum config {what} must be a number in the float range")
 
 
 def grid(start: float, stop: float, step: float, what: str) -> np.ndarray:
@@ -124,15 +128,15 @@ def load_spectrum(config: dict) -> SpectrumModel:
     N = _require_int(config, "N")
 
     if kind == "constant":
-        d = np.full(M, _require_number(config, "d"))
+        d = np.full(M, _as_number(config.get("d"), "field 'd'"))
     elif kind == "explicit":
         entries = config.get("d")
         if not isinstance(entries, (list, tuple)) or len(entries) == 0:
             raise InvalidConfigError("explicit spectrum requires a non-empty list 'd'")
-        d = np.asarray(entries, dtype=float)
+        d = np.array([_as_number(v, f"entry d[{k}]") for k, v in enumerate(entries)])
     else:
-        v_min = _require_number(config, "v_min")
-        v_max = _require_number(config, "v_max")
+        v_min = _as_number(config.get("v_min"), "field 'v_min'")
+        v_max = _as_number(config.get("v_max"), "field 'v_max'")
         if v_min < 0 or v_max < v_min:
             raise InvalidConfigError("uniform_sq requires 0 <= v_min <= v_max")
         if M == 1:
@@ -148,10 +152,19 @@ def load_spectrum(config: dict) -> SpectrumModel:
 def with_size(model: SpectrumModel, N: int) -> SpectrumModel:
     """Regenerate the model at a new noise dimension N, keeping c_N and the spectral shape.
 
-    Only generated spectra (constant, uniform_sq) can be resized; an explicit
-    list has no size-free description.  The new M = c_N N must be a positive
-    integer (to 1e-9 relative): rounding it would quietly change c_N.
+    N is a Python or numpy integer, not a bool; any other N raises
+    InvalidArgumentError.  Only generated spectra (constant, uniform_sq) can be
+    resized; an explicit list has no size-free description.  The new
+    M = c_N N must be a positive integer (to 1e-9 relative): rounding it
+    would quietly change c_N.
     """
+    try:
+        size = None if isinstance(N, bool) else operator.index(N)
+    except TypeError:
+        size = None
+    if size is None:
+        raise InvalidArgumentError(f"N must be an integer, got {N!r}")
+    N = size
     if N == model.N:
         return model
     config = model.config

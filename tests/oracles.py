@@ -303,7 +303,7 @@ def f2py_largest_eigenvalue(Y):
 # Local law: the resolvent by a dense solve of the full linearization
 # ---------------------------------------------------------------------------
 
-def dense_locallaw_report(model, Y, z, rescaled=False, gamma0=None):
+def dense_locallaw_report(model, Y, z):
     """Every LocalLawReport field, with G = H(z)^{-1} from np.linalg.solve against I.
 
     H(z) = [[-z I, Y], [Y^T, -I]] is built in full and the entry classes are
@@ -314,23 +314,10 @@ def dense_locallaw_report(model, Y, z, rescaled=False, gamma0=None):
 
     z = complex(z)
     M, N = model.M, model.N
-    d, dsq, c = model.d, model.d_sq, model.c_N
-    if rescaled:
-        g = gamma0
-        m_z = solve_stieltjes(model, z / g).s / g
-        s_for_psi, s_avg = g * m_z, m_z
-        b = 1.0 + c * g * m_z
-        w = z * b**2 - g * (1.0 - c) * b
-        tb = z * b - g * (1.0 - c)
-        denom = g * dsq - w
-        cross_profile = math.sqrt(g) * d / denom
-    else:
-        sv = solve_stieltjes(model, z)
-        b, w = sv.b, sv.w
-        s_for_psi = s_avg = sv.s
-        tb = z * b - (1.0 - c)
-        denom = dsq - w
-        cross_profile = d / denom
+    sv = solve_stieltjes(model, z)
+    b = sv.b
+    tb = z * b - (1.0 - model.c_N)
+    denom = model.d_sq - sv.w
 
     H = build_linearization(Y, z)
     G = np.linalg.solve(H, np.eye(M + N, dtype=complex))
@@ -343,23 +330,20 @@ def dense_locallaw_report(model, Y, z, rescaled=False, gamma0=None):
     classes = {
         "ii": np.abs(G[idx, idx] - b / denom),
         "barbar": np.abs(G[M + idx, M + idx] - tb / denom),
-        "cross": np.abs(G[idx, M + idx] - cross_profile),
+        "cross": np.abs(G[idx, M + idx] - model.d / denom),
         "mumu": np.abs(G[mu, mu] + 1.0 / b) if N > M else np.zeros(1),
         "offdiag": np.abs(G[mask]),
     }
-    dev_avg = abs(complex(np.mean(G[idx, idx])) - s_avg)
+    dev_avg = abs(complex(np.mean(G[idx, idx])) - sv.s)
     eta = z.imag
-    psi = math.sqrt(max(s_for_psi.imag, 0.0) / (N * eta)) + 1.0 / (N * eta)
+    psi = math.sqrt(max(sv.s.imag, 0.0) / (N * eta)) + 1.0 / (N * eta)
     maxima = {k: float(v.max()) for k, v in classes.items()}
-    means = {k: float(v.mean()) for k, v in classes.items()}
-    maxima["avg"] = means["avg"] = dev_avg
+    maxima["avg"] = dev_avg
     return {
         "z": z,
         "deviations": maxima,
         "psi": psi,
         "ratios": {**{k: maxima[k] / psi for k in classes}, "avg": dev_avg * N * eta},
-        "mean_deviations": means,
-        "mean_ratios": {**{k: means[k] / psi for k in classes}, "avg": dev_avg * N * eta},
     }
 
 

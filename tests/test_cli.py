@@ -193,6 +193,23 @@ def test_malformed_spectrum_is_config_error(tmp_path):
     assert run_command(["edge", "--spectrum", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("body", ['{"type": "explicit", "d": [1, "abc"], "M": 2, "N": 2}',
+                                  '{"type": "explicit", "d": [1, 1%s], "M": 2, "N": 2}' % ("0" * 400),
+                                  '{"type": "constant", "d": 1%s, "M": 2, "N": 2}' % ("0" * 400)],
+                         ids=["text_entry", "huge_entry", "huge_constant"])
+def test_non_numeric_spectrum_value_is_config_error(tmp_path, capsys, body):
+    bad = tmp_path / "bad.json"
+    bad.write_text(body)
+    assert run_command(["edge", "--spectrum", str(bad)]) == 2
+    assert "must be a number in the float range" in capsys.readouterr().err
+
+
+def test_rescale_option_is_gone(const1, tmp_path, capsys):
+    argv = ["simulate", "--spectrum", str(const1), "--trials", "2", "--rescale", "--out", str(tmp_path / "o.csv")]
+    assert run_command(argv) == 2
+    assert "unrecognized arguments: --rescale" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("body", [b'{"type": "constant", "d": 1,', b'{"type": "constant",\r\n "d" 1}\r\n',
                                   b'\xff{"type": "constant"}', b"\xef\xbb\xbf{}"],
                          ids=["truncated", "crlf", "not_utf8", "bom"])
@@ -244,7 +261,7 @@ def test_reused_parser_carries_no_option_between_commands(tmp_path, capsys):
 
     cli_module._build_parser.cache_clear()
     lone = run(sim, "lone.csv")
-    assert run(sim + ["--rescale"], "rescaled.csv") != lone
+    assert run(sim + ["--dist", "rademacher"], "rademacher.csv") != lone
     assert run(sim, "after.csv") == lone
 
     assert run_command(["density", "--spectrum", spectrum, "--to", "3", "--out", str(tmp_path / "d3.csv")]) == 0
@@ -261,8 +278,8 @@ def test_reused_parser_carries_no_option_between_commands(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, options", [
     (["simulate", "--spectrum", str(GOLDEN_SPECTRUM), "--trials", "4", "--seed", "2", "--threads", "2",
-      "--rescale"],
-     {"command": "simulate", "trials": 4, "dist": "gaussian", "seed": 2, "rescale": True}),
+      "--dist", "rademacher"],
+     {"command": "simulate", "trials": 4, "dist": "rademacher", "seed": 2}),
     (["twtable", "--from", "-2", "--to", "1", "--step", "0.5"],
      {"command": "twtable", "start": -2.0, "stop": 1.0, "step": 0.5}),
 ], ids=["simulate", "twtable"])
@@ -314,7 +331,6 @@ def test_config_hash_covers_every_option_that_changes_output(const1, tmp_path):
     assert config_hash("--trials", "5") != base
     assert config_hash("--dist", "rademacher") != base
     assert config_hash("--seed", "3") != base
-    assert config_hash("--rescale") != base
     # the worker count and the output path change no output
     assert config_hash("--threads", "1") == config_hash("--threads", "3") == base
     changed = tmp_path / "const1_resized.json"

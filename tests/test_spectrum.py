@@ -65,6 +65,13 @@ def test_ties_are_allowed():
         {"type": "uniform_sq", "v_min": -1, "v_max": 2, "M": 4, "N": 4},
         {"type": "constant", "d": "one", "M": 3, "N": 3},
         {"type": "constant", "d": 1.0, "M": 3.5, "N": 4},
+        # explicit entries follow the number rule of the constant form's "d"
+        {"type": "explicit", "d": ["abc"], "M": 1, "N": 2},
+        {"type": "explicit", "d": ["2"], "M": 1, "N": 2},
+        {"type": "explicit", "d": [True, 1], "M": 2, "N": 2},
+        {"type": "explicit", "d": [[1.0]], "M": 1, "N": 2},
+        {"type": "explicit", "d": [1.0, 10**400], "M": 2, "N": 2},
+        {"type": "uniform_sq", "v_min": 0, "v_max": 10**400, "M": 2, "N": 2},
     ],
 )
 def test_invalid_configs_rejected(config):
@@ -117,6 +124,21 @@ def test_with_size_keeps_integral_sizes():
         assert (resized.M, resized.N) == (3 * new_N // 10, new_N)
     square = load_spectrum({"type": "constant", "d": 1, "M": 30, "N": 30})
     assert [with_size(square, n).M for n in (60, 100, 200, 300)] == [60, 100, 200, 300]
+
+
+def test_with_size_takes_numpy_integers():
+    model = load_spectrum({"type": "uniform_sq", "v_min": 0.5, "v_max": 2.0, "M": 64, "N": 64})
+    resized, plain = with_size(model, np.int64(128)), with_size(model, 128)
+    assert (resized.M, resized.N) == (plain.M, plain.N) == (128, 128)
+    assert np.array_equal(resized.d, plain.d)
+    assert resized.config == plain.config and type(resized.config["N"]) is int
+
+
+@pytest.mark.parametrize("N", [True, 128.0, "128", np.float64(128.0)])
+def test_with_size_refuses_a_non_integer_size(N):
+    model = load_spectrum({"type": "constant", "d": 1, "M": 64, "N": 64})
+    with pytest.raises(InvalidArgumentError, match="must be an integer"):
+        with_size(model, N)
 
 
 def test_with_size_rejects_explicit():
