@@ -1,5 +1,10 @@
 """Command-line front end: configuration parsing, CSV/JSON emission, reproducibility metadata.
 
+``run_command`` owns each run: it loads the ``--spectrum`` file once, calls the
+handler ``_cmd_*(args, model)``, which returns the paths it wrote (none for
+stdout), and writes one manifest, at ``<first path>.manifest.json``.  The
+library checks the trial and thread counts; the CLI checks only ``--seeds``.
+
 The argument parser is built once per process, on the first ``run_command``
 call, and reused: building it costs about 2 ms (seven subparsers, each
 argument formatted once), which in-process callers would otherwise pay on
@@ -101,36 +106,31 @@ def emit_csv(rows, header, path=None) -> str:
     return _write("\n".join(lines) + "\n", path)
 
 
-def _versions() -> dict:
-    return {
-        "spectraledge": __version__,
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "python": ".".join(map(str, sys.version_info[:3])),
-    }
-
-
 # the output path and the worker count change no output; the spectrum path is
 # replaced by the bytes of the file it names
 _UNHASHED_OPTIONS = ("out", "threads", "spectrum")
 
 
-def _config_hash(args, spectrum: bytes | None) -> str:
-    """SHA-256 of every parsed option that can change an output, then the spectrum bytes that ran."""
+def _write_manifest(args, spectrum: bytes | None, started: float, out_path: str) -> None:
+    """One run's reproducibility metadata, written to <out_path>.manifest.json.
+
+    config_hash is the SHA-256 of every parsed option that can change an
+    output, then of the spectrum bytes that ran.
+    """
     options = {k: v for k, v in vars(args).items() if k not in _UNHASHED_OPTIONS}
     digest = hashlib.sha256(json.dumps(options, sort_keys=True, default=str).encode())
     if spectrum is not None:
         digest.update(spectrum)
-    return digest.hexdigest()
-
-
-def _write_manifest(args, config_hash: str, started: float, out_path: str) -> None:
-    """Reproducibility metadata emitted alongside every output file."""
     manifest = {
         "command": args.command,
-        "config_hash": config_hash,
+        "config_hash": digest.hexdigest(),
         "seed": getattr(args, "seed", None),
-        "versions": _versions(),
+        "versions": {
+            "spectraledge": __version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": ".".join(map(str, sys.version_info[:3])),
+        },
         "wall_time_s": time.time() - started,
     }
     emit_json(manifest, out_path + ".manifest.json")
@@ -152,12 +152,7 @@ def _load_model(args):
     return load_spectrum(config), raw
 
 
-def _outputs(args) -> list[str]:
-    return [args.out] if args.out else []
-
-
-def _cmd_edge(args) -> tuple[list[str], bytes | None]:
-    model, spectrum = _load_model(args)
+def _cmd_edge(args, model) -> list[str]:
     sol = solve_edge(model)
     residuals = edge_residuals(model, sol)
     payload = {
@@ -177,11 +172,10 @@ def _cmd_edge(args) -> tuple[list[str], bytes | None]:
         },
     }
     emit_json(payload, args.out)
-    return _outputs(args), spectrum
+    return [args.out] if args.out else []
 
 
-def _cmd_density(args) -> tuple[list[str], bytes | None]:
-    model, spectrum = _load_model(args)
+def _cmd_density(args, model) -> list[str]:
     start, stop, step = args.start, args.stop, args.step
     if stop is None:
         stop = solve_edge(model).lambda_r + 1.0
@@ -191,19 +185,10 @@ def _cmd_density(args) -> tuple[list[str], bytes | None]:
     s = solve_stieltjes(model, E).s
     rows = zip(E, np.maximum(0.0, s.imag / math.pi), s.imag, s.real)
     emit_csv(rows, ("E", "rho0", "Im_s", "Re_s"), args.out)
-    return _outputs(args), spectrum
+    return [args.out] if args.out else []
 
 
-def _check_threads(args) -> None:
-    if args.threads < 1:
-        raise InvalidConfigError(f"{args.command} requires --threads >= 1, got {args.threads}")
-
-
-def _cmd_simulate(args) -> tuple[list[str], bytes | None]:
-    if args.trials < 1:
-        raise InvalidConfigError("simulate requires at least one trial")
-    _check_threads(args)
-    model, spectrum = _load_model(args)
+def _cmd_simulate(args, model) -> list[str]:
     result = run_ensemble(model, args.trials, dist=args.dist, seed=args.seed, threads=args.threads)
     rows = [(k, result.mu1s[k], result.thetas[k]) for k in range(result.n_trials)]
     emit_csv(rows, ("trial", "mu1", "theta"), args.out)
@@ -216,20 +201,18 @@ def _cmd_simulate(args) -> tuple[list[str], bytes | None]:
     }
     summary_path = args.out + ".summary.json" if args.out else None
     emit_json(summary, summary_path)
-    return [p for p in (args.out, summary_path) if p], spectrum
+    return [args.out, summary_path] if args.out else []
 
 
-def _cmd_twtable(args) -> tuple[list[str], bytes | None]:
+def _cmd_twtable(args, model) -> list[str]:
     rows = tw_table(args.start, args.stop, args.step)
     emit_csv(rows, ("s", "F1", "f1"), args.out)
-    return _outputs(args), None
+    return [args.out] if args.out else []
 
 
-def _cmd_locallaw(args) -> tuple[list[str], bytes | None]:
-    _check_threads(args)
+def _cmd_locallaw(args, model) -> list[str]:
     if args.seeds < 1:
         raise InvalidConfigError(f"locallaw requires --seeds >= 1, got {args.seeds}")
-    model, spectrum = _load_model(args)
     if args.N is not None:
         model = with_size(model, args.N)
     eta = args.eta if args.eta is not None else model.N ** -0.5
@@ -246,29 +229,26 @@ def _cmd_locallaw(args) -> tuple[list[str], bytes | None]:
         for cls in DEVIATION_CLASSES:
             rows.append((seed, cls, report.deviations[cls], report.psi, report.ratios[cls]))
     emit_csv(rows, ("seed", "class", "deviation", "psi", "ratio"), args.out)
-    return _outputs(args), spectrum
+    return [args.out] if args.out else []
 
 
-def _cmd_flow_check(args) -> tuple[list[str], bytes | None]:
-    model, spectrum = _load_model(args)
+def _cmd_flow_check(args, model) -> list[str]:
     times = grid(0.0, args.t_max, args.t_step, "flow-check")
     rows = [
         (float(t), res["b"], res["gamma"], res["E_plus"], res["xi"], res["h"])
         for t, res in zip(times, flow_derivative_checks(model, times, step=args.step))
     ]
     emit_csv(rows, ("t", "res_b", "res_gamma", "res_E_plus", "res_xi", "res_h"), args.out)
-    return _outputs(args), spectrum
+    return [args.out] if args.out else []
 
 
-def _cmd_identity_check(args) -> tuple[list[str], bytes | None]:
-    model, spectrum = _load_model(args)
+def _cmd_identity_check(args, model) -> list[str]:
     state = flow_state(model, args.t)
     residuals = identity_residuals(state)
     emit_json(residuals, args.out)
-    return _outputs(args), spectrum
+    return [args.out] if args.out else []
 
 
-# each handler returns the paths it wrote and the spectrum bytes it ran on (None for twtable)
 _HANDLERS = {
     "edge": _cmd_edge,
     "density": _cmd_density,
@@ -278,6 +258,19 @@ _HANDLERS = {
     "flow-check": _cmd_flow_check,
     "identity-check": _cmd_identity_check,
 }
+
+
+class _NumberToken:
+    """argparse's negative-number test (``^-\\d+$|^-\\d*\\.\\d+$``) widened to every token
+    float() reads, so ``-1e-3`` and ``-inf`` are option values; no option name reads as one."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
 
 
 @functools.lru_cache(maxsize=1)
@@ -329,7 +322,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--seed", type=int, default=0, help="first seed")
     p.add_argument("--dist", choices=NOISE_DISTS, default="gaussian")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads; outputs do not depend on it, and above 1 it competes "
+                        "with numpy's multithreaded BLAS (slower on 2 vCPUs)")
     add_out(p)
 
     p = sub.add_parser("flow-check", help="finite-difference vs analytic flow derivatives")
@@ -344,6 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=0.0)
     add_out(p)
 
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NumberToken
     return parser
 
 
@@ -371,11 +368,10 @@ def run_command(argv) -> int:
 
     started = time.time()
     try:
-        written, spectrum = _HANDLERS[args.command](args)
+        model, spectrum = _load_model(args) if "spectrum" in vars(args) else (None, None)
+        written = _HANDLERS[args.command](args, model)
         if written:
-            config_hash = _config_hash(args, spectrum)
-            for path in written:
-                _write_manifest(args, config_hash, started, path)
+            _write_manifest(args, spectrum, started, written[0])
     except (InvalidConfigError, InvalidArgumentError, DomainError) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)

@@ -169,10 +169,8 @@ def rigidity_scan(model: SpectrumModel, Ns, trials: int, seed: int = 0) -> float
     spectral shape; per size, one Gaussian `run_ensemble` keyed by seed + N
     gives mu1 per trial and the deterministic edge lambda_r.  A slope needs
     at least two distinct sizes, each at least 50; the sizes are checked
-    before anything is sampled.
+    before anything is sampled, and `run_ensemble` refuses trials < 1.
     """
-    if trials < 1:
-        raise InvalidArgumentError("trials must be positive")
     if len(set(Ns)) < 2:
         raise InvalidArgumentError(f"rigidity scan needs at least two distinct sizes, got {list(Ns)}")
     if min(Ns) < 50:

@@ -196,8 +196,15 @@ def largest_eigenvalue(Y: np.ndarray) -> float:
     return float(doubles[M * M])
 
 
+def _require_count(name: str, value: int) -> None:
+    """The one rule for trial and thread counts: at least 1, else InvalidArgumentError."""
+    if value < 1:
+        raise InvalidArgumentError(f"{name} must be >= 1, got {value}")
+
+
 def pmap(fn, items, threads: int) -> list:
-    """[fn(item) for item in items], on a pool of the given number of threads when above 1."""
+    """[fn(item) for item in items], on a pool of `threads` threads when above 1; below 1 it raises."""
+    _require_count("threads", threads)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
@@ -235,10 +242,11 @@ def run_ensemble(
     E_plus = gamma0 lambda_r.  Trials are independent (seed, trial)-keyed
     streams, so the result is invariant to the worker count.  The KS distance
     is taken against the tabulated F1, within about 1e-14 of the direct
-    determinant.
+    determinant.  n_trials < 1 or threads < 1 raises InvalidArgumentError
+    before the edge is solved.
     """
-    if n_trials < 0:
-        raise InvalidArgumentError("n_trials must be nonnegative")
+    _require_count("n_trials", n_trials)
+    _require_count("threads", threads)
     if dist not in NOISE_DISTS:
         raise InvalidConfigError(f"unknown noise distribution {dist!r}; expected one of {NOISE_DISTS}")
     sol = solve_edge(model)
@@ -252,16 +260,11 @@ def run_ensemble(
     mu1s = np.array(pmap(one_trial, range(n_trials), threads), dtype=float)
     thetas = g * N23 * (mu1s - lam)
 
-    if n_trials:
-        mean = float(np.mean(thetas))
-        variance = float(np.var(thetas))
-        ks = ks_distance(thetas, f1_cdf_tabulated)
-    else:
-        mean = variance = ks = math.nan
     mu1s.flags.writeable = False
     thetas.flags.writeable = False
     return EnsembleResult(
         thetas=thetas, mu1s=mu1s, n_trials=n_trials,
-        mean=mean, variance=variance, ks_distance=ks,
+        mean=float(np.mean(thetas)), variance=float(np.var(thetas)),
+        ks_distance=ks_distance(thetas, f1_cdf_tabulated),
         lambda_r=lam, gamma0=g,
     )

@@ -153,10 +153,10 @@ def with_size(model: SpectrumModel, N: int) -> SpectrumModel:
     """Regenerate the model at a new noise dimension N, keeping c_N and the spectral shape.
 
     N is a Python or numpy integer, not a bool; any other N raises
-    InvalidArgumentError.  Only generated spectra (constant, uniform_sq) can be
-    resized; an explicit list has no size-free description.  The new
-    M = c_N N must be a positive integer (to 1e-9 relative): rounding it
-    would quietly change c_N.
+    InvalidArgumentError.  Only generated spectra (constant, uniform_sq) loaded
+    by `load_spectrum` can be resized; an explicit list has no size-free
+    description.  The new M = c_N N must be a positive integer (to 1e-9
+    relative): rounding it would quietly change c_N.
     """
     try:
         size = None if isinstance(N, bool) else operator.index(N)
@@ -168,7 +168,9 @@ def with_size(model: SpectrumModel, N: int) -> SpectrumModel:
     if N == model.N:
         return model
     config = model.config
-    if config is None or config.get("type") == "explicit":
+    if config is None:
+        raise InvalidConfigError("cannot resize a model that load_spectrum did not build: it has no config")
+    if config.get("type") == "explicit":
         raise InvalidConfigError("cannot resize an explicit spectrum")
     exact_M = model.M * N / model.N
     M = round(exact_M)

@@ -1,20 +1,26 @@
-"""Every package name that the benchmark under perfbench/ reaches must exist.
+"""Every package name and CLI argv that the benchmark under perfbench/ reaches must exist.
 
 perfbench/tracer.py wraps the functions listed in its WRAPPED tuple by module
 and name, and the benchmark's scripts import from spectraledge.  Both are read
-here with ast, so nothing under perfbench/ is imported or run; a change that
-deletes or renames one of those names fails here rather than in a traced run.
-The package's public surface, `spectraledge.__all__`, is pinned here too, so a
-change to the API shows in this file's diff.
+here with ast.  perfbench/workloads.py, which imports nothing from the package,
+is imported read-only by file path, and every argv its ``commands`` builds, for
+both workloads at both reference seeds, is parsed by the CLI parser; nothing is
+run.  A change that deletes or renames one of those names or options fails here
+rather than in a benchmark run.  The package's public surface,
+`spectraledge.__all__`, is pinned here too, so a change to the API shows in this
+file's diff.
 """
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 import spectraledge
+from spectraledge.cli import _build_parser
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -36,8 +42,18 @@ def _imports() -> list:
     return found
 
 
+def _workloads():
+    """perfbench/workloads.py as a module, imported read-only by file path."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # @dataclass looks its module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
 WRAPPED = _wrapped()
 IMPORTS = _imports()
+WORKLOADS = _workloads()
 
 
 def test_hooks_are_found():
@@ -53,6 +69,15 @@ def test_wrapped_name_resolves(module, name):
                          [pytest.param(m, n, id=f"{f}:{m}.{n}") for f, m, n in IMPORTS])
 def test_imported_name_resolves(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize("seed", WORKLOADS.REFERENCE_SEEDS)
+@pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
+def test_benchmark_argv_parses(workload, seed):
+    for command in WORKLOADS.commands(workload, seed):
+        # the runner appends --out, which simulate requires
+        args = _build_parser().parse_args([*command.args, "--out", command.out])
+        assert args.command == command.name
 
 
 PUBLIC = [

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -111,7 +112,7 @@ def test_density_without_stop_solves_the_edge_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("grid", [("--to", "inf"), ("--to", "nan"), ("--step", "nan"),
-                                  ("--step", "inf"), ("--from", "nan"), ("--from=-inf",)])
+                                  ("--step", "inf"), ("--from", "nan"), ("--from", "-inf")])
 def test_density_non_finite_grid_is_argument_error(zeros_c_half, tmp_path, capsys, grid):
     out = tmp_path / "rho.csv"
     code = run_command(["density", "--spectrum", str(zeros_c_half), *grid, "--out", str(out)])
@@ -137,12 +138,14 @@ def test_density_at_zero_is_argument_error(zeros_c_half, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_simulate_zero_trials_is_config_error(const1, tmp_path):
+def test_simulate_zero_trials_is_config_error(const1, tmp_path, capsys):
     code = run_command([
         "simulate", "--spectrum", str(const1), "--trials", "0",
         "--out", str(tmp_path / "x.csv"),
     ])
     assert code == 2
+    assert "n_trials must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "locallaw"])
@@ -152,7 +155,7 @@ def test_thread_count_below_one_is_config_error(const1, tmp_path, capsys, comman
     code = run_command([command, "--spectrum", str(const1), *extra, "--threads", threads,
                         "--out", str(tmp_path / "x.csv")])
     assert code == 2
-    assert f"--threads >= 1, got {threads}" in capsys.readouterr().err
+    assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -245,6 +248,52 @@ def test_out_dash_is_stdout_and_writes_no_file(tmp_path, monkeypatch, capsys, ar
         assert out == expected
 
 
+# every float option, with the message of the library check that refuses -inf there
+_GRID = "grid requires finite bounds, step > 0 and stop >= start"
+_FLOAT_OPTION_REFUSALS = {
+    ("density", "--from"): "density " + _GRID,
+    ("density", "--to"): "density " + _GRID,
+    ("density", "--step"): "density " + _GRID,
+    ("twtable", "--from"): "twtable " + _GRID,
+    ("twtable", "--to"): "twtable " + _GRID,
+    ("twtable", "--step"): "twtable " + _GRID,
+    ("locallaw", "--eta"): "locallaw requires a finite z with Im z > 0",
+    ("locallaw", "--E-offset"): "locallaw requires a finite z with Im z > 0",
+    ("flow-check", "--t-max"): "flow-check " + _GRID,
+    ("flow-check", "--t-step"): "flow-check " + _GRID,
+    ("flow-check", "--step"): "finite-difference step must be positive",
+    ("identity-check", "--t"): "flow time must be nonnegative, got -inf",
+}
+
+
+def _float_options():
+    """(command, option, dest) for every type=float option of the CLI parser."""
+    sub = next(a for a in cli_module._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0], action.dest)
+            for command, parser in sub.choices.items() for action in parser._actions if action.type is float]
+
+
+def _base_argv(command):
+    if command == "twtable":
+        return ["twtable", "--from", "0", "--to", "1", "--step", "0.5"]
+    return [command, "--spectrum", str(GOLDEN_SPECTRUM)]
+
+
+def test_float_option_table_covers_the_parser():
+    assert {(c, o) for c, o, _ in _float_options()} == set(_FLOAT_OPTION_REFUSALS)
+
+
+@pytest.mark.parametrize("command, option, dest", _float_options(), ids=str)
+def test_float_option_takes_negative_exponent_and_infinity(tmp_path, capsys, command, option, dest):
+    # argparse's own negative-number pattern took -1e-3 and -inf for option names
+    args = cli_module._build_parser().parse_args([*_base_argv(command), option, "-1e-3"])
+    assert getattr(args, dest) == -0.001
+    out = tmp_path / "out.txt"
+    assert run_command([*_base_argv(command), option, "-inf", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {_FLOAT_OPTION_REFUSALS[command, option]}")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_parser_is_built_once_and_reused():
     assert cli_module._build_parser() is cli_module._build_parser()
     assert cli_module._build_parser.cache_info().currsize == 1
@@ -293,9 +342,6 @@ def test_config_hash_is_options_then_spectrum_bytes(tmp_path, argv, options):
         digest.update(GOLDEN_SPECTRUM.read_bytes())
     manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
     assert manifest["config_hash"] == digest.hexdigest()
-    if argv[0] == "simulate":
-        summary = json.loads((tmp_path / "out.csv.summary.json.manifest.json").read_text())
-        assert summary["config_hash"] == manifest["config_hash"]
 
 
 def test_simulate_outputs_and_manifest(const1, tmp_path):
@@ -305,6 +351,9 @@ def test_simulate_outputs_and_manifest(const1, tmp_path):
         "--dist", "gaussian", "--seed", "7", "--out", str(out),
     ])
     assert code == 0
+    # one manifest per run, beside the first output
+    assert sorted(p.name for p in tmp_path.glob("thetas*")) == [
+        "thetas.csv", "thetas.csv.manifest.json", "thetas.csv.summary.json"]
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "trial,mu1,theta"
     assert len(lines) == 13
@@ -391,7 +440,7 @@ def test_locallaw_threads_byte_identical_across_chunks(const1, tmp_path):
 
 
 @pytest.mark.parametrize("option", [("--seeds", "0"), ("--eta", "nan"), ("--eta", "inf"),
-                                    ("--eta", "0"), ("--E-offset", "nan"), ("--E-offset=-inf",)])
+                                    ("--eta", "0"), ("--E-offset", "nan"), ("--E-offset", "-inf")])
 def test_locallaw_bad_option_is_refused(const1, tmp_path, capsys, option):
     out = tmp_path / "ll.csv"
     code = run_command(["locallaw", "--spectrum", str(const1), "--N", "60", "--seeds", "2",

@@ -106,7 +106,7 @@ def test_largest_eigenvalue_against_cubic_oracle():
         assert largest_eigenvalue(Y) == pytest.approx(expected, abs=1e-10)
 
 
-def test_largest_eigenvalue_svd_path_matches_eigh():
+def test_largest_eigenvalue_matches_svd():
     rng = np.random.default_rng(8)
     Y = rng.normal(size=(420, 500)) / math.sqrt(500)
     sv = np.linalg.svd(Y, compute_uv=False)[0] ** 2
@@ -310,11 +310,24 @@ def test_sample_matrix_streams_are_pinned(dist):
     assert np.array_equal(sample_matrix(model, dist, np.int64(21), np.int64(4)), X)
 
 
-def test_empty_ensemble_is_flagged():
-    result = run_ensemble(constant_model(10, 10), 0, seed=0)
-    assert result.n_trials == 0
-    assert result.thetas.size == 0
-    assert math.isnan(result.mean) and math.isnan(result.variance) and math.isnan(result.ks_distance)
+def test_empty_ensemble_is_flagged(monkeypatch):
+    # a count below 1 is refused at entry, before the edge is solved
+    solves = []
+    monkeypatch.setattr(montecarlo, "solve_edge", lambda model: solves.append(model))
+    model = constant_model(10, 10)
+    with pytest.raises(InvalidArgumentError, match="n_trials must be >= 1, got 0"):
+        run_ensemble(model, 0)
+    for threads in (0, -1):
+        with pytest.raises(InvalidArgumentError, match=f"threads must be >= 1, got {threads}"):
+            run_ensemble(model, 4, threads=threads)
+    assert solves == []
+
+
+def test_pmap_refuses_a_thread_count_below_one():
+    calls = []
+    with pytest.raises(InvalidArgumentError, match="threads must be >= 1, got 0"):
+        montecarlo.pmap(calls.append, range(3), 0)
+    assert calls == []
 
 
 def test_ensemble_statistics_recomputable():

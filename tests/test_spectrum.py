@@ -143,8 +143,18 @@ def test_with_size_refuses_a_non_integer_size(N):
 
 def test_with_size_rejects_explicit():
     model = load_spectrum({"type": "explicit", "d": [1.0, 0.5], "M": 2, "N": 4})
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(InvalidConfigError, match="cannot resize an explicit spectrum"):
         with_size(model, 8)
+
+
+@pytest.mark.parametrize("model", [
+    SpectrumModel(d=np.ones(3), M=3, N=6),
+    load_spectrum({"type": "constant", "d": 1, "M": 3, "N": 6}).scaled(0.5),
+], ids=["built_directly", "scaled"])
+def test_with_size_names_a_missing_config(model):
+    # neither model is explicit: the refusal names the absent config instead
+    with pytest.raises(InvalidConfigError, match="load_spectrum did not build: it has no config"):
+        with_size(model, 12)
 
 
 def test_model_is_immutable():
