@@ -131,7 +131,7 @@ def _write_manifest(args, spectrum: bytes | None, started: float, out_path: str)
             "scipy": scipy.__version__,
             "python": ".".join(map(str, sys.version_info[:3])),
         },
-        "wall_time_s": time.time() - started,
+        "wall_time_s": time.perf_counter() - started,
     }
     emit_json(manifest, out_path + ".manifest.json")
 
@@ -366,7 +366,7 @@ def run_command(argv) -> int:
     if args.out == "-":  # every subcommand has --out
         args.out = None
 
-    started = time.time()
+    started = time.perf_counter()
     try:
         model, spectrum = _load_model(args) if "spectrum" in vars(args) else (None, None)
         written = _HANDLERS[args.command](args, model)

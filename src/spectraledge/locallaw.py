@@ -1,9 +1,10 @@
 """Linearized resolvent of sampled instances vs the deterministic entry profiles.
 
 The resolvent G = H(z)^{-1} of the (M+N) x (M+N) linearization is reduced
-chunk by chunk from one eigendecomposition of Y Y^T: each row chunk is one real
-GEMM, its diagonal entries are kept and its off-diagonal moduli fold into a
-running max, so no block of G is held whole.
+from one eigendecomposition of Y Y^T.  Its right factor is built one column
+block at a time; each row chunk that meets a block is one real GEMM, whose
+diagonal entries are kept and whose off-diagonal moduli fold into a running
+max, so neither a block of G nor the whole right factor is ever held.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ def build_linearization(Y: np.ndarray, z: complex) -> np.ndarray:
     return H
 
 
-# rows of G per GEMM in the reducer; 128 and 256 time the same on 2 vCPU, 512 is slower
+# rows of G per GEMM, and columns of the right factor per block, in the reducer.  On 2 vCPU,
+# 128 and 256 rows time the same and 512 is slower; at 500 x 1000, blocks of 128, 256 or 512
+# columns time the same and 64 is about 10% slower.
 CHUNK_ROWS = 128
 
 
@@ -66,11 +69,15 @@ def _resolvent_reduce(Y: np.ndarray, z: complex):
 
     By the Schur complement of H's lower-right -I, with Y Y^T = U diag(lam) U^T,
     W = U^T Y and D = diag(1/(lam - z)):  G11 = U D U^T, G12 = U D W = G21^T and
-    G22 = W^T D W - I.  One right factor R = D [W | U^T] serves all three: a chunk
-    of rows is one real GEMM of a slice of U or W^T against R viewed as
-    interleaved re/im.  G11 and G22 are complex symmetric, so only their lower
-    block triangle is formed.  No block is ever held whole.  The partner pairs
-    (i, M+i), the diagonal of G12, are left out of the off-diagonal maximum.
+    G22 = W^T D W - I.  One right factor R = D [W | U^T] serves all three.  It is
+    built one block of CHUNK_ROWS columns at a time, each block once, and each
+    chunk of rows of U or W^T that needs a block is one real GEMM against it,
+    viewed as interleaved re/im.  A chunk forms the same entries as one product
+    of its rows with the whole of R would: the columns below offset + r1, where
+    offset is N for U's rows and 0 for W^T's.  So G11 and G22, which are
+    complex symmetric, are formed in their lower block triangle only.  Neither
+    R nor any block of G is held whole.  The partner pairs (i, M+i), the
+    diagonal of G12, are left out of the off-diagonal maximum.
 
     Returns (diag G11, diag G12, diag G22, off-diagonal max).
     """
@@ -81,26 +88,23 @@ def _resolvent_reduce(Y: np.ndarray, z: complex):
         raise NumericError(f"eigendecomposition of Y Y^T failed: {exc}") from exc
     W = U.T @ Y
     D = (1.0 / (lam - z))[:, None]
-    R = np.empty((M, N + M), dtype=complex)
-    np.multiply(D, W, out=R[:, :N])
-    np.multiply(D, U.T, out=R[:, N:])
-    Rf = R.view(float)
 
     g11, g12, g22 = np.empty(M, dtype=complex), np.empty(M, dtype=complex), np.empty(N, dtype=complex)
     off_max = 0.0
-    # rows of [G12 | lower G11] from U, then rows of lower W^T D W from W^T
-    for left, offset in ((U, N), (W.T, 0)):
-        for r0 in range(0, left.shape[0], CHUNK_ROWS):
-            r1 = min(r0 + CHUNK_ROWS, left.shape[0])
-            k = np.arange(r1 - r0)
-            G = (left[r0:r1] @ Rf[:, : 2 * (offset + r1)]).view(complex)
-            if offset:
-                g12[r0:r1], g11[r0:r1] = G[k, r0 + k], G[k, N + r0 + k]
-                G[k, r0 + k] = G[k, N + r0 + k] = 0.0
-            else:
-                g22[r0:r1] = G[k, r0 + k]
-                G[k, r0 + k] = 0.0
-            off_max = max(off_max, float(np.abs(G).max()))
+    # a block of D W meets every row of U (G12) and the rows of W^T from s0 on (lower G22);
+    # a block of D U^T meets the rows of U from s0 on (lower G11)
+    for source, targets in ((W, ((U, g12, False), (W.T, g22, True))), (U.T, ((U, g11, True),))):
+        for s0 in range(0, source.shape[1], CHUNK_ROWS):
+            Rf = np.multiply(D, source[:, s0:s0 + CHUNK_ROWS], order="C").view(float)
+            for left, diag, lower in targets:
+                for r0 in range(s0 if lower else 0, left.shape[0], CHUNK_ROWS):
+                    r1 = min(r0 + CHUNK_ROWS, left.shape[0])
+                    # a lower chunk forms only its columns below r1: its block triangle
+                    G = (left[r0:r1] @ (Rf[:, : 2 * (r1 - s0)] if lower else Rf)).view(complex)
+                    i = np.arange(max(r0, s0), min(r1, s0 + G.shape[1]))
+                    diag[i] = G[i - r0, i - s0]
+                    G[i - r0, i - s0] = 0.0
+                    off_max = max(off_max, float(np.abs(G).max()))
     g22 -= 1.0
     return g11, g12, g22, off_max
 
@@ -122,10 +126,12 @@ def locallaw_deviation(model: SpectrumModel, Y: np.ndarray, z: complex) -> Local
 
     z must be finite with Im z > 0 and Y of shape (M, N); otherwise
     InvalidArgumentError, before any solve.  G is never formed: one
-    eigendecomposition of Y Y^T feeds a reducer that builds G in row chunks of
-    CHUNK_ROWS, keeps the diagonals and folds the off-diagonal moduli into a
-    running max (see _resolvent_reduce), so memory stays
-    O((M + N) * (M + CHUNK_ROWS)) rather than one complex N x N block.
+    eigendecomposition of Y Y^T feeds a reducer that builds G in blocks of
+    CHUNK_ROWS rows by CHUNK_ROWS columns, keeps the diagonals and folds the
+    off-diagonal moduli into a running max (see _resolvent_reduce).  It holds
+    U, W = U^T Y and one column block of the right factor, so memory stays
+    O(M (M + N) + CHUNK_ROWS (M + CHUNK_ROWS)) rather than one complex N x N
+    block.
     Classes: diagonal signal rows (ii), their partners (barbar), the signal
     cross entries (cross), pure-noise diagonal (mumu), off-diagonal maximum
     excluding partner pairs (offdiag), and the averaged trace vs s(z) (avg).

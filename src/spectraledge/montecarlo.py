@@ -8,20 +8,24 @@ eigen steps at once.  Their first load pins scipy's bundled OpenBLAS to one
 thread for the whole process: the last bits of mu1 depend on the BLAS thread
 count, and at one BLAS thread per call neither that count nor the worker count
 can move them.  numpy's own OpenBLAS is a separate library and keeps its count.
-scipy.linalg is loaded on the first call, never at import.
+The two capsule modules are loaded from their extension files on the first
+call, never at import, and the scipy.linalg package itself is never imported.
 """
 
 from __future__ import annotations
 
 import ctypes
 import glob
-import importlib
+import importlib.util
 import logging
 import math
 import os
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -102,14 +106,46 @@ def _capsule_signature(module: str, kinds: str) -> str:
     return "void (" + ", ".join({"c": "char *", "i": "int *"}.get(k, double) for k in kinds) + ")"
 
 
+# one capsule-module load at a time: two threads must not initialise one extension module at once
+_LOAD_LOCK = threading.Lock()
+
+
+def _capsule_module(module: str):
+    """scipy.linalg.<module>, loaded from its own extension file so that scipy.linalg's __init__ never runs.
+
+    An entry already in sys.modules is reused.  A module loaded here is taken
+    back out of sys.modules, where its own init put it: a later import of it
+    then takes the normal path, which gets this same module back from the
+    extension and binds it as an attribute of scipy.linalg.  No extension file
+    raises NumericError naming the module.
+    """
+    name = f"scipy.linalg.{module}"
+    with _LOAD_LOCK:
+        if name in sys.modules:
+            return sys.modules[name]
+        import scipy
+
+        directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+        if spec is None:
+            raise NumericError(f"{name} has no extension file in {directory}")
+        loaded = importlib.util.module_from_spec(spec)
+        try:
+            spec.loader.exec_module(loaded)
+        finally:
+            sys.modules.pop(name, None)
+        return loaded
+
+
 def _capsule_routine(module: str, name: str):
     """A ctypes foreign function over the C pointer scipy.linalg.<module> exports for `name`.
 
-    The capsule's name is its C signature; a name other than the expected one
-    raises NumericError rather than calling through a wrong prototype.  Calls
-    through the CFUNCTYPE release the GIL.
+    The module comes from `_capsule_module`.  The capsule's name is its C
+    signature; a name other than the expected one raises NumericError rather
+    than calling through a wrong prototype.  Calls through the CFUNCTYPE
+    release the GIL.
     """
-    capsule = importlib.import_module(f"scipy.linalg.{module}").__pyx_capi__[name]
+    capsule = _capsule_module(module).__pyx_capi__[name]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
@@ -155,7 +191,11 @@ def _pin_scipy_openblas() -> str:
 
 @lru_cache(maxsize=1)
 def _lapack():
-    """(dsyrk, dsyevr) for `largest_eigenvalue`, loaded on its first call with the BLAS pin."""
+    """(dsyrk, dsyevr) for `largest_eigenvalue`, loaded on its first call with the BLAS pin.
+
+    Only the cython_blas and cython_lapack extension modules are loaded, not
+    the scipy.linalg package; a failed load leaves the cache empty.
+    """
     routines = _capsule_routine("cython_blas", "dsyrk"), _capsule_routine("cython_lapack", "dsyevr")
     log.debug("largest_eigenvalue: dsyrk Gram, dsyevr top index, called through the cython_blas and "
               "cython_lapack capsules with the GIL released; %s", _pin_scipy_openblas())

@@ -303,6 +303,41 @@ def f2py_largest_eigenvalue(Y):
 # Local law: the resolvent by a dense solve of the full linearization
 # ---------------------------------------------------------------------------
 
+def whole_factor_resolvent_reduce(Y, z):
+    """`locallaw._resolvent_reduce` as it was before its column blocks: the whole right factor at once.
+
+    R = D [W | U^T] is held whole, and each chunk of CHUNK_ROWS rows of U, then
+    of W^T, is one GEMM against R's columns below offset + r1, where offset is
+    N for U's rows and 0 for W^T's.  Returns (diag G11, diag G12, diag G22,
+    off-diagonal max).
+    """
+    from spectraledge.locallaw import CHUNK_ROWS
+
+    M, N = Y.shape
+    lam, U = np.linalg.eigh(Y @ Y.T)
+    W = U.T @ Y
+    D = (1.0 / (lam - z))[:, None]
+    R = np.empty((M, N + M), dtype=complex)
+    np.multiply(D, W, out=R[:, :N])
+    np.multiply(D, U.T, out=R[:, N:])
+    Rf = R.view(float)
+    g11, g12, g22 = np.empty(M, dtype=complex), np.empty(M, dtype=complex), np.empty(N, dtype=complex)
+    off_max = 0.0
+    for left, offset in ((U, N), (W.T, 0)):
+        for r0 in range(0, left.shape[0], CHUNK_ROWS):
+            r1 = min(r0 + CHUNK_ROWS, left.shape[0])
+            k = np.arange(r1 - r0)
+            G = (left[r0:r1] @ Rf[:, : 2 * (offset + r1)]).view(complex)
+            if offset:
+                g12[r0:r1], g11[r0:r1] = G[k, r0 + k], G[k, N + r0 + k]
+                G[k, r0 + k] = G[k, N + r0 + k] = 0.0
+            else:
+                g22[r0:r1] = G[k, r0 + k]
+                G[k, r0 + k] = 0.0
+            off_max = max(off_max, float(np.abs(G).max()))
+    return g11, g12, g22 - 1.0, off_max
+
+
 def dense_locallaw_report(model, Y, z):
     """Every LocalLawReport field, with G = H(z)^{-1} from np.linalg.solve against I.
 

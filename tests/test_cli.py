@@ -367,6 +367,16 @@ def test_simulate_outputs_and_manifest(const1, tmp_path):
     assert "numpy" in manifest["versions"]
 
 
+def test_manifest_wall_time_ignores_a_wall_clock_step(const1, tmp_path, monkeypatch):
+    # the wall clock steps back an hour on every read; the run's duration must not
+    readings = iter(range(10**6, 0, -3600))
+    monkeypatch.setattr(cli_module.time, "time", lambda: float(next(readings)))
+    out = tmp_path / "edge.json"
+    assert run_command(["edge", "--spectrum", str(const1), "--out", str(out)]) == 0
+    wall = json.loads((tmp_path / "edge.json.manifest.json").read_text())["wall_time_s"]
+    assert 0.0 <= wall < 60.0
+
+
 def test_config_hash_covers_every_option_that_changes_output(const1, tmp_path):
     def config_hash(*options, spectrum=const1):
         out = tmp_path / f"run{len(list(tmp_path.glob('run*.csv')))}.csv"

@@ -18,7 +18,8 @@ from spectraledge import (
 import spectraledge.locallaw as locallaw_module
 from spectraledge.locallaw import DEVIATION_CLASSES, _resolvent_reduce
 
-from oracles import dense_locallaw_report, minor_noise_resolvent, resolvent_identity_residual
+from oracles import (dense_locallaw_report, minor_noise_resolvent, resolvent_identity_residual,
+                     whole_factor_resolvent_reduce)
 
 
 def constant_model(M, N):
@@ -261,6 +262,23 @@ def test_blockwise_resolvent_matches_dense_without_noise():
     _assert_matches_dense(model, R, complex(solve_edge(model).lambda_r, 0.1))
 
 
+@pytest.mark.parametrize("spectrum, M, N", [("uniform_sq", 30, 60), ("uniform_sq", 60, 120),
+                                             ("uniform_sq", 500, 1000), ("constant", 300, 300)])
+def test_blocked_reducer_keeps_the_bits_of_the_whole_factor(spectrum, M, N):
+    # at the golden's, the benchmark's and the CLI tests' shapes every output is bit-identical to
+    # the reducer that holds the whole right factor.  At some other shapes (150 x 300, for one)
+    # a short last row chunk or a GEMM tail takes another BLAS kernel and moves the last bits.
+    config = {"uniform_sq": {"v_min": 0.5, "v_max": 2}, "constant": {"d": 1}}[spectrum]
+    model = load_spectrum({"type": spectrum, **config, "M": M, "N": N})
+    Y = sample_matrix(model, "gaussian", seed=1, trial=0)
+    z = complex(solve_edge(model).lambda_r, N ** -0.5)
+    *diagonals, off_max = _resolvent_reduce(Y, z)
+    *expected, expected_max = whole_factor_resolvent_reduce(Y, z)
+    for got, want in zip(diagonals, expected):
+        assert np.array_equal(got.view(float), want.view(float))
+    assert off_max == expected_max
+
+
 # the shapes below span several row chunks and end mid-chunk
 
 
@@ -280,17 +298,19 @@ def test_blockwise_resolvent_matches_dense_square_across_chunks():
 
 
 def test_deviation_peak_memory_below_one_full_block():
-    # one complex N x N block (G22) is N^2 * 16 bytes; the reducer never holds one
-    model = constant_model(200, 1000)
-    Y = sample_matrix(model, "gaussian", seed=0, trial=0)
-    z = complex(solve_edge(model).lambda_r, model.N ** -0.5)
-    tracemalloc.start()
-    try:
-        locallaw_deviation(model, Y, z)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < model.N ** 2 * 16
+    # one complex N x N block (G22) is N^2 * 16 bytes; the reducer never holds one, nor the whole
+    # M x (N + M) right factor, 12 MB at the benchmark's 500 x 1000
+    for M, N in ((200, 1000), (500, 1000)):
+        model = constant_model(M, N)
+        Y = sample_matrix(model, "gaussian", seed=0, trial=0)
+        z = complex(solve_edge(model).lambda_r, model.N ** -0.5)
+        tracemalloc.start()
+        try:
+            locallaw_deviation(model, Y, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < model.N ** 2 * 16, (M, N, peak)
 
 
 def test_eigensolver_failure_is_numeric_error(monkeypatch):

@@ -168,15 +168,65 @@ def test_first_eigenvalue_call_logs_its_path(caplog):
     assert re.search(r"scipy's OpenBLAS libscipy_openblas\S*\.so pinned to 1 thread$", record.message)
 
 
-def test_import_loads_no_lapack():
+def _run_python(code):
+    """stdout of `code` in a fresh interpreter that imports this checkout's package."""
     src = os.path.dirname(os.path.dirname(spectraledge.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, spectraledge, spectraledge.cli\n"
-            "from spectraledge.montecarlo import _lapack\n"
-            "print('scipy.linalg' in sys.modules, _lapack.cache_info().currsize)")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = [src, tests, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
-    assert out.stdout.split() == ["False", "0"]
+    return out.stdout.split()
+
+
+def test_import_loads_no_lapack(tmp_path):
+    # neither the import nor mu1 nor a whole simulate run imports the scipy.linalg package
+    spectrum = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "uniform_sq_30x60.json")
+    argv = ["simulate", "--spectrum", spectrum, "--trials", "3", "--out", str(tmp_path / "thetas.csv")]
+    code = ("import sys, spectraledge, spectraledge.cli\n"
+            "from spectraledge.montecarlo import _lapack\n"
+            "print('scipy.linalg' in sys.modules, _lapack.cache_info().currsize)\n"
+            "_lapack()\n"
+            "print('scipy.linalg' in sys.modules, _lapack.cache_info().currsize)\n"
+            f"print(spectraledge.cli.run_command({argv!r}), 'scipy.linalg' in sys.modules)")
+    assert _run_python(code) == ["False", "0", "False", "1", "0", "False"]
+
+
+def test_concurrent_first_calls_agree():
+    # four threads make the process's first mu1 calls at once, so they race to load the capsules
+    code = ("import threading\nimport numpy as np\nfrom spectraledge import largest_eigenvalue\n"
+            "Y = np.random.default_rng(24).normal(size=(40, 90))\n"
+            "start, values = threading.Barrier(4, timeout=60), []\n"
+            "def first_call():\n"
+            "    start.wait()\n"
+            "    values.append(largest_eigenvalue(Y))\n"
+            "threads = [threading.Thread(target=first_call) for _ in range(4)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join()\n"
+            "print(len(values), len(set(values)), values[0] == largest_eigenvalue(Y))")
+    assert _run_python(code) == ["4", "1", "True"]
+
+
+# the capsule modules loaded first and scipy.linalg imported after, then the reverse
+_LOAD_ORDERS = {
+    "capsules_first": "largest_eigenvalue(np.ones((2, 3)))\nimport scipy.linalg.lapack\n",
+    "scipy_linalg_first": "import scipy.linalg.lapack\nlargest_eigenvalue(np.ones((2, 3)))\n",
+}
+
+
+@pytest.mark.parametrize("order", sorted(_LOAD_ORDERS))
+def test_capsule_modules_and_scipy_linalg_load_in_either_order(order):
+    code = ("import sys\nimport numpy as np\nfrom spectraledge import largest_eigenvalue\n"
+            + _LOAD_ORDERS[order] +
+            "import scipy.linalg.cython_blas\nfrom scipy.linalg import cython_lapack\n"
+            "from oracles import f2py_largest_eigenvalue\n"
+            "from spectraledge.montecarlo import _capsule_module\n"
+            "print(scipy.linalg.cython_blas is _capsule_module('cython_blas'),"
+            " cython_lapack is sys.modules['scipy.linalg.cython_lapack'] is _capsule_module('cython_lapack'))\n"
+            "rng = np.random.default_rng(23)\n"
+            "Ys = [rng.normal(size=(7, 11)), rng.normal(size=(120, 240)), np.ones((3, 4))]\n"
+            "print(all(largest_eigenvalue(Y) == f2py_largest_eigenvalue(Y) for Y in Ys))")
+    assert _run_python(code) == ["True", "True", "True"]
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +277,21 @@ def test_capsule_with_unexpected_signature_is_numeric_error(monkeypatch):
     monkeypatch.setitem(montecarlo._ARG_KINDS, "dsyevr", montecarlo._ARG_KINDS["dsyevr"][:-1])
     _lapack.cache_clear()
     with pytest.raises(NumericError, match="cython_lapack.dsyevr has signature"):
+        largest_eigenvalue(np.ones((3, 4)))
+    assert _lapack.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("module", ["cython_blas", "cython_lapack"])
+def test_missing_capsule_module_is_numeric_error(monkeypatch, module):
+    # the finder sees no extension file for this one module: the loader must name it and cache nothing
+    class Finder(montecarlo.FileFinder):
+        def find_spec(self, fullname, target=None):
+            return None if fullname == f"scipy.linalg.{module}" else super().find_spec(fullname, target)
+
+    monkeypatch.delitem(sys.modules, f"scipy.linalg.{module}", raising=False)
+    monkeypatch.setattr(montecarlo, "FileFinder", Finder)
+    _lapack.cache_clear()
+    with pytest.raises(NumericError, match=rf"scipy\.linalg\.{module} has no extension file in "):
         largest_eigenvalue(np.ones((3, 4)))
     assert _lapack.cache_info().currsize == 0
 
