@@ -1,9 +1,10 @@
 """Command-line front end: configuration parsing, CSV/JSON emission, reproducibility metadata.
 
 ``run_command`` owns each run: it loads the ``--spectrum`` file once, calls the
-handler ``_cmd_*(args, model)``, which returns the paths it wrote (none for
-stdout), and writes one manifest, at ``<first path>.manifest.json``.  The
-library checks the trial and thread counts; the CLI checks only ``--seeds``.
+handler ``_cmd_*(args, model)``, which writes only to ``--out`` (simulate also to
+``<out>.summary.json``), and writes one manifest, at ``<out>.manifest.json``,
+when ``--out`` names a file.  Every count, ``--seeds`` included, goes through
+the library's one count rule, and an output that cannot be written exits 2.
 
 The argument parser is built once per process, on the first ``run_command``
 call, and reused: building it costs about 2 ms (seven subparsers, each
@@ -28,12 +29,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .edge import edge_residuals, solve_edge
+from .edge import edge_residuals, find_edge, solve_edge
 from .errors import DomainError, InvalidArgumentError, InvalidConfigError, SpectralEdgeError
 from .flow import flow_derivative_checks, flow_state
 from .identities import identity_residuals
 from .locallaw import DEVIATION_CLASSES, check_z, locallaw_deviation
-from .montecarlo import NOISE_DISTS, pmap, run_ensemble, sample_matrix
+from .montecarlo import NOISE_DISTS, _require_count, pmap, run_ensemble, sample_matrix
 from .spectrum import grid, load_spectrum, with_size
 from .stieltjes import solve_stieltjes
 from .tracywidom import tw_table
@@ -78,12 +79,17 @@ def _json_body(obj, indent=0) -> str:
 
 
 def _write(body: str, path) -> str:
-    """Write body to the file at path, or to stdout when path is None; return body."""
+    """Write body to the file at path, or to stdout when path is None; return body.
+
+    A path that cannot be written raises InvalidConfigError."""
     if path is None:
         sys.stdout.write(body)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise InvalidConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
     return body
 
 
@@ -111,8 +117,8 @@ def emit_csv(rows, header, path=None) -> str:
 _UNHASHED_OPTIONS = ("out", "threads", "spectrum")
 
 
-def _write_manifest(args, spectrum: bytes | None, started: float, out_path: str) -> None:
-    """One run's reproducibility metadata, written to <out_path>.manifest.json.
+def _write_manifest(args, spectrum: bytes | None, started: float) -> None:
+    """One run's reproducibility metadata, written to <args.out>.manifest.json.
 
     config_hash is the SHA-256 of every parsed option that can change an
     output, then of the spectrum bytes that ran.
@@ -133,7 +139,7 @@ def _write_manifest(args, spectrum: bytes | None, started: float, out_path: str)
         },
         "wall_time_s": time.perf_counter() - started,
     }
-    emit_json(manifest, out_path + ".manifest.json")
+    emit_json(manifest, args.out + ".manifest.json")
 
 
 def _load_model(args):
@@ -152,7 +158,7 @@ def _load_model(args):
     return load_spectrum(config), raw
 
 
-def _cmd_edge(args, model) -> list[str]:
+def _cmd_edge(args, model) -> None:
     sol = solve_edge(model)
     residuals = edge_residuals(model, sol)
     payload = {
@@ -172,23 +178,21 @@ def _cmd_edge(args, model) -> list[str]:
         },
     }
     emit_json(payload, args.out)
-    return [args.out] if args.out else []
 
 
-def _cmd_density(args, model) -> list[str]:
+def _cmd_density(args, model) -> None:
     start, stop, step = args.start, args.stop, args.step
     if stop is None:
-        stop = solve_edge(model).lambda_r + 1.0
+        stop = find_edge(model).lambda_r + 1.0
     if step is None:
         step = (stop - start) / 400.0
     E = grid(start, stop, step, "density")
     s = solve_stieltjes(model, E).s
     rows = zip(E, np.maximum(0.0, s.imag / math.pi), s.imag, s.real)
     emit_csv(rows, ("E", "rho0", "Im_s", "Re_s"), args.out)
-    return [args.out] if args.out else []
 
 
-def _cmd_simulate(args, model) -> list[str]:
+def _cmd_simulate(args, model) -> None:
     result = run_ensemble(model, args.trials, dist=args.dist, seed=args.seed, threads=args.threads)
     rows = [(k, result.mu1s[k], result.thetas[k]) for k in range(result.n_trials)]
     emit_csv(rows, ("trial", "mu1", "theta"), args.out)
@@ -199,25 +203,20 @@ def _cmd_simulate(args, model) -> list[str]:
         "lambda_r": result.lambda_r,
         "gamma0": result.gamma0,
     }
-    summary_path = args.out + ".summary.json" if args.out else None
-    emit_json(summary, summary_path)
-    return [args.out, summary_path] if args.out else []
+    emit_json(summary, args.out + ".summary.json" if args.out else None)
 
 
-def _cmd_twtable(args, model) -> list[str]:
+def _cmd_twtable(args, model) -> None:
     rows = tw_table(args.start, args.stop, args.step)
     emit_csv(rows, ("s", "F1", "f1"), args.out)
-    return [args.out] if args.out else []
 
 
-def _cmd_locallaw(args, model) -> list[str]:
-    if args.seeds < 1:
-        raise InvalidConfigError(f"locallaw requires --seeds >= 1, got {args.seeds}")
+def _cmd_locallaw(args, model) -> None:
+    _require_count("seeds", args.seeds)
     if args.N is not None:
         model = with_size(model, args.N)
     eta = args.eta if args.eta is not None else model.N ** -0.5
-    sol = solve_edge(model)
-    z = check_z(complex(sol.lambda_r + args.E_offset, eta))
+    z = check_z(complex(find_edge(model).lambda_r + args.E_offset, eta))
 
     def one_seed(seed):
         Y = sample_matrix(model, args.dist, seed, 0)
@@ -229,24 +228,21 @@ def _cmd_locallaw(args, model) -> list[str]:
         for cls in DEVIATION_CLASSES:
             rows.append((seed, cls, report.deviations[cls], report.psi, report.ratios[cls]))
     emit_csv(rows, ("seed", "class", "deviation", "psi", "ratio"), args.out)
-    return [args.out] if args.out else []
 
 
-def _cmd_flow_check(args, model) -> list[str]:
+def _cmd_flow_check(args, model) -> None:
     times = grid(0.0, args.t_max, args.t_step, "flow-check")
     rows = [
         (float(t), res["b"], res["gamma"], res["E_plus"], res["xi"], res["h"])
         for t, res in zip(times, flow_derivative_checks(model, times, step=args.step))
     ]
     emit_csv(rows, ("t", "res_b", "res_gamma", "res_E_plus", "res_xi", "res_h"), args.out)
-    return [args.out] if args.out else []
 
 
-def _cmd_identity_check(args, model) -> list[str]:
+def _cmd_identity_check(args, model) -> None:
     state = flow_state(model, args.t)
     residuals = identity_residuals(state)
     emit_json(residuals, args.out)
-    return [args.out] if args.out else []
 
 
 _HANDLERS = {
@@ -369,9 +365,9 @@ def run_command(argv) -> int:
     started = time.perf_counter()
     try:
         model, spectrum = _load_model(args) if "spectrum" in vars(args) else (None, None)
-        written = _HANDLERS[args.command](args, model)
-        if written:
-            _write_manifest(args, spectrum, started, written[0])
+        _HANDLERS[args.command](args, model)
+        if args.out:
+            _write_manifest(args, spectrum, started)
     except (InvalidConfigError, InvalidArgumentError, DomainError) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)

@@ -294,24 +294,24 @@ def _cells(dsq: np.ndarray, c: float, ladders: dict) -> dict:
     (a, b, phi'(a), phi'(b)) starts at its last point a where phi' <= 0 (or
     is NaN), so phi' is positive at every point right of a, and a ladder
     yields a cell only when a is not its last point.  A row without a cell
-    is left out.  Ladders of one length are evaluated together, in runs
+    is left out.  The ladders share one length (the scan's grids, the
+    2-point brackets or flow's ladders) and are evaluated together, in runs
     within the scan's block.
     """
-    by_size = {}
-    for k, points in ladders.items():
-        by_size.setdefault(points.size, []).append(k)
     out = {}
-    for size, group in by_size.items():
-        for block in _blocks(group, size):
-            points = np.array([ladders[k] for k in block])
-            f, fp, _, phip = _family(_rows(dsq, block)[:, None, :], c, points)
-            positive = phip > 0.0
-            # the last point where phi' <= 0, or size - 1 where phi' > 0 at every point
-            last = size - 1 - positive[:, ::-1].argmin(axis=-1)
-            for j, (k, i) in enumerate(zip(block, last.tolist())):
-                if i < size - 1:
-                    cell = (points[j, i], points[j, i + 1], phip[j, i], phip[j, i + 1])
-                    out[k] = (cell, f[j, i + 1], fp[j, i + 1], positive[j])
+    if not ladders:
+        return out
+    size = next(iter(ladders.values())).size
+    for block in _blocks(list(ladders), size):
+        points = np.array([ladders[k] for k in block])
+        f, fp, _, phip = _family(_rows(dsq, block)[:, None, :], c, points)
+        positive = phip > 0.0
+        # the last point where phi' <= 0, or size - 1 where phi' > 0 at every point
+        last = size - 1 - positive[:, ::-1].argmin(axis=-1)
+        for j, (k, i) in enumerate(zip(block, last.tolist())):
+            if i < size - 1:
+                cell = (points[j, i], points[j, i + 1], phip[j, i], phip[j, i + 1])
+                out[k] = (cell, f[j, i + 1], fp[j, i + 1], positive[j])
     return out
 
 
@@ -319,13 +319,13 @@ def _find_roots(models: list, brackets: list) -> list:
     """The root stage of find_edge for a stack of models that share M and N, one bracket (or None) each.
 
     A bracket must be None or points that increase strictly from the row's
-    lo (d_1^2 plus the scan's offset) or beyond.  The rows go through each
-    stage together: one evaluation per run of brackets of one length, one
-    certificate evaluation per run of grids, then one Newton pass per step
-    over the one cell of every unsolved row.  A row whose bracket yields no
-    certified cell scans alone.  Each row logs its own certificate and
-    find_edge lines; its root, cell and counts are the bits of its own
-    solve.
+    lo (d_1^2 plus the scan's offset) or beyond, every bracket of one
+    length.  The rows go through each stage together: one evaluation per
+    run of brackets, one certificate evaluation per run of grids, then one
+    Newton pass per step over the one cell of every unsolved row.  A row
+    whose bracket yields no certified cell scans alone.  Each row logs its
+    own certificate and find_edge lines; its root, cell and counts are the
+    bits of its own solve.
     """
     c = models[0].c_N
     dsq = _stack(models)
@@ -503,6 +503,5 @@ def edge_residuals(model: SpectrumModel, edge: EdgeSolution) -> dict:
             + np.sum((2.0 * E * b - g * (1.0 - c)) ** 2 / rdiff**3) / N
             + np.sum(E / rdiff**2) / N
         )
-        out["E_plus_relation"] = abs(E - g * lam)
         out["xi_btb"] = abs(xi - b * edge.tb_resc)
     return out

@@ -124,7 +124,7 @@ def check_z(z) -> complex:
 def locallaw_deviation(model: SpectrumModel, Y: np.ndarray, z: complex) -> LocalLawReport:
     """Measure the entrywise deviations of G = H(z)^{-1} from the limit profiles.
 
-    z must be finite with Im z > 0 and Y of shape (M, N); otherwise
+    z must be finite with Im z > 0 and Y real of shape (M, N); otherwise
     InvalidArgumentError, before any solve.  G is never formed: one
     eigendecomposition of Y Y^T feeds a reducer that builds G in blocks of
     CHUNK_ROWS rows by CHUNK_ROWS columns, keeps the diagonals and folds the
@@ -140,6 +140,8 @@ def locallaw_deviation(model: SpectrumModel, Y: np.ndarray, z: complex) -> Local
     """
     z = check_z(z)
     M, N = model.M, model.N
+    if np.iscomplexobj(Y):
+        raise InvalidArgumentError("Y must be real, got complex entries")
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (M, N):
         raise InvalidArgumentError(f"Y has shape {Y.shape}, the model needs ({M}, {N})")

@@ -208,14 +208,15 @@ def largest_eigenvalue(Y: np.ndarray) -> float:
     `dsyrk` forms the lower triangle of Y Y^T and `dsyevr` takes its top
     eigenvalue alone (index M), both through scipy's C pointers with the GIL
     released and on scipy's OpenBLAS pinned to one thread.  Every call has its
-    own work arrays, so calls from several threads run at once.  Non-finite
-    input or any LAPACK failure raises NumericError.
+    own work arrays, so calls from several threads run at once.  A complex,
+    empty or non-matrix Y raises InvalidArgumentError; non-finite input or
+    any LAPACK failure raises NumericError.
     """
-    Y = np.asarray(Y, dtype=float)
+    if np.iscomplexobj(Y):
+        raise InvalidArgumentError("Y must be real, got complex entries")
+    Y = np.ascontiguousarray(Y, dtype=float)
     if Y.ndim != 2 or Y.size == 0:
         raise InvalidArgumentError("Y must be a nonempty matrix")
-    if not Y.flags.c_contiguous:
-        Y = np.ascontiguousarray(Y)
     M, N = Y.shape
     dsyrk, dsyevr = _lapack()
     # f2py's workspace sizes: lwork = 26 M, liwork = 10 M; isuppz (2 M) and iwork follow the head

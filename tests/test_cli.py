@@ -94,6 +94,7 @@ def test_density_with_stop_needs_no_edge(tmp_path, monkeypatch):
     def no_edge(model):
         raise AssertionError("density --to solved the edge")
 
+    monkeypatch.setattr(cli_module, "find_edge", no_edge)
     monkeypatch.setattr(cli_module, "solve_edge", no_edge)
     out = tmp_path / "d3.csv"
     assert run_command(["density", "--spectrum", str(GOLDEN_SPECTRUM), "--to", "3", "--out", str(out)]) == 0
@@ -103,12 +104,14 @@ def test_density_with_stop_needs_no_edge(tmp_path, monkeypatch):
 
 
 def test_density_without_stop_solves_the_edge_once(tmp_path, monkeypatch):
-    calls = []
-    real = cli_module.solve_edge
-    monkeypatch.setattr(cli_module, "solve_edge", lambda model: calls.append(model) or real(model))
+    # the default stop reads only lambda_r, so no scaling constant is computed
+    finds, solves = [], []
+    real = cli_module.find_edge
+    monkeypatch.setattr(cli_module, "find_edge", lambda model: finds.append(model) or real(model))
+    monkeypatch.setattr(cli_module, "solve_edge", lambda model: solves.append(model) or real(model))
     out = tmp_path / "default.csv"
     assert run_command(["density", "--spectrum", str(GOLDEN_SPECTRUM), "--step", "0.5", "--out", str(out)]) == 0
-    assert len(calls) == 1
+    assert (len(finds), len(solves)) == (1, 0)
 
 
 @pytest.mark.parametrize("grid", [("--to", "inf"), ("--to", "nan"), ("--step", "nan"),
@@ -246,6 +249,36 @@ def test_out_dash_is_stdout_and_writes_no_file(tmp_path, monkeypatch, capsys, ar
         assert out.startswith("trial,mu1,theta\n0,") and '"ks": ' in out
     else:
         assert out == expected
+
+
+# a small run of each command
+_SMALL_RUNS = {
+    "edge": ["--spectrum", str(GOLDEN_SPECTRUM)],
+    "density": ["--spectrum", str(GOLDEN_SPECTRUM), "--step", "1"],
+    "simulate": ["--spectrum", str(GOLDEN_SPECTRUM), "--trials", "2", "--threads", "1"],
+    "twtable": ["--from", "-1", "--to", "1", "--step", "1"],
+    "locallaw": ["--spectrum", str(GOLDEN_SPECTRUM), "--seeds", "1"],
+    "flow-check": ["--spectrum", str(GOLDEN_SPECTRUM), "--t-max", "0.25"],
+    "identity-check": ["--spectrum", str(GOLDEN_SPECTRUM)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli_module._HANDLERS))
+def test_run_leaves_its_output_and_one_manifest(tmp_path, command):
+    out = tmp_path / "out"
+    assert run_command([command, *_SMALL_RUNS[command], "--out", str(out)]) == 0
+    expected = {"out", "out.manifest.json"} | ({"out.summary.json"} if command == "simulate" else set())
+    assert {p.name for p in tmp_path.iterdir()} == expected
+
+
+@pytest.mark.parametrize("command", ["edge", "simulate"])
+def test_unwritable_out_is_config_error(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "x.out"
+    assert run_command([command, *_SMALL_RUNS[command], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # every float option, with the message of the library check that refuses -inf there
@@ -456,7 +489,8 @@ def test_locallaw_bad_option_is_refused(const1, tmp_path, capsys, option):
     code = run_command(["locallaw", "--spectrum", str(const1), "--N", "60", "--seeds", "2",
                         *option, "--out", str(out)])
     assert code == 2
-    assert "locallaw requires" in capsys.readouterr().err
+    expected = "seeds must be >= 1, got 0" if option[0] == "--seeds" else "locallaw requires"
+    assert expected in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -559,8 +559,12 @@ def test_no_critical_point_right_of_the_solved_cell(model):
     # and R2, the rescaled first-order and scaling equations, carry the same
     # factor; R2 sums four cancelling terms, so its unit also takes the sum of
     # their moduli.  xi_relation, a difference of three terms, holds to a few
-    # ulp of the largest.  Over 3000 draws the peaks in these units were 5.0
-    # (R1), 3.9 (R2) and 2.0 (xi_relation), against the bounds 32, 32 and 8.
+    # ulp of the largest.  xi_btb is the same difference times gamma0, formed
+    # from the scaled xi, E_plus and tb_resc, so its unit is the largest of
+    # those three terms and its bound takes xi_relation's again for the
+    # roundings of the scaling.  Over 3000 draws the peaks in these units
+    # were 5.0 (R1), 3.9 (R2) and 2.0 (xi_relation), against the bounds 32,
+    # 32 and 8; over 8000 draws xi_btb peaked at 2.7, against 16.
     sol = solve_edge(model)
     d1sq = float(model.d_sq[0])
     w_max = 4.0 * (d1sq + 1.0) * (1.0 + math.sqrt(model.c_N)) ** 2
@@ -577,3 +581,4 @@ def test_no_critical_point_right_of_the_solved_cell(model):
                 np.sum((2.0 * E * b - g * (1.0 - c)) ** 2 / rdiff**3) / N, np.sum(E / rdiff**2) / N)
     assert res["R2"] <= 32 * unit * sum(abs(t) for t in r2_terms)
     assert res["xi_relation"] <= 8 * eps * max(sol.xi_r, abs(sol.lambda_r * b**2), abs((1.0 - c) * b))
+    assert res["xi_btb"] <= 16 * eps * max(sol.xi, abs(E * b**2), abs(g * (1.0 - c) * b))

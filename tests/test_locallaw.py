@@ -93,6 +93,15 @@ def test_deviation_refuses_y_of_another_shape(monkeypatch):
             locallaw_deviation(model, bad, 2.0 + 0.1j)
 
 
+def test_deviation_refuses_a_complex_y(monkeypatch):
+    # casting to float would drop the imaginary part and measure Re Y
+    model = constant_model(30, 60)
+    Y = sample_matrix(model, "gaussian", seed=0, trial=0)
+    monkeypatch.setattr(locallaw_module, "solve_stieltjes", None)
+    with pytest.raises(InvalidArgumentError, match="Y must be real"):
+        locallaw_deviation(model, Y + 1j * Y, 2.0 + 0.1j)
+
+
 def test_mumu_class_empty_for_square_model():
     model = constant_model(30, 30)
     sol = solve_edge(model)

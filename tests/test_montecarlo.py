@@ -155,6 +155,17 @@ def test_largest_eigenvalue_empty_matrix_rejected(shape):
         largest_eigenvalue(np.zeros(shape))
 
 
+def test_largest_eigenvalue_refuses_a_complex_matrix():
+    # mu1 of Re Y is not mu1 of Y: a float cast would return the first quietly
+    rng = np.random.default_rng(21)
+    Y = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
+    assert largest_eigenvalue(Y.real) < np.linalg.svd(Y, compute_uv=False)[0] ** 2
+    with pytest.raises(InvalidArgumentError, match="Y must be real"):
+        largest_eigenvalue(Y)
+    with pytest.raises(InvalidArgumentError, match="Y must be real"):
+        largest_eigenvalue(Y.tolist())
+
+
 def test_first_eigenvalue_call_logs_its_path(caplog):
     _lapack.cache_clear()
     Y = np.random.default_rng(17).normal(size=(5, 9))
