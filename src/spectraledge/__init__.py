@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .edge import EdgeSolution, edge_residuals, find_edge, gamma0, phi_family, solve_edge
 from .errors import (
     DegenerateScalingError,
-    DomainError,
     EdgeNotFoundError,
     InvalidArgumentError,
     InvalidConfigError,
@@ -37,7 +36,7 @@ __all__ = [
     "f1_cdf", "f1_pdf", "tw_table",
     "EnsembleResult", "sample_matrix", "largest_eigenvalue", "run_ensemble", "ks_distance",
     "LocalLawReport", "build_linearization", "locallaw_deviation", "rigidity_scan",
-    "SpectralEdgeError", "InvalidConfigError", "InvalidArgumentError", "DomainError",
+    "SpectralEdgeError", "InvalidConfigError", "InvalidArgumentError",
     "PoleError", "SolverFailureError", "EdgeNotFoundError", "DegenerateScalingError",
     "NumericError",
 ]

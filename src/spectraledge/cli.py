@@ -6,6 +6,10 @@ handler ``_cmd_*(args, model)``, which writes only to ``--out`` (simulate also t
 when ``--out`` names a file.  Every count, ``--seeds`` included, goes through
 the library's one count rule, and an output that cannot be written exits 2.
 
+A refusal prints one ``error: <message>`` line on stderr (exit codes at
+``run_command``).  ``SPECTRALEDGE_LOG`` sets the log level: error, warning
+(the default), info or debug; any other value exits 2.
+
 The argument parser is built once per process, on the first ``run_command``
 call, and reused: building it costs about 2 ms (seven subparsers, each
 argument formatted once), which in-process callers would otherwise pay on
@@ -30,7 +34,7 @@ import scipy
 
 from . import __version__
 from .edge import edge_residuals, find_edge, solve_edge
-from .errors import DomainError, InvalidArgumentError, InvalidConfigError, SpectralEdgeError
+from .errors import InvalidArgumentError, InvalidConfigError, SpectralEdgeError
 from .flow import flow_derivative_checks, flow_state
 from .identities import identity_residuals
 from .locallaw import DEVIATION_CLASSES, check_z, locallaw_deviation
@@ -194,7 +198,7 @@ def _cmd_density(args, model) -> None:
 
 def _cmd_simulate(args, model) -> None:
     result = run_ensemble(model, args.trials, dist=args.dist, seed=args.seed, threads=args.threads)
-    rows = [(k, result.mu1s[k], result.thetas[k]) for k in range(result.n_trials)]
+    rows = [(k, mu1, theta) for k, (mu1, theta) in enumerate(zip(result.mu1s, result.thetas))]
     emit_csv(rows, ("trial", "mu1", "theta"), args.out)
     summary = {
         "mean": result.mean,
@@ -340,18 +344,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_LOG_LEVELS = {"error": logging.ERROR, "warning": logging.WARNING, "info": logging.INFO,
+               "debug": logging.DEBUG}
+
+
 def run_command(argv) -> int:
-    """Execute one subcommand; exit codes: 0 ok, 2 invalid config, argument or domain
-    (InvalidConfigError, InvalidArgumentError, DomainError) or usage, 1 numeric failure.
+    """Execute one subcommand; exit codes: 0 ok, 2 invalid config or argument
+    (InvalidConfigError, InvalidArgumentError) or usage, 1 numeric failure.
 
     The parser is built on the first call and reused for the life of the process,
     so callers that run many commands in-process pay for it once; ``parse_args``
     returns a fresh namespace every time, so no option carries over between calls.
     ``--out -`` is the same as no ``--out``: every output goes to stdout and no
     manifest is written."""
-    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("SPECTRALEDGE_LOG", "error").lower(), logging.ERROR
-    )
+    name = os.environ.get("SPECTRALEDGE_LOG", "warning")
+    level = _LOG_LEVELS.get(name.lower())
+    if level is None:
+        print(f"error: SPECTRALEDGE_LOG must be one of {', '.join(_LOG_LEVELS)}, got {name!r}",
+              file=sys.stderr)
+        return 2
     logging.basicConfig(level=level)
     log.setLevel(level)
 
@@ -368,14 +379,9 @@ def run_command(argv) -> int:
         _HANDLERS[args.command](args, model)
         if args.out:
             _write_manifest(args, spectrum, started)
-    except (InvalidConfigError, InvalidArgumentError, DomainError) as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SpectralEdgeError as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (InvalidConfigError, InvalidArgumentError)) else 1
     return 0
 
 

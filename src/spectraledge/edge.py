@@ -155,16 +155,16 @@ def _phi_newton(dsq: np.ndarray, c: float, w) -> list:
 
 
 def _newton_roots(dsq: np.ndarray, c: float, cells: list) -> tuple[list, list]:
-    """Root of phi' in each cell (row, lo, hi, phi'(lo), phi'(hi)), phi' of opposite signs at the ends.
+    """Root of phi' in each cell (row, lo, hi, phi'(lo), phi'(hi)), lo < hi and phi'(lo) <= 0 < phi'(hi).
 
-    find_edge passes one cell per model, the row of dsq holding its d^2.
-    Newton steps from the secant point, safeguarded by the cell (rtsafe): a
-    step that would leave the cell, or be longer than half the step before
-    last, becomes a bisection.  A cell stops when phi' is exactly 0 or its
-    step is at most _NEWTON_ULPS ulp of w.  Each pass evaluates every
-    unfinished cell in one _phi_newton call; each cell's steps are those it
-    would take alone.  Returns the roots and, per cell, [evaluations,
-    Newton steps, bisections].
+    _cells gives every cell that order; find_edge passes one cell per model,
+    the row of dsq holding its d^2.  Newton steps from the secant point,
+    safeguarded by the cell (rtsafe): a step that would leave the cell, or be
+    longer than half the step before last, becomes a bisection.  A cell stops
+    when phi' is exactly 0 or its step is at most _NEWTON_ULPS ulp of w.  Each
+    pass evaluates every unfinished cell in one _phi_newton call; each cell's
+    steps are those it would take alone.  Returns the roots and, per cell,
+    [evaluations, Newton steps, bisections].
     """
     roots = [None] * len(cells)
     counts = [[0, 0, 0] for _ in cells]
@@ -172,13 +172,9 @@ def _newton_roots(dsq: np.ndarray, c: float, cells: list) -> tuple[list, list]:
     for j, (_, lo, hi, phip_lo, phip_hi) in enumerate(cells):
         if phip_lo == 0.0:
             roots[j] = lo
-        elif phip_hi == 0.0:
-            roots[j] = hi
         else:
             w = lo - phip_lo * (hi - lo) / (phip_hi - phip_lo)  # secant start
-            if phip_lo > 0.0:
-                lo, hi = hi, lo  # phi'(lo) < 0 < phi'(hi) from here on
-            state[j] = [w, lo, hi, abs(hi - lo), abs(hi - lo)]
+            state[j] = [w, lo, hi, hi - lo, hi - lo]
     for _ in range(_NEWTON_MAX_STEPS):
         if not state:
             return roots, counts
@@ -198,7 +194,7 @@ def _newton_roots(dsq: np.ndarray, c: float, cells: list) -> tuple[list, list]:
                 else:
                     hi = w
                 trial = w - g / gp if gp != 0.0 else w
-                if min(lo, hi) <= trial <= max(lo, hi) and abs(2.0 * g) <= abs(step_old * gp):
+                if lo <= trial <= hi and abs(2.0 * g) <= abs(step_old * gp):
                     step_old, step = step, w - trial
                     work[1] += 1
                 else:
@@ -213,7 +209,7 @@ def _newton_roots(dsq: np.ndarray, c: float, cells: list) -> tuple[list, list]:
     if not state:
         return roots, counts
     _, lo, hi, _, _ = next(iter(state.values()))
-    raise NumericError(f"Newton on phi' did not settle in [{min(lo, hi)!r}, {max(lo, hi)!r}]")
+    raise NumericError(f"Newton on phi' did not settle in [{lo!r}, {hi!r}]")
 
 
 def _no_root_right_of(dsq: np.ndarray, c: float, hi, f_hi, fp_hi) -> list:
@@ -373,18 +369,16 @@ def _find_roots(models: list, brackets: list) -> list:
 
 
 def _complete(models: list, found: list) -> list:
-    """EdgeSolution of each model from its root stage: f and phi at xi_r, from one d^2 - xi_r block."""
+    """EdgeSolution of each model from its root stage: f and phi at xi_r, from one _family block."""
     c = models[0].c_N
     dsq = _stack(models)
     out = []
     for block in _blocks(list(range(len(models))), 1):
         xi = [found[k].xi_r for k in block]
-        inv = _reciprocals(_rows(dsq, block), np.array(xi))
-        f = np.add.reduce(inv, axis=-1) / inv.shape[-1]
+        f, _, phi, _ = _family(_rows(dsq, block), c, np.array(xi))
         for j, k in enumerate(block):
-            one = 1.0 - c * f[j]
             b = 1.0 / (1.0 - c * float(f[j]))
-            lambda_r = float(xi[j] * one**2 + (1.0 - c) * one)
+            lambda_r = float(phi[j])
             tb = lambda_r * b - (1.0 - c)
             h = lambda_r * b + tb
             out.append(EdgeSolution(

@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+InvalidConfigError and InvalidArgumentError refuse an input (the command line
+exits 2); every other SpectralEdgeError is a numeric failure (exit 1).
+"""
 
 
 class SpectralEdgeError(Exception):
@@ -11,10 +15,6 @@ class InvalidConfigError(SpectralEdgeError, ValueError):
 
 class InvalidArgumentError(SpectralEdgeError, ValueError):
     """An argument is outside the operation's domain."""
-
-
-class DomainError(SpectralEdgeError, ValueError):
-    """A spectral parameter lies outside the admissible domain."""
 
 
 class PoleError(SpectralEdgeError, ValueError):

@@ -95,10 +95,15 @@ def _ladder(model_t: SpectrumModel, t: float, history: list) -> np.ndarray:
     return d1sq + (guess - d1sq) * _LADDER_RATIOS
 
 
-def flow_state(model: SpectrumModel, t: float) -> FlowState:
-    """Recompute all edge quantities for the time-t model (no ODE integration)."""
+def _require_time(t: float) -> None:
+    """The one rule for a flow time: t >= 0, NaN refused, else InvalidArgumentError naming t."""
     if not t >= 0:
         raise InvalidArgumentError(f"flow time must be nonnegative, got {t!r}")
+
+
+def flow_state(model: SpectrumModel, t: float) -> FlowState:
+    """Recompute all edge quantities for the time-t model (no ODE integration)."""
+    _require_time(t)
     model_t = _model_at(model, t)
     return FlowState(t=t, model_t=model_t, edge_t=solve_edge(model_t))
 
@@ -157,8 +162,8 @@ def flow_derivative_checks(model: SpectrumModel, times, step: float = DEFAULT_ST
     if not step > 0:
         raise InvalidArgumentError("finite-difference step must be positive")
     times = [float(t) for t in times]
-    if not all(t >= 0 for t in times):
-        raise InvalidArgumentError("flow time must be nonnegative")
+    for t in times:
+        _require_time(t)
     if not times:
         return []
     # per time: the model at t, then at t + step and t - step

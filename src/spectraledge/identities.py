@@ -18,9 +18,7 @@ class EdgeFunctionals:
 
     varphi_k = (1/N) sum 1/(g d_a^2 - xi)^k for k = 1..4 and
     psi2 = (1/N) sum g d_a^2/(g d_a^2 - xi)^2; varpi2, Phi1, Phi2 and theta4
-    are the composite sums entering the optical cancellations; C1 and C3 are
-    the Green-function-derivative coefficients that the imcancel identity
-    combines.
+    are the composite sums entering the optical cancellations.
     """
 
     varphi1: float
@@ -32,8 +30,6 @@ class EdgeFunctionals:
     Phi1: float
     Phi2: float
     theta4: float
-    C1: float
-    C3: float
 
 
 def edge_functionals(state: FlowState) -> EdgeFunctionals:
@@ -76,22 +72,9 @@ def edge_functionals(state: FlowState) -> EdgeFunctionals:
         + g**3 * (1.0 - c) / b**4
     )
 
-    gd = gamma_time_derivative(state)
-    cm = (b - 1.0) / g
-    C1 = 2.0 * tb * b / (g * E) - 2.0 * g * E - 2.0 * tb * gd / (g**2 * E)
-    C3 = (
-        g**3 * h**4 * tb * varphi4 / E
-        - 3.0 * tb / h
-        - 3.0 * g**2 * tb / b**3
-        - 3.0 * g**2 * E * tb / (b**2 * h)
-        - (E * b**2 + g**2 * E**2) / (b * h)
-        + h * g**3 * (1.0 - c) / (E * b**4)
-        - g**3 * (1.0 - c) / b**4
-    ) * (b - gd / g) + gd * g**3 * cm * (1.0 - c) / b**4
-
     return EdgeFunctionals(
         varphi1=varphi1, varphi2=varphi2, varphi3=varphi3, varphi4=varphi4, psi2=psi2,
-        varpi2=varpi2, Phi1=Phi1, Phi2=Phi2, theta4=theta4, C1=C1, C3=C3,
+        varpi2=varpi2, Phi1=Phi1, Phi2=Phi2, theta4=theta4,
     )
 
 
@@ -114,7 +97,8 @@ def identity_residuals(state: FlowState) -> dict:
 
     Keys: varphi2, psi2, varphi3, varpi2, Phi1, Phi2 (the closed forms of the
     sums), theta4 (definitional sum vs reduced form), and imcancel (the
-    vanishing combination of the Green-function-derivative coefficients).
+    vanishing combination of the Green-function-derivative coefficients C1
+    and C3, formed here from one evaluation of gamma's time derivative).
     """
     g, b, E, tb, h, c = state.gamma, state.b, state.E_plus, state.tb, state.h, state.c
     fn = edge_functionals(state)
@@ -133,14 +117,25 @@ def identity_residuals(state: FlowState) -> dict:
         "Phi2": abs(fn.Phi2 + tb * b**2 * fn.varphi2),
         "theta4": abs(fn.theta4 - theta4_closed_form(state, fn)),
     }
-    # coefficient of the fourth-order terms after eliminating the third-order
-    # ones must match the coefficient of the averaged-resolvent terms
+    # C1 and C3 are the Green-function-derivative coefficients; the coefficient of
+    # the fourth-order terms after eliminating the third-order ones must match the
+    # coefficient of the averaged-resolvent terms
+    C1 = 2.0 * tb * b / (g * E) - 2.0 * g * E - 2.0 * tb * gd / (g**2 * E)
+    C3 = (
+        g**3 * h**4 * tb * fn.varphi4 / E
+        - 3.0 * tb / h
+        - 3.0 * g**2 * tb / b**3
+        - 3.0 * g**2 * E * tb / (b**2 * h)
+        - (E * b**2 + g**2 * E**2) / (b * h)
+        + h * g**3 * (1.0 - c) / (E * b**4)
+        - g**3 * (1.0 - c) / b**4
+    ) * (b - gd / g) + gd * g**3 * cm * (1.0 - c) / b**4
     P = (
         -g * cm
         - g**3 * (1.0 - c) / b**3
         + (2.0 * b * E / (g * h)) * gd
         + (g**2 * (1.0 - c) / b**3) * gd
     )
-    Q = fn.C3 - 0.5 * fn.C1 * g * fn.theta4
+    Q = C3 - 0.5 * C1 * g * fn.theta4
     residuals["imcancel"] = abs(Q - P)
     return residuals

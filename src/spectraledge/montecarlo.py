@@ -45,7 +45,6 @@ class EnsembleResult:
 
     thetas: np.ndarray
     mu1s: np.ndarray
-    n_trials: int
     mean: float
     variance: float
     ks_distance: float
@@ -304,7 +303,7 @@ def run_ensemble(
     mu1s.flags.writeable = False
     thetas.flags.writeable = False
     return EnsembleResult(
-        thetas=thetas, mu1s=mu1s, n_trials=n_trials,
+        thetas=thetas, mu1s=mu1s,
         mean=float(np.mean(thetas)), variance=float(np.var(thetas)),
         ks_distance=ks_distance(thetas, f1_cdf_tabulated),
         lambda_r=lam, gamma0=g,

@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, InvalidArgumentError, InvalidConfigError
+from .errors import InvalidArgumentError, InvalidConfigError
 
 _SPECTRUM_TYPES = ("constant", "explicit", "uniform_sq")
 # A grid longer than this is a mistyped bound or step, refused before anything is
@@ -91,15 +91,15 @@ def grid(start: float, stop: float, step: float, what: str) -> np.ndarray:
     """The closed grid start, start + step, ..., stop, point k at start + step k.
 
     Domain: finite start, stop and step with step > 0, stop >= start and at
-    most MAX_GRID_POINTS points; otherwise DomainError, its message led by
-    `what`.  stop is included when it lies within 1e-9 steps of a grid point.
+    most MAX_GRID_POINTS points; otherwise InvalidArgumentError, its message
+    led by `what`.  stop is included when it lies within 1e-9 steps of a grid point.
     """
     if not (math.isfinite(start) and 0 < step < math.inf and start <= stop < math.inf):
-        raise DomainError(f"{what} grid requires finite bounds, step > 0 and stop >= start")
+        raise InvalidArgumentError(f"{what} grid requires finite bounds, step > 0 and stop >= start")
     # steps from start to the last point; infinite when (stop - start) / step overflows
     last = (stop - start) / step + 1e-9
     if not last < MAX_GRID_POINTS:
-        raise DomainError(f"{what} grid would have more than {MAX_GRID_POINTS} points")
+        raise InvalidArgumentError(f"{what} grid would have more than {MAX_GRID_POINTS} points")
     return start + step * np.arange(math.floor(last) + 1)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edge import phi_family
-from .errors import DomainError, SolverFailureError
+from .errors import InvalidArgumentError, SolverFailureError
 from .spectrum import SpectrumModel
 
 ETA_FLOOR = 1e-9
@@ -75,7 +75,7 @@ def solve_stieltjes(model: SpectrumModel, z) -> StieltjesValue:
     """Solve the self-consistent equation at z (Im z > 0, or real E != 0 as a boundary value).
 
     z is a scalar or an array.  Domain: every z finite, Im z >= 0 and z != 0,
-    else DomainError; a real E is taken at E + i ETA_FLOOR.  Each
+    else InvalidArgumentError; a real E is taken at E + i ETA_FLOOR.  Each
     point solves phi(w) = z by Newton's method, continued in the imaginary
     part: it starts at eta = max(10, 2|z|) from w = z - (1+c), the large-|z|
     limit of the branch, and shrinks eta by _ETA_STEP per level down to its
@@ -87,11 +87,11 @@ def solve_stieltjes(model: SpectrumModel, z) -> StieltjesValue:
     """
     z_in = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z_in)):
-        raise DomainError("stieltjes transform requires a finite z")
+        raise InvalidArgumentError("stieltjes transform requires a finite z")
     if np.any(z_in == 0):
-        raise DomainError("stieltjes transform is not defined at z = 0")
+        raise InvalidArgumentError("stieltjes transform is not defined at z = 0")
     if np.any(z_in.imag < 0):
-        raise DomainError("spectral parameter must satisfy Im z >= 0")
+        raise InvalidArgumentError("spectral parameter must satisfy Im z >= 0")
     flat = z_in.ravel()
     E = flat.real
     eta_target = np.where(flat.imag > 0, flat.imag, ETA_FLOOR)

@@ -42,7 +42,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev, chebpts2
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError, NumericError
+from .errors import InvalidArgumentError, NumericError
 from .spectrum import grid
 
 # Ai and Ai' are evaluated for x >= AIRY_MIN: a Taylor series about the anchors
@@ -181,11 +181,12 @@ def _airy_pair(x):
     with zeta = 2/3 x^{3/2}, summed by Horner's rule in 1/zeta:
     Ai = e^{-zeta} / (2 sqrt(pi) x^{1/4}) sum (-1)^k u_k zeta^{-k},
     Ai' = -x^{1/4} e^{-zeta} / (2 sqrt(pi)) sum (-1)^k v_k zeta^{-k}.
-    DomainError for x < -20 or NaN, which the anchor index would otherwise wrap.
+    InvalidArgumentError for x < -20 or NaN, which the anchor index would
+    otherwise wrap.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(x >= AIRY_MIN):
-        raise DomainError(f"Airy evaluation needs x >= {AIRY_MIN}, got {np.min(x)}")
+        raise InvalidArgumentError(f"Airy evaluation needs x >= {AIRY_MIN}, got {np.min(x)}")
     ai = np.empty_like(x)
     aip = np.empty_like(x)
     low = x <= _SERIES_FROM
@@ -298,7 +299,7 @@ def f1_cdf(s):
     rule of DEFAULT_NODES = 26 nodes on [0, L(s)] (see `_kernel_stack`),
     within 7.8e-15 of a 128-node half-line rule on [-14, 14].  Exactly 0 at
     and left of LEFT_CUT = -10, where F1 < 1e-21.  A scalar s gives a float,
-    an array one of its shape; NaN raises DomainError.
+    an array one of its shape; NaN raises InvalidArgumentError.
     """
     return _f1_shaped(s, 0)
 
@@ -316,9 +317,9 @@ def tw_table(start: float, stop: float, step: float):
     """Rows (s, F1(s), f1(s)) on the closed grid start, start+step, ..., stop (direct path).
 
     The grid is `spectrum.grid`'s: finite bounds, step > 0 and stop >= start,
-    else DomainError.  The rule is f1_cdf's, of DEFAULT_NODES nodes, and
-    every row equals the `f1_cdf` and `f1_pdf` calls at its point bit for
-    bit.  Logs one debug line per call with the rule and the time.
+    else InvalidArgumentError.  The rule is f1_cdf's, of DEFAULT_NODES
+    nodes, and every row equals the `f1_cdf` and `f1_pdf` calls at its point
+    bit for bit.  Logs one debug line per call with the rule and the time.
     """
     started = time.perf_counter()
     s = grid(start, stop, step, "twtable")

@@ -90,7 +90,7 @@ PUBLIC = [
     "f1_cdf", "f1_pdf", "tw_table",
     "EnsembleResult", "sample_matrix", "largest_eigenvalue", "run_ensemble", "ks_distance",
     "LocalLawReport", "build_linearization", "locallaw_deviation", "rigidity_scan",
-    "SpectralEdgeError", "InvalidConfigError", "InvalidArgumentError", "DomainError",
+    "SpectralEdgeError", "InvalidConfigError", "InvalidArgumentError",
     "PoleError", "SolverFailureError", "EdgeNotFoundError", "DegenerateScalingError",
     "NumericError",
 ]

@@ -1,6 +1,10 @@
 import argparse
 import hashlib
 import json
+import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -552,6 +556,89 @@ def test_flow_time_outside_the_domain_is_argument_error(tmp_path, capsys, argv):
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+def _fresh_cli(code, *args, log=None):
+    """The finished process of `code` in a fresh interpreter on this checkout's package.
+
+    code runs with sys, json and run_command imported and args in sys.argv[1:];
+    SPECTRALEDGE_LOG is unset unless log is given."""
+    src = str(Path(cli_module.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("SPECTRALEDGE_LOG", None)
+    if log is not None:
+        env["SPECTRALEDGE_LOG"] = log
+    prelude = "import json, sys\nfrom spectraledge.cli import run_command\n"
+    return subprocess.run([sys.executable, "-c", prelude + code, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+_RUN_ONE = "sys.exit(run_command(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("body, argv, code, message", [
+    # d_1^2 = 1e32: the pole offset falls below one ulp of d_1^2, a numeric failure
+    ({"type": "explicit", "d": [1e16, 1], "M": 2, "N": 4}, ["edge"], 1,
+     "w=[1.e+32] coincides with a squared signal value"),
+    ({"type": "constant", "d": 1, "M": 4, "N": 8}, ["density", "--step", "0"], 2,
+     "density grid requires finite bounds, step > 0 and stop >= start"),
+])
+def test_refusal_is_one_stderr_line_and_no_file(tmp_path, body, argv, code, message):
+    spectrum = tmp_path / "spec.json"
+    spectrum.write_text(json.dumps(body))
+    out = tmp_path / "out"
+    proc = _fresh_cli(_RUN_ONE, *argv, "--spectrum", str(spectrum), "--out", str(out))
+    assert proc.returncode == code
+    assert proc.stderr == f"error: {message}\n"
+    assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+
+
+def test_normal_runs_leave_stderr_empty(tmp_path):
+    runs = [[command, *_SMALL_RUNS[command], "--out", str(tmp_path / command)] for command in _SMALL_RUNS]
+    proc = _fresh_cli("assert all(run_command(argv) == 0 for argv in json.loads(sys.argv[1]))",
+                      json.dumps(runs))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+# scipy's OpenBLAS cannot be found, so the mu1 pin fails and logs its warning
+_UNPINNED = "import glob\nglob.glob = lambda pattern: []\n" + _RUN_ONE
+
+
+@pytest.mark.parametrize("log", [None, "warning", "error"])
+def test_unpinned_blas_warning_reaches_the_cli_user(tmp_path, log):
+    out = tmp_path / "sim.csv"
+    proc = _fresh_cli(_UNPINNED, "simulate", *_SMALL_RUNS["simulate"], "--out", str(out), log=log)
+    assert proc.returncode == 0 and out.exists()
+    if log == "error":
+        assert proc.stderr == ""
+    else:
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("WARNING:spectraledge:scipy's OpenBLAS is not pinned to one thread (0 ")
+
+
+@pytest.mark.parametrize("log, level", [(None, logging.WARNING), ("warning", logging.WARNING),
+                                        ("error", logging.ERROR), ("Debug", logging.DEBUG)])
+def test_log_level_follows_spectraledge_log(tmp_path, monkeypatch, log, level):
+    if log is None:
+        monkeypatch.delenv("SPECTRALEDGE_LOG", raising=False)
+    else:
+        monkeypatch.setenv("SPECTRALEDGE_LOG", log)
+    before = cli_module.log.level
+    try:
+        assert run_command(["twtable", *_SMALL_RUNS["twtable"], "--out", str(tmp_path / "tw.csv")]) == 0
+        assert cli_module.log.level == level
+    finally:
+        cli_module.log.setLevel(before)
+
+
+def test_unknown_spectraledge_log_is_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SPECTRALEDGE_LOG", "verbose")
+    out = tmp_path / "tw.csv"
+    assert run_command(["twtable", *_SMALL_RUNS["twtable"], "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: SPECTRALEDGE_LOG must be one of error, warning, info, debug, "
+                                       "got 'verbose'\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_identity_check_command(const1, capsys):

@@ -174,6 +174,19 @@ def test_noise_scale_covariance():
         assert sigma**2 * sol.lambda_r == pytest.approx(sigma**2 * phi, abs=1e-12)
 
 
+@pytest.mark.parametrize("d, N", [([492.3869213432313, 158.7485301105504, 74.73021303480475], 34),
+                                  ([1.0] * 5, 10), ([3.0, 2.0, 0.0], 3)])
+def test_edge_takes_f_and_phi_at_xi_r_from_one_array_evaluation(d, N):
+    # an array call of phi_family squares with np.square; the scalar call's numpy
+    # scalar square goes through libm's pow, and for the first spectrum the two
+    # differed in the last bit of phi(xi_r)
+    model = SpectrumModel(d=d, M=len(d), N=N)
+    sol = find_edge(model)
+    f, _, phi, _ = phi_family(model, np.array([sol.xi_r]))
+    assert sol.lambda_r == phi[0]
+    assert sol.b == 1.0 / (1.0 - model.c_N * f[0])
+
+
 def test_gamma0_constant_unit_spectrum():
     model = constant_model(1, 500, 500)
     sol = solve_edge(model)

@@ -150,6 +150,16 @@ def test_loop_matches_the_analytic_derivatives_randomized():
         assert all(set(res) == set(DERIVATIVE_KEYS) and max(res.values()) <= 1e-6 for res in rows)
 
 
+@pytest.mark.parametrize("t", [-1.0, math.nan])
+def test_both_flow_entries_refuse_a_time_with_one_message(t):
+    model = constant_model(4, 4)
+    message = f"flow time must be nonnegative, got {t!r}"
+    with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+        flow_state(model, t)
+    with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+        flow_derivative_checks(model, [0.0, t])
+
+
 def test_loop_rejects_bad_times_and_steps():
     model = constant_model(4, 4)
     with pytest.raises(InvalidArgumentError):

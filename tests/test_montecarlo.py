@@ -399,6 +399,15 @@ def test_empty_ensemble_is_flagged(monkeypatch):
     assert solves == []
 
 
+def test_unknown_noise_law_is_refused_before_the_edge_solve(monkeypatch):
+    def no_solve(model):
+        raise AssertionError("the edge was solved before the noise law was checked")
+
+    monkeypatch.setattr(montecarlo, "solve_edge", no_solve)
+    with pytest.raises(InvalidConfigError, match="unknown noise distribution 'cauchy'"):
+        run_ensemble(constant_model(10, 10), 4, dist="cauchy")
+
+
 def test_pmap_refuses_a_thread_count_below_one():
     calls = []
     with pytest.raises(InvalidArgumentError, match="threads must be >= 1, got 0"):
@@ -408,7 +417,7 @@ def test_pmap_refuses_a_thread_count_below_one():
 
 def test_ensemble_statistics_recomputable():
     result = run_ensemble(constant_model(30, 30), 50, seed=9)
-    assert result.n_trials == len(result.thetas) == 50
+    assert len(result.thetas) == 50
     assert result.mean == pytest.approx(float(np.mean(result.thetas)), abs=1e-15)
     assert result.variance == pytest.approx(float(np.var(result.thetas)), abs=1e-15)
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spectraledge import (
-    DomainError,
     InvalidArgumentError,
     InvalidConfigError,
     SpectrumModel,
@@ -72,11 +71,30 @@ def test_ties_are_allowed():
         {"type": "explicit", "d": [[1.0]], "M": 1, "N": 2},
         {"type": "explicit", "d": [1.0, 10**400], "M": 2, "N": 2},
         {"type": "uniform_sq", "v_min": 0, "v_max": 10**400, "M": 2, "N": 2},
+        # not an object, and an empty explicit list with a valid M
+        [{"type": "constant", "d": 1.0, "M": 2, "N": 4}],
+        None,
+        {"type": "explicit", "d": [], "M": 1, "N": 3},
     ],
 )
 def test_invalid_configs_rejected(config):
     with pytest.raises(InvalidConfigError):
         load_spectrum(config)
+
+
+@pytest.mark.parametrize("d, M, N, message", [
+    ([[1.0, 2.0]], 2, 4, "non-empty 1-d array"),
+    (np.ones((2, 2)), 2, 4, "non-empty 1-d array"),
+    ([1.0, np.nan], 2, 4, "non-finite"),
+    ([np.inf], 1, 4, "non-finite"),
+    ([1.0], 0, 4, "does not match M=0"),
+    ([1.0], -1, 4, "does not match M=-1"),
+    ([1.0], 1, 0, "M and N must be positive"),
+    ([1.0], 1, -2, "M and N must be positive"),
+])
+def test_model_refusals_name_their_cause(d, M, N, message):
+    with pytest.raises(InvalidConfigError, match=message):
+        SpectrumModel(d=d, M=M, N=N)
 
 
 def _margin(model):
@@ -187,12 +205,12 @@ def test_scaled_model_refuses_a_negative_or_overflowing_factor(factor):
 
 @pytest.mark.parametrize("stop, step", [(1e12, 1e-3), (1e300, 1e-300)])
 def test_grid_refuses_a_huge_or_overflowing_point_count(stop, step):
-    with pytest.raises(DomainError, match=f"test grid would have more than {MAX_GRID_POINTS} points"):
+    with pytest.raises(InvalidArgumentError, match=f"test grid would have more than {MAX_GRID_POINTS} points"):
         grid(0.0, stop, step, "test")
 
 
 def test_grid_cap_admits_exactly_max_points(monkeypatch):
     monkeypatch.setattr(spectrum_module, "MAX_GRID_POINTS", 10)
     assert len(grid(0.0, 0.9, 0.1, "test")) == 10
-    with pytest.raises(DomainError, match="more than 10 points"):
+    with pytest.raises(InvalidArgumentError, match="more than 10 points"):
         grid(0.0, 1.0, 0.1, "test")

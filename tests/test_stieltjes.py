@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spectraledge import (
-    DomainError,
+    InvalidArgumentError,
     SolverFailureError,
     SpectrumModel,
     density,
@@ -152,7 +152,7 @@ def test_branch_conditions_hold():
 
 def test_z_zero_rejected():
     model = zero_model(4, 4)
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidArgumentError):
         solve_stieltjes(model, 0.0)
 
 
@@ -161,14 +161,20 @@ def test_z_zero_rejected():
 def test_non_finite_z_rejected(z):
     # an infinite start level eta = max(10, 2|z|) would never reach its target
     model = zero_model(4, 8)
-    with pytest.raises(DomainError, match="finite z"):
+    with pytest.raises(InvalidArgumentError, match="finite z"):
         solve_stieltjes(model, z)
-    with pytest.raises(DomainError, match="finite z"):
+    with pytest.raises(InvalidArgumentError, match="finite z"):
         solve_stieltjes(model, np.array([1.0 + 0.1j, z]))
 
 
+@pytest.mark.parametrize("z", [0.5 - 1e-3j, np.array([1.0 + 0.1j, 2.0 - 0.1j])])
+def test_negative_imaginary_part_rejected(z):
+    with pytest.raises(InvalidArgumentError, match="Im z >= 0"):
+        solve_stieltjes(zero_model(4, 8), z)
+
+
 def test_density_at_infinity_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidArgumentError):
         density(zero_model(4, 8), np.inf)
 
 

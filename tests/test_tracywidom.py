@@ -13,7 +13,7 @@ from numpy.polynomial.chebyshev import Chebyshev, chebpts2
 from scipy.special import airy as scipy_airy
 
 import spectraledge
-from spectraledge import DomainError, NumericError, f1_cdf, f1_pdf, tw_table
+from spectraledge import InvalidArgumentError, NumericError, f1_cdf, f1_pdf, tw_table
 from spectraledge import tracywidom
 from spectraledge.tracywidom import (
     _ANCHORS, _ASYMPTOTIC, _SERIES_FROM, _TAYLOR_STEP, _TAYLOR_TERMS, AIRY_MIN, DEFAULT_NODES, LEFT_CUT,
@@ -130,7 +130,7 @@ def test_airy_pair_is_exact_at_the_anchors():
 @pytest.mark.parametrize("x", [np.nextafter(-20.0, -np.inf), -20.3, -25.0, np.nan])
 def test_airy_pair_refuses_arguments_below_the_table(x):
     # an anchor index below 0 would wrap to the far end of the table, silently
-    with pytest.raises(DomainError, match="x >= -20"):
+    with pytest.raises(InvalidArgumentError, match="x >= -20"):
         _airy_pair(np.array([[0.0, 1.0], [x, 12.0]]))
 
 
@@ -211,7 +211,7 @@ def test_f1_pairs_batches_equal_single_points():
 
 
 def test_f1_at_nan_is_refused_and_at_infinity_is_exact():
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidArgumentError):
         f1_cdf(math.nan)
     assert f1_cdf(math.inf) == 1.0 and f1_pdf(math.inf) == 0.0
     assert f1_cdf(-math.inf) == 0.0 and f1_pdf(-math.inf) == 0.0
@@ -226,7 +226,7 @@ def test_f1_takes_scalars_and_arrays():
     assert np.array_equal(f, [[f1_pdf(x) for x in row] for row in s.tolist()])
     assert type(f1_cdf(np.float64(0.5))) is float and type(f1_pdf(np.array(0.5))) is float
     assert f1_cdf(np.empty(0)).shape == (0,)
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidArgumentError):
         f1_pdf(np.array([0.0, math.nan]))
 
 
@@ -238,16 +238,16 @@ def test_airy_pair_at_infinity_is_zero_without_a_warning():
 
 
 def test_tw_table_refuses_an_empty_or_stalled_grid():
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidArgumentError):
         tw_table(5.0, 4.0, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidArgumentError):
         tw_table(-1.0, 1.0, 0.0)
     assert [row[0] for row in tw_table(4.0, 4.0, 1.0)] == [4.0]
 
 
 @pytest.mark.parametrize("grid", [(math.nan, 1.0, 0.5), (0.0, math.inf, 0.1), (0.0, 1.0, math.nan)])
 def test_tw_table_refuses_a_non_finite_grid(grid):
-    with pytest.raises(DomainError, match="grid requires finite bounds"):
+    with pytest.raises(InvalidArgumentError, match="grid requires finite bounds"):
         tw_table(*grid)
 
 
