@@ -1,4 +1,12 @@
-"""Rightmost spectral edge, its critical point, and the Tracy-Widom scaling constant."""
+"""Rightmost spectral edge, its critical point, and the Tracy-Widom scaling constant.
+
+The edge data depend on the signal only through d_i^2, c = M/N and N, so
+the private core (_find_roots, _complete, scaling_sums, _scaled) takes
+those as numbers: dsq, a (rows, M) array of squared signal values, each
+row in decreasing order, with one c and one N for every row.  Each row is
+solved to the bits it gets alone.  The public functions take a validated
+SpectrumModel and pass its one row model.d_sq[None], model.c_N and model.N.
+"""
 
 from __future__ import annotations
 
@@ -57,18 +65,11 @@ class EdgeSolution:
 
 
 class _Roots(NamedTuple):
-    """The root stage of one model's edge: what find_edge knows before it evaluates f and phi at xi_r."""
+    """The root stage of one row's edge: what find_edge knows before it evaluates f and phi at xi_r."""
 
     xi_r: float
     bracket: tuple
     iterations: int
-
-
-def _stack(models) -> np.ndarray:
-    """The squared signal values of models that share M and N, one row per model."""
-    if len(models) == 1:
-        return models[0].d_sq[None]
-    return np.array([model.d_sq for model in models])
 
 
 def _rows(dsq: np.ndarray, rows: list) -> np.ndarray:
@@ -90,8 +91,8 @@ def _blocks(rows: list, width: int) -> list:
 def _reciprocals(dsq: np.ndarray, w: np.ndarray) -> np.ndarray:
     """1/(d_i^2 - w) over a last axis of length M; d^2 - w is the only temporary.
 
-    dsq is one model's d^2, or a stack of them shaped to broadcast against
-    w[..., None]; each row is then its own model's M values.
+    dsq is one row of d^2, or a stack of rows shaped to broadcast against
+    w[..., None]; each row is then its own spectrum's M values.
     """
     diff = dsq - w[..., None]
     if not diff.all():
@@ -107,8 +108,9 @@ def _family(dsq: np.ndarray, c: float, w: np.ndarray):
     f = np.add.reduce(inv, axis=-1) / m
     fp = np.add.reduce(np.square(inv, out=inv), axis=-1) / m
     one = 1.0 - c * f
-    phi = w * one**2 + (1.0 - c) * one
-    phip = one**2 - 2.0 * c * w * one * fp - c * (1.0 - c) * fp
+    sq = one * one  # not one**2, which squares a numpy scalar through libm's pow
+    phi = w * sq + (1.0 - c) * one
+    phip = sq - 2.0 * c * w * one * fp - c * (1.0 - c) * fp
     return f, fp, phi, phip
 
 
@@ -129,12 +131,12 @@ def phi_family(model: SpectrumModel, w):
 
 
 def _phi_newton(dsq: np.ndarray, c: float, w) -> list:
-    """[(phi'(w_k), phi''(w_k))] at the real scalars w_k, row k of dsq holding their model's d^2.
+    """[(phi'(w_k), phi''(w_k))] at the real scalars w_k, row k of dsq holding their d^2.
 
     One d^2 - w block for every row, with f'' = 2 mean 1/(d^2-w)^3; then
     scalar arithmetic in Python floats: the same operations as phi_family,
     so phi' has the same bits, without numpy's cost per 0-d operation.  A
-    row's sums are the bits of its model's 1-d sums.
+    row's sums are the bits of its own 1-d sums.
     """
     w = [float(x) for x in w]
     inv = _reciprocals(dsq, np.array(w))
@@ -157,12 +159,12 @@ def _phi_newton(dsq: np.ndarray, c: float, w) -> list:
 def _newton_roots(dsq: np.ndarray, c: float, cells: list) -> tuple[list, list]:
     """Root of phi' in each cell (row, lo, hi, phi'(lo), phi'(hi)), lo < hi and phi'(lo) <= 0 < phi'(hi).
 
-    _cells gives every cell that order; find_edge passes one cell per model,
-    the row of dsq holding its d^2.  Newton steps from the secant point,
-    safeguarded by the cell (rtsafe): a step that would leave the cell, or be
-    longer than half the step before last, becomes a bisection.  A cell stops
-    when phi' is exactly 0 or its step is at most _NEWTON_ULPS ulp of w.  Each
-    pass evaluates every unfinished cell in one _phi_newton call; each cell's
+    _cells gives every cell that order; _find_roots passes one cell per row
+    of dsq.  Newton steps from the secant point, safeguarded by the cell
+    (rtsafe): a step that would leave the cell, or be longer than half the
+    step before last, becomes a bisection.  A cell stops when phi' is
+    exactly 0 or its step is at most _NEWTON_ULPS ulp of w.  Each pass
+    evaluates every unfinished cell in one _phi_newton call; each cell's
     steps are those it would take alone.  Returns the roots and, per cell,
     [evaluations, Newton steps, bisections].
     """
@@ -267,7 +269,7 @@ def _no_root_right_of(dsq: np.ndarray, c: float, hi, f_hi, fp_hi) -> list:
     return ok
 
 
-def _pole_offset(model: SpectrumModel) -> float:
+def _pole_offset(d1sq: float, c: float, M: int) -> float:
     """Half of a proven lower bound on xi_r - d_1^2, or inf where the bound says nothing.
 
     At w = d_1^2 + delta every a_i = 1/(w - d_i^2) lies in (0, 1/delta], so
@@ -278,8 +280,7 @@ def _pole_offset(model: SpectrumModel) -> float:
     pole.  Near the pole the root sits at about sqrt(A), so for tiny c_N / M
     the bound falls below the scan's offset _EDGE_EPS d_1^2 and replaces it.
     """
-    c = model.c_N
-    bound = float(np.sqrt(c * (2.0 * float(model.d_sq[0]) + 1.0 - c) / model.M)) - c
+    bound = float(np.sqrt(c * (2.0 * d1sq + 1.0 - c) / M)) - c
     return 0.5 * bound if bound > 0.0 else np.inf
 
 
@@ -311,24 +312,23 @@ def _cells(dsq: np.ndarray, c: float, ladders: dict) -> dict:
     return out
 
 
-def _find_roots(models: list, brackets: list) -> list:
-    """The root stage of find_edge for a stack of models that share M and N, one bracket (or None) each.
+def _find_roots(dsq: np.ndarray, c: float, brackets: list) -> list:
+    """The root stage of find_edge for each row of dsq, one bracket (or None) per row.
 
-    A bracket must be None or points that increase strictly from the row's
-    lo (d_1^2 plus the scan's offset) or beyond, every bracket of one
-    length.  The rows go through each stage together: one evaluation per
-    run of brackets, one certificate evaluation per run of grids, then one
-    Newton pass per step over the one cell of every unsolved row.  A row
+    dsq and c are as in the module docstring.  A bracket must be None or
+    points that increase strictly from the row's lo (d_1^2 plus the scan's
+    offset) or beyond, every bracket of one length.  The rows go through
+    each stage together: one evaluation per run of brackets, one
+    certificate evaluation per run of grids, then one Newton pass per step
+    over the one cell of every unsolved row.  A row
     whose bracket yields no certified cell scans alone.  Each row logs its
     own certificate and find_edge lines; its root, cell and counts are the
     bits of its own solve.
     """
-    c = models[0].c_N
-    dsq = _stack(models)
     los, ladders = [], {}
-    for k, (model, points) in enumerate(zip(models, brackets)):
-        d1sq = float(model.d_sq[0])
-        los.append(d1sq + min(_EDGE_EPS * max(1.0, d1sq), _pole_offset(model)))
+    for k, points in enumerate(brackets):
+        d1sq = float(dsq[k, 0])
+        los.append(d1sq + min(_EDGE_EPS * max(1.0, d1sq), _pole_offset(d1sq, c, dsq.shape[1])))
         if points is not None:
             points = np.asarray(points, dtype=float)
             if points.ndim == 1 and points.size >= 2 and los[k] <= points[0] and (points[1:] > points[:-1]).all():
@@ -341,11 +341,11 @@ def _find_roots(models: list, brackets: list) -> list:
         proved = _no_root_right_of(_rows(dsq, rows), c, [cell[1] for cell in cands], f_hi, fp_hi)
         cells = {k: cell for k, cell, ok in zip(rows, cands, proved) if ok}
     grids = {}
-    for k, model in enumerate(models):
+    for k in range(len(dsq)):
         if k not in cells:
             # w_max - d_1^2 exceeds max(4, 2 d_1^2), where _no_root_right_of's bound
             # gives phi' > 0 onwards, so the grid's cell needs no certificate
-            w_max = 4.0 * (float(model.d_sq[0]) + 1.0) * (1.0 + np.sqrt(c)) ** 2
+            w_max = 4.0 * (float(dsq[k, 0]) + 1.0) * (1.0 + np.sqrt(c)) ** 2
             grids[k] = np.geomspace(los[k], w_max, _GRID_POINTS)
     scanned = _cells(dsq, c, grids)
     for k in grids:
@@ -354,7 +354,7 @@ def _find_roots(models: list, brackets: list) -> list:
                 "no sign change of phi' found; the spectrum may violate the edge-separation assumption"
             )
         cells[k] = scanned[k][0]
-    roots, counts = _newton_roots(dsq, c, [(k, *cells[k]) for k in range(len(models))])
+    roots, counts = _newton_roots(dsq, c, [(k, *cells[k]) for k in range(len(dsq))])
     out = []
     for k, (root, (evaluations, newton, bisections)) in enumerate(zip(roots, counts)):
         if k in scanned:
@@ -368,12 +368,10 @@ def _find_roots(models: list, brackets: list) -> list:
     return out
 
 
-def _complete(models: list, found: list) -> list:
-    """EdgeSolution of each model from its root stage: f and phi at xi_r, from one _family block."""
-    c = models[0].c_N
-    dsq = _stack(models)
+def _complete(dsq: np.ndarray, c: float, found: list) -> list:
+    """EdgeSolution of each row of dsq from its root stage: f and phi at xi_r, from one _family block."""
     out = []
-    for block in _blocks(list(range(len(models))), 1):
+    for block in _blocks(list(range(len(dsq))), 1):
         xi = [found[k].xi_r for k in block]
         f, _, phi, _ = _family(_rows(dsq, block), c, np.array(xi))
         for j, k in enumerate(block):
@@ -403,27 +401,25 @@ def find_edge(model: SpectrumModel) -> EdgeSolution:
     the sign changes of phi' on the grid, which show a second critical
     point right of d_1^2 where there is one.
 
-    This is the one-model case of the stacked solve (_find_roots, then
-    _complete) that flow_derivative_checks runs on many models at once;
-    there a model may start from a bracket, a ladder of points around a
-    nearby model's xi_r, whose cell is taken by the same rule and solved
-    only once a certificate (_no_root_right_of) proves phi' > 0 from the
-    cell's right end to infinity.  A model gets the same bits either way.
+    This is the one-row case of the stacked solve (_find_roots, then
+    _complete) that flow_derivative_checks runs on many rows of d^2 at
+    once; there a row may start from a bracket, a ladder of points around a
+    nearby row's xi_r, whose cell is taken by the same rule and solved only
+    once a certificate (_no_root_right_of) proves phi' > 0 from the cell's
+    right end to infinity.  A row gets the same bits either way.
     """
-    return _complete([model], _find_roots([model], [None]))[0]
+    dsq = model.d_sq[None]
+    return _complete(dsq, model.c_N, _find_roots(dsq, model.c_N, [None]))[0]
 
 
-def scaling_sums(models: list, edges: list) -> tuple[list, list]:
-    """Both sides (A, B) of the cubic scaling equation gamma0^{-3} A = B, one pair per model.
+def scaling_sums(dsq: np.ndarray, c: float, N: int, edges: list) -> tuple[list, list]:
+    """Both sides (A, B) of the cubic scaling equation gamma0^{-3} A = B, one pair per row of dsq.
 
-    The models share M and N; one d^2 - xi_r block serves every row, and
-    each row's sums are the bits of its model's 1-d sums.
+    dsq is as in _find_roots, N the noise dimension; one d^2 - xi_r block
+    serves every row, and each row's sums are the bits of its own 1-d sums.
     """
-    N = models[0].N
-    c = models[0].c_N
-    dsq = _stack(models)
     A, B = [], []
-    for block in _blocks(list(range(len(models))), 1):
+    for block in _blocks(list(range(len(dsq))), 1):
         edges_b = [edges[k] for k in block]
         diff = _rows(dsq, block) - np.array([e.xi_r for e in edges_b])[:, None]
         diff2 = diff * diff  # products, not the much slower array power diff**3
@@ -437,11 +433,10 @@ def scaling_sums(models: list, edges: list) -> tuple[list, list]:
     return A, B
 
 
-def _scaled(models: list, edges: list) -> list:
-    """Each edge completed with its scaling constant (see gamma0), the models sharing M and N."""
-    c = models[0].c_N
+def _scaled(dsq: np.ndarray, c: float, N: int, edges: list) -> list:
+    """Each row's edge completed with its scaling constant (see gamma0), dsq and N as in scaling_sums."""
     out = []
-    for edge, A, B in zip(edges, *scaling_sums(models, edges)):
+    for edge, A, B in zip(edges, *scaling_sums(dsq, c, N, edges)):
         if B <= 0.0 or A <= 0.0:
             raise DegenerateScalingError(
                 f"no real positive scaling constant (A={A:.6e}, B={B:.6e})", A=A, B=B
@@ -460,7 +455,7 @@ def gamma0(model: SpectrumModel, edge: EdgeSolution) -> EdgeSolution:
     A = (1/N) sum b^2/(d_i^2-xi_r)^2 and B is the right side of the cubic
     scaling equation; B <= 0 means no real positive scaling exists.
     """
-    return _scaled([model], [edge])[0]
+    return _scaled(model.d_sq[None], model.c_N, model.N, [edge])[0]
 
 
 def solve_edge(model: SpectrumModel) -> EdgeSolution:

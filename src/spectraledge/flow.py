@@ -1,13 +1,15 @@
 """Interpolating flow d_i(t) = e^{-t/2} d_i and its exact derivative identities.
 
 flow_derivative_checks compares central differences of the edge data with
-the analytic derivatives at many times, in three phases.  The edges at the
-times themselves are found one after another, each carried from the last
-(_ladder).  The models at t +- step then start from their time's bracket,
-all in one stack, and all the models are completed (f and phi at xi_r, the
-scaling constant) together.  The stacks are edge's one root-and-completion
-core, which solves one cell per model, the one that holds its rightmost
-root, and gives each model the bits of its own solve.
+the analytic derivatives at many times, in three phases, on one array of
+squared signal values e^{-s} d_i^2, a row for each s among the times, then
+the times + step, then the times - step.  The edges at the times are found
+one after another, each carried from the last (_ladder).  The rows at
+t +- step then start from their time's bracket, all in one stack, and all
+the rows are completed (f and phi at xi_r, the scaling constant) together.
+The stacks are edge's one root-and-completion core, which solves one cell
+per row, the one that holds its rightmost root, and gives each row the bits
+of its own solve.  Only the model at each time is built as a SpectrumModel.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .spectrum import SpectrumModel
 
 DEFAULT_STEP = 1e-4
 DERIVATIVE_KEYS = ("b", "gamma", "E_plus", "xi", "h")
+# the EdgeSolution field behind each key, as FlowState reads it
+_EDGE_FIELDS = dict(zip(DERIVATIVE_KEYS, ("b", "gamma0", "E_plus", "xi", "h_resc")))
 # 1.1% apart within 4.4% of the predicted distance to the pole, 19% apart out to 4x
 _LADDER_RATIOS = np.sort(np.concatenate((2.0 ** (np.arange(-8, 9) / 4.0), 2.0 ** (np.arange(-4, 5) / 64.0))))
 # drop the repeated 1 by hand: np.union1d would load numpy.ma at import
@@ -70,28 +74,29 @@ class FlowState:
         return self.model_t.c_N
 
 
-def _model_at(model: SpectrumModel, t: float) -> SpectrumModel:
-    """The model scaled by e^{-t/2}: 0 at t = inf, InvalidArgumentError where the scale overflows."""
+def _scale(model: SpectrumModel, t: float) -> float:
+    """e^{-t/2}, 0 at t = inf; InvalidArgumentError naming t where it or e^{-t/2} d_1 is not finite."""
     try:
         scale = math.exp(-t / 2.0)
     except OverflowError:
         raise InvalidArgumentError(f"flow scale e^(-t/2) overflows at t={t!r}") from None
-    return model.scaled(scale)
+    if not math.isfinite(scale * float(model.d[0])):
+        raise InvalidArgumentError(f"flow signal e^(-t/2) d_1 is not finite at t={t!r}")
+    return scale
 
 
-def _ladder(model_t: SpectrumModel, t: float, history: list) -> np.ndarray:
+def _ladder(d1sq: float, t: float, history: list) -> np.ndarray:
     """Points around the xi_r that the last one or two (time, xi_r) pairs predict for time t.
 
     One pair predicts its own xi_r, two extrapolate linearly in t.  The
     points sit at _LADDER_RATIOS times the prediction's distance from the
-    time-t pole d_1(t)^2.
+    time-t pole d1sq = d_1(t)^2.
     """
     t1, xi1 = history[-1]
     guess = xi1
     if len(history) > 1 and history[-2][0] != t1:
         t0, xi0 = history[-2]
         guess = xi1 + (xi1 - xi0) * (t - t1) / (t1 - t0)
-    d1sq = float(model_t.d_sq[0])
     return d1sq + (guess - d1sq) * _LADDER_RATIOS
 
 
@@ -104,7 +109,7 @@ def _require_time(t: float) -> None:
 def flow_state(model: SpectrumModel, t: float) -> FlowState:
     """Recompute all edge quantities for the time-t model (no ODE integration)."""
     _require_time(t)
-    model_t = _model_at(model, t)
+    model_t = SpectrumModel(d=model.d * _scale(model, t), M=model.M, N=model.N)
     return FlowState(t=t, model_t=model_t, edge_t=solve_edge(model_t))
 
 
@@ -144,9 +149,9 @@ def flow_derivative_checks(model: SpectrumModel, times, step: float = DEFAULT_ST
 
     Returns one dict of absolute differences keyed by quantity per time, in
     the order given.  The flow extends smoothly to slightly negative times,
-    so t = 0 is checked with a genuine central difference.  Every model (t
-    and t +- step at each time) is built first, so a step whose scale
-    overflows is refused before any solve.  Then three phases:
+    so t = 0 is checked with a genuine central difference.  Every scale
+    (t and t +- step at each time) is taken first, so a step whose scale or
+    scaled d_1 overflows is refused before any solve.  Then three phases:
 
     1. The edge roots at the times, in order.  Only the first time scans.
        Each later time hands the root stage a ladder of points around the
@@ -154,9 +159,9 @@ def flow_derivative_checks(model: SpectrumModel, times, step: float = DEFAULT_ST
        solves the ladder's cell, which starts at the last point where
        phi' <= 0, once a certificate proves that no root lies further
        right, and scans otherwise.
-    2. The roots of every model at t +- step, in one stack, each started
+    2. The roots of every row at t +- step, in one stack, each started
        from its time's bracket under the same rule and certificate.
-    3. The completion of all the models together: f and phi at xi_r, then
+    3. The completion of all the rows together: f and phi at xi_r, then
        the scaling constant.
     """
     if not step > 0:
@@ -166,26 +171,29 @@ def flow_derivative_checks(model: SpectrumModel, times, step: float = DEFAULT_ST
         _require_time(t)
     if not times:
         return []
-    # per time: the model at t, then at t + step and t - step
-    models = [_model_at(model, s) for t in times for s in (t, t + step, t - step)]
+    T = len(times)
+    scales = [_scale(model, s) for s in times + [t + step for t in times] + [t - step for t in times]]
+    # rows e^{-s/2} d for s in [times | times + step | times - step], squared in place
+    # once the model at each time has copied its row
+    dsq = np.multiply.outer(scales, model.d)
+    models = [SpectrumModel(d=row, M=model.M, N=model.N) for row in dsq[:T]]
+    np.square(dsq, out=dsq)
+    c = model.c_N
     centres = []
     history = []  # (t, xi_r) of the last two times
-    for t, model_t in zip(times, models[::3]):
-        ladder = _ladder(model_t, t, history) if history else None
-        (centre,) = _find_roots([model_t], [ladder])
+    for k, t in enumerate(times):
+        ladder = _ladder(float(dsq[k, 0]), t, history) if history else None
+        (centre,) = _find_roots(dsq[k:k + 1], c, [ladder])
         centres.append(centre)
         history = history[-1:] + [(t, centre.xi_r)]
-    # both models at t +- step start from the bracket of t
-    brackets = [centre.bracket for centre in centres for _ in (0, 1)]
-    shifted = _find_roots([m for k, m in enumerate(models) if k % 3], brackets)
-    roots = [r for k, centre in enumerate(centres) for r in (centre, *shifted[2 * k:2 * k + 2])]
-    edges = _scaled(models, _complete(models, roots))
+    # the rows at t + step and at t - step start from the bracket of t
+    shifted = _find_roots(dsq[T:], c, [centre.bracket for centre in centres] * 2)
+    edges = _scaled(dsq, c, model.N, _complete(dsq, c, centres + shifted))
     out = []
     for k, t in enumerate(times):
-        state, plus, minus = (FlowState(t=s, model_t=models[3 * k + j], edge_t=edges[3 * k + j])
-                              for j, s in enumerate((t, t + step, t - step)))
-        analytic = analytic_derivatives(state)
-        fd = {key: (getattr(plus, key) - getattr(minus, key)) / (2 * step) for key in DERIVATIVE_KEYS}
+        analytic = analytic_derivatives(FlowState(t=t, model_t=models[k], edge_t=edges[k]))
+        plus, minus = edges[T + k], edges[2 * T + k]
+        fd = {key: (getattr(plus, name) - getattr(minus, name)) / (2 * step) for key, name in _EDGE_FIELDS.items()}
         out.append({key: abs(fd[key] - analytic[key]) for key in DERIVATIVE_KEYS})
     return out
 
@@ -193,8 +201,8 @@ def flow_derivative_checks(model: SpectrumModel, times, step: float = DEFAULT_ST
 def flow_derivative_check(model: SpectrumModel, t: float, step: float = DEFAULT_STEP) -> dict:
     """Central finite differences vs the analytic derivatives at one time t (flow_derivative_checks).
 
-    The model at t scans for its edge; the models at t +- step start from
-    its bracket, whose cell the root stage solves only once its certificate
+    The row at t scans for its edge; the rows at t +- step start from its
+    bracket, whose cell the root stage solves only once its certificate
     proves that phi' has no root right of the cell, and scans otherwise.
     Over many times, flow_derivative_checks also carries each edge to the
     next time instead of scanning again.

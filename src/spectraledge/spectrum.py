@@ -40,31 +40,11 @@ class SpectrumModel:
             raise InvalidConfigError("signal spectrum contains non-finite entries")
         if np.any(d < 0):
             raise InvalidConfigError("signal singular values must be nonnegative")
-        if self.M <= 0 or self.N <= 0:
-            raise InvalidConfigError("M and N must be positive")
         if self.M > self.N:
             raise InvalidConfigError(f"M={self.M} exceeds N={self.N}")
         d = np.sort(d)[::-1].copy()
         d.flags.writeable = False
         object.__setattr__(self, "d", d)
-
-    def scaled(self, factor: float) -> SpectrumModel:
-        """The model with d multiplied by factor, built without re-validation.
-
-        factor * d of a valid model is nonnegative and still in decreasing
-        order, so construction's checks and sort would change nothing; only
-        finiteness needs a check, made on the largest entry.  The new d is
-        bitwise equal to SpectrumModel(d=factor * d, M, N).d and read-only.
-        InvalidArgumentError unless factor >= 0 and factor * d_1 is finite.
-        """
-        if not (factor >= 0 and math.isfinite(factor * float(self.d[0]))):
-            raise InvalidArgumentError(f"scale factor must be >= 0 with factor * d_1 finite, got {factor!r}")
-        d = self.d * factor
-        d.flags.writeable = False
-        model = object.__new__(SpectrumModel)
-        for name, value in (("d", d), ("M", self.M), ("N", self.N), ("config", None)):
-            object.__setattr__(model, name, value)
-        return model
 
     @property
     def c_N(self) -> float:

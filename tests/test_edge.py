@@ -104,9 +104,9 @@ def test_phi_family_bitwise_equal_to_mean_expressions(w):
         assert np.ndim(new) == np.ndim(w)
     if np.ndim(w) == 0:
         # the Newton evaluator forms d^2 - w once and still gives the same phi',
-        # and phi'' from f'' = 2 mean 1/(d^2 - w)^3; in a stack of models that
-        # share M and N, each row gets the bits of its own model
-        models = [model.scaled(s) for s in (1.0, 0.9, 1.1)]
+        # and phi'' from f'' = 2 mean 1/(d^2 - w)^3; in a stack of d^2 rows
+        # that share c, each row gets the bits of its own model
+        models = [SpectrumModel(d=model.d * s, M=model.M, N=model.N) for s in (1.0, 0.9, 1.1)]
         expected = []
         for m, x in zip(models, (w, 1.1 * w, 0.8 * w)):
             f, fp, _, phip = _mean_phi_family(m, x)
@@ -177,9 +177,6 @@ def test_noise_scale_covariance():
 @pytest.mark.parametrize("d, N", [([492.3869213432313, 158.7485301105504, 74.73021303480475], 34),
                                   ([1.0] * 5, 10), ([3.0, 2.0, 0.0], 3)])
 def test_edge_takes_f_and_phi_at_xi_r_from_one_array_evaluation(d, N):
-    # an array call of phi_family squares with np.square; the scalar call's numpy
-    # scalar square goes through libm's pow, and for the first spectrum the two
-    # differed in the last bit of phi(xi_r)
     model = SpectrumModel(d=d, M=len(d), N=N)
     sol = find_edge(model)
     f, _, phi, _ = phi_family(model, np.array([sol.xi_r]))
@@ -187,11 +184,20 @@ def test_edge_takes_f_and_phi_at_xi_r_from_one_array_evaluation(d, N):
     assert sol.b == 1.0 / (1.0 - model.c_N * f[0])
 
 
+def test_phi_family_gives_a_scalar_w_the_bits_of_an_array():
+    # phi_family squares 1 - c f as one * one: a numpy scalar's one**2 goes
+    # through libm's pow, and here it moved phi by 2 ulp and phi' by more
+    d = [float.fromhex(x) for x in ("0x1.ec630d46f34d8p+8", "0x1.3d7f3f56b1c54p+7", "0x1.2aebbcf73e65bp+6")]
+    model = SpectrumModel(d=d, M=3, N=34)
+    w = float.fromhex("0x1.d9c228839b91ap+17")
+    assert phi_family(model, w) == tuple(part[0] for part in phi_family(model, np.array([w])))
+
+
 def test_gamma0_constant_unit_spectrum():
     model = constant_model(1, 500, 500)
     sol = solve_edge(model)
     assert sol.gamma0 == pytest.approx((729.0 / 16.0) ** (-1.0 / 3.0), abs=1e-12)
-    (A,), (B,) = scaling_sums([model], [sol])
+    (A,), (B,) = scaling_sums(model.d_sq[None], model.c_N, model.N, [sol])
     assert A == pytest.approx(1.0 / 9.0, abs=1e-13)
     assert B == pytest.approx(81.0 / 16.0, abs=1e-12)
 
@@ -285,14 +291,15 @@ def test_xi_r_within_four_ulp_of_50_digit_root(d, c):
 
 
 def _from_bracket(model, bracket):
-    # find_edge started from a bracket: the one-model stack of the root stage,
-    # the path flow-check takes for a model near one already solved
-    return _complete([model], _find_roots([model], [bracket]))[0]
+    # find_edge started from a bracket: the one-row stack of the root stage,
+    # the path flow-check takes for a row near one already solved
+    dsq = model.d_sq[None]
+    return _complete(dsq, model.c_N, _find_roots(dsq, model.c_N, [bracket]))[0]
 
 
 def _solved_from_bracket(model, bracket):
     # solve_edge started from a bracket
-    return _scaled([model], [_from_bracket(model, bracket)])[0]
+    return _scaled(model.d_sq[None], model.c_N, model.N, [_from_bracket(model, bracket)])[0]
 
 
 def _flowed(model, t):
@@ -423,6 +430,30 @@ def test_edge_found_when_the_root_hugs_the_pole(d, N):
     assert abs(sol.xi_r - float(expected)) <= 4 * np.spacing(sol.xi_r)
 
 
+@given(
+    log_d=st.floats(min_value=-3.0, max_value=6.0),
+    M=st.integers(min_value=1, max_value=40),
+    log_ratio=st.floats(min_value=0.0, max_value=3.0),
+)
+def test_constant_spectrum_edge_matches_mpmath_at_extreme_d(log_d, M, log_ratio):
+    # d from 1e-3 to 1e6 and N from M to 1000 M, against a 50-digit root of
+    # phi' bracketed around the solver's offset u = xi_r - d^2.  Over 43 000
+    # random draws the worst errors were 11.7 ulp in xi_r (d ~ 5e-3, c_N near
+    # 1) and 3.2 eps relative in lambda_r.  u and gamma0 lose digits to the
+    # cancellation in d^2 - xi_r at large d, and are not bounded here.
+    d = 10.0**log_d
+    model = constant_model(d, M, max(M, round(M * 10.0**log_ratio)))
+    sol = find_edge(model)
+    u = sol.xi_r - float(model.d_sq[0])
+    with mpmath.workdps(50):
+        xi = mp_constant_spectrum_xi_r(d, model.c_N, bracket=(u / 4.0, 4.0 * u))
+        c = mpmath.mpf(model.c_N)
+        one = 1 + c / (xi - mpmath.mpf(d) ** 2)
+        lam = xi * one**2 + (1 - c) * one
+        assert abs(mpmath.mpf(sol.xi_r) - xi) <= 16 * np.spacing(sol.xi_r)
+        assert abs(mpmath.mpf(sol.lambda_r) / lam - 1) <= 5 * np.finfo(float).eps
+
+
 def test_certificate_accepts_close_to_the_edge():
     for model in random_models(12, seed=3):
         sol = find_edge(model)
@@ -489,10 +520,10 @@ def test_every_bracket_solve_logs_one_certificate(caplog):
     step=st.floats(min_value=1e-6, max_value=1e-2),
 )
 def test_stack_gives_each_model_the_bits_of_its_own_solve(u, scale, c, step):
-    # flowed models share M and N and so stack: the models at t +- step from the
-    # bracket of the centre at t, as flow-check solves them, and two rows that
-    # must scan inside the stack: one without a bracket and one whose
-    # certificate is forced to fail
+    # the d^2 rows of flowed models share c and N and so stack: the rows at
+    # t +- step from the bracket of the centre at t, as flow-check solves
+    # them, and two rows that must scan inside the stack: one without a
+    # bracket and one whose certificate is forced to fail
     M = len(u)
     model = SpectrumModel(d=10.0**scale * np.sqrt(np.array(u)), M=M, N=max(M, round(M / c)))
     models, brackets = [], []
@@ -512,7 +543,8 @@ def test_stack_gives_each_model_the_bits_of_its_own_solve(u, scale, c, step):
 
     with pytest.MonkeyPatch.context() as patch, _debug_lines() as lines:
         patch.setattr(edge_module, "_no_root_right_of", certificate)
-        stack = _scaled(models, _complete(models, _find_roots(models, brackets)))
+        dsq, c_N = np.array([m.d_sq for m in models]), model.c_N
+        stack = _scaled(dsq, c_N, model.N, _complete(dsq, c_N, _find_roots(dsq, c_N, brackets)))
         stack_lines = lines[:]
         alone = [_solved_from_bracket(m, b) for m, b in zip(models, brackets)]
         alone_lines = lines[len(stack_lines):]

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,9 +98,9 @@ def _recorded_brackets(monkeypatch):
     seen = []
     real = flow_module._find_roots
 
-    def recording(models, brackets):
+    def recording(dsq, c, brackets):
         seen.append(list(brackets))
-        return real(models, brackets)
+        return real(dsq, c, brackets)
 
     monkeypatch.setattr(flow_module, "_find_roots", recording)
     return seen
@@ -174,8 +175,8 @@ def test_loop_rejects_bad_times_and_steps():
 
 
 def test_later_times_start_from_a_ladder_around_the_last_edge(monkeypatch):
-    # the times one by one, then every model at t +- step in one stack, each
-    # pair from its own time's bracket
+    # the times one by one, then every row at t + step and then at t - step in
+    # one stack, each pair from its own time's bracket
     model = constant_model(50, 50)
     seen = _recorded_brackets(monkeypatch)
     flow_derivative_checks(model, [0.0, 0.25, 0.5], step=1e-4)
@@ -184,9 +185,8 @@ def test_later_times_start_from_a_ladder_around_the_last_edge(monkeypatch):
         assert isinstance(ladder, np.ndarray) and ladder.size == flow_module._LADDER_RATIOS.size
         assert np.all(np.diff(ladder) > 0.0)
     shifted = seen[3]
-    for k in (0, 2, 4):
-        assert shifted[k] == shifted[k + 1] and len(shifted[k]) == 2
-    assert len({shifted[0], shifted[2], shifted[4]}) == 3
+    assert shifted[:3] == shifted[3:] and all(len(bracket) == 2 for bracket in shifted)
+    assert len(set(shifted)) == 3
 
 
 def _uniform_sq_500x1000():
@@ -210,9 +210,9 @@ def test_flow_check_scans_once_and_matches_per_time_scans(monkeypatch, caplog):
     solved = []
     real = flow_module._find_roots
 
-    def recording(models, brackets):
-        found = real(models, brackets)
-        solved.extend(zip(models, found))
+    def recording(dsq, c, brackets):
+        found = real(dsq, c, brackets)
+        solved.extend((row[None], c, root) for row, root in zip(dsq, found))
         return found
 
     monkeypatch.setattr(flow_module, "_find_roots", recording)
@@ -221,8 +221,10 @@ def test_flow_check_scans_once_and_matches_per_time_scans(monkeypatch, caplog):
     paths = [r.getMessage().split(",")[0] for r in caplog.records if r.getMessage().startswith("find_edge")]
     assert paths == ["find_edge: scan path"] + ["find_edge: bracket path"] * (3 * len(times) - 1)
     assert len(solved) == 3 * len(times)
-    for model_t, found in solved:
-        assert abs(found.xi_r - find_edge(model_t).xi_r) <= 4 * np.spacing(found.xi_r)
+    for dsq, c, found in solved:
+        # each row's scan, as find_edge runs it
+        (scan,) = edge_module._find_roots(dsq, c, [None])
+        assert abs(found.xi_r - scan.xi_r) <= 4 * np.spacing(found.xi_r)
     assert all(max(res.values()) <= 1e-6 for res in rows)
 
 
@@ -248,14 +250,27 @@ def test_ladder_ratios_are_the_sorted_union():
     assert flow_module._LADDER_RATIOS.tobytes() == old.tobytes()
 
 
-def test_flow_models_are_scaled_without_revalidation(monkeypatch):
+def test_flow_check_validates_exactly_one_model_per_time(monkeypatch):
+    # the rows at t +- step are squared signal values only; the model at each
+    # time, which its FlowState holds, goes through the one constructor
     model = constant_model(40, 80)
     validated = []
     post_init = SpectrumModel.__post_init__
     monkeypatch.setattr(SpectrumModel, "__post_init__", lambda self: (validated.append(self), post_init(self)))
     results = flow_derivative_checks(model, [0.0, 0.5, 1.0])
-    assert validated == [] and len(results) == 3
+    assert len(validated) == 3 and len(results) == 3
+    assert [m.d.tobytes() for m in validated] == [(model.d * math.exp(-t / 2.0)).tobytes() for t in (0.0, 0.5, 1.0)]
+    validated.clear()
     state = flow_state(model, 0.5)
-    assert validated == []
+    assert validated == [state.model_t]
     assert state.model_t.d.tobytes() == (model.d * math.exp(-0.25)).tobytes()
     assert not state.model_t.d.flags.writeable
+
+
+@pytest.mark.parametrize("d, step", [(1e300, 50.0), (1.0, math.inf)])
+def test_flow_check_refuses_a_step_whose_signal_overflows(d, step):
+    # e^{25} d_1 at t - step = -50 overflows; an infinite step scales d by inf,
+    # without the OverflowError of a finite exponent
+    model = load_spectrum({"type": "constant", "d": d, "M": 3, "N": 4})
+    with pytest.raises(InvalidArgumentError, match=re.escape(f"at t={0.0 - step!r}")):
+        flow_derivative_checks(model, [0.0], step=step)
