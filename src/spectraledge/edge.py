@@ -6,11 +6,15 @@ those as numbers: dsq, a (rows, M) array of squared signal values, each
 row in decreasing order, with one c and one N for every row.  Each row is
 solved to the bits it gets alone.  The public functions take a validated
 SpectrumModel and pass its one row model.d_sq[None], model.c_N and model.N.
+The sums over the M values are numpy arrays; every per-row scalar (a
+cell, a root, an EdgeSolution field) is a Python float, converted once per
+stage by .tolist() or .item().  phi and phi' are written once, in _phi.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -83,8 +87,6 @@ def _blocks(rows: list, width: int) -> list:
     """rows in consecutive runs of _GRID_POINTS // width (at least one), so that a run with width
     points per row forms no temporary larger than the scan's _GRID_POINTS x M block."""
     size = max(1, _GRID_POINTS // width)
-    if len(rows) <= size:
-        return [rows]
     return [rows[i:i + size] for i in range(0, len(rows), size)]
 
 
@@ -101,17 +103,20 @@ def _reciprocals(dsq: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.reciprocal(diff, out=diff)
 
 
+def _phi(c: float, w, f, fp):
+    """(phi, phi') at w from f and f' there, as numpy arrays or Python floats, the same bits either way."""
+    one = 1.0 - c * f
+    sq = one * one  # not one**2, which squares a numpy scalar through libm's pow
+    return w * sq + (1.0 - c) * one, sq - 2.0 * c * w * one * fp - c * (1.0 - c) * fp
+
+
 def _family(dsq: np.ndarray, c: float, w: np.ndarray):
     """(f, f', phi, phi') at the array w, with dsq as in _reciprocals (see phi_family)."""
     inv = _reciprocals(dsq, w)
     m = inv.shape[-1]
     f = np.add.reduce(inv, axis=-1) / m
     fp = np.add.reduce(np.square(inv, out=inv), axis=-1) / m
-    one = 1.0 - c * f
-    sq = one * one  # not one**2, which squares a numpy scalar through libm's pow
-    phi = w * sq + (1.0 - c) * one
-    phip = sq - 2.0 * c * w * one * fp - c * (1.0 - c) * fp
-    return f, fp, phi, phip
+    return (f, fp, *_phi(c, w, f, fp))
 
 
 def phi_family(model: SpectrumModel, w):
@@ -130,15 +135,14 @@ def phi_family(model: SpectrumModel, w):
     return f, fp, phi, phip
 
 
-def _phi_newton(dsq: np.ndarray, c: float, w) -> list:
-    """[(phi'(w_k), phi''(w_k))] at the real scalars w_k, row k of dsq holding their d^2.
+def _phi_newton(dsq: np.ndarray, c: float, w: list) -> list:
+    """[(phi'(w_k), phi''(w_k))] at the Python floats w_k, row k of dsq holding their d^2.
 
-    One d^2 - w block for every row, with f'' = 2 mean 1/(d^2-w)^3; then
-    scalar arithmetic in Python floats: the same operations as phi_family,
-    so phi' has the same bits, without numpy's cost per 0-d operation.  A
-    row's sums are the bits of its own 1-d sums.
+    One d^2 - w block for every row gives the sums of f, f' and
+    f'' = 2 mean 1/(d^2-w)^3 as floats; phi' is _phi's, so it has the bits
+    of phi_family, and only phi'' is written here, without numpy's cost
+    per 0-d operation.  A row's sums are the bits of its own 1-d sums.
     """
-    w = [float(x) for x in w]
     inv = _reciprocals(dsq, np.array(w))
     m = inv.shape[-1]
     sq = inv * inv
@@ -146,11 +150,9 @@ def _phi_newton(dsq: np.ndarray, c: float, w) -> list:
                np.add.reduce(sq * inv, axis=-1).tolist())
     out = []
     for wk, (s0, s1, s2) in zip(w, sums):
-        f = s0 / m
-        fp = s1 / m
-        fpp = 2.0 * (s2 / m)
+        f, fp, fpp = s0 / m, s1 / m, 2.0 * (s2 / m)
         one = 1.0 - c * f
-        phip = one * one - 2.0 * c * wk * one * fp - c * (1.0 - c) * fp
+        phip = _phi(c, wk, f, fp)[1]
         phipp = -4.0 * c * one * fp + 2.0 * c * c * wk * fp * fp - c * (2.0 * wk * one + 1.0 - c) * fpp
         out.append((phip, phipp))
     return out
@@ -159,24 +161,21 @@ def _phi_newton(dsq: np.ndarray, c: float, w) -> list:
 def _newton_roots(dsq: np.ndarray, c: float, cells: list) -> tuple[list, list]:
     """Root of phi' in each cell (row, lo, hi, phi'(lo), phi'(hi)), lo < hi and phi'(lo) <= 0 < phi'(hi).
 
-    _cells gives every cell that order; _find_roots passes one cell per row
-    of dsq.  Newton steps from the secant point, safeguarded by the cell
-    (rtsafe): a step that would leave the cell, or be longer than half the
-    step before last, becomes a bisection.  A cell stops when phi' is
-    exactly 0 or its step is at most _NEWTON_ULPS ulp of w.  Each pass
-    evaluates every unfinished cell in one _phi_newton call; each cell's
-    steps are those it would take alone.  Returns the roots and, per cell,
-    [evaluations, Newton steps, bisections].
+    _cells gives every cell that order, in Python floats; _find_roots passes
+    one cell per row of dsq.  Newton steps from the secant point (lo where
+    phi'(lo) = 0), safeguarded by the cell (rtsafe): a step that would
+    leave the cell, or be longer than half the step before last, becomes a
+    bisection.  A cell stops when phi' is exactly 0 or its step is at most
+    _NEWTON_ULPS ulp of w.  Each pass evaluates every unfinished cell in one
+    _phi_newton call; each cell's steps are those it would take alone.
+    Returns the roots and, per cell, [evaluations, Newton steps, bisections].
     """
     roots = [None] * len(cells)
     counts = [[0, 0, 0] for _ in cells]
     state = {}  # unsolved cell -> [w, lo, hi, step, step before]
     for j, (_, lo, hi, phip_lo, phip_hi) in enumerate(cells):
-        if phip_lo == 0.0:
-            roots[j] = lo
-        else:
-            w = lo - phip_lo * (hi - lo) / (phip_hi - phip_lo)  # secant start
-            state[j] = [w, lo, hi, hi - lo, hi - lo]
+        w = lo - phip_lo * (hi - lo) / (phip_hi - phip_lo)  # secant start
+        state[j] = [w, lo, hi, hi - lo, hi - lo]
     for _ in range(_NEWTON_MAX_STEPS):
         if not state:
             return roots, counts
@@ -203,7 +202,7 @@ def _newton_roots(dsq: np.ndarray, c: float, cells: list) -> tuple[list, list]:
                     step_old, step = step, 0.5 * (hi - lo)
                     trial = lo + step
                     work[2] += 1
-                if abs(step) <= _NEWTON_ULPS * np.spacing(w):
+                if abs(step) <= _NEWTON_ULPS * math.ulp(w):
                     roots[j] = trial
                     del state[j]
                 else:
@@ -236,8 +235,7 @@ def _no_root_right_of(dsq: np.ndarray, c: float, hi, f_hi, fp_hi) -> list:
     """
     margins, cells, pending = [], [0] * len(hi), []
     grid = np.empty((len(hi), _CERT_FRACTIONS.size + 1))
-    for k, (h, f, fp) in enumerate(zip(hi, f_hi, fp_hi)):
-        d1sq = float(dsq[k, 0])
+    for k, (d1sq, h, f, fp) in enumerate(zip(dsq[:, 0].tolist(), hi, f_hi, fp_hi)):
         g = 1.0 - c * f
         q = c * fp * (2.0 * h * g + 1.0 - c)
         margins.append(g * g - q * (1.0 + _CERT_MARGIN))
@@ -256,14 +254,14 @@ def _no_root_right_of(dsq: np.ndarray, c: float, hi, f_hi, fp_hi) -> list:
         sq = g * g
         q = c * fp * (2.0 * w * g + 1.0 - c) * (1.0 + _CERT_MARGIN)
         tangent = 2.0 * c * g[:, 1:] * fp[:, 1:] * (w[:, 1:] - w[:, :-1]) * (1.0 - _CERT_MARGIN)
-        inner = (sq[:, 1:] + tangent - q[:, :-1]).min(axis=-1)
-        tail = (sq[:, 1:] - q[:, 1:]).min(axis=-1)
+        inner = (sq[:, 1:] + tangent - q[:, :-1]).min(axis=-1).tolist()
+        tail = (sq[:, 1:] - q[:, 1:]).min(axis=-1).tolist()
         for j, k in enumerate(block):
-            margins[k] = min(inner[j], tail[j], 1.0 - q[j, -1])
+            margins[k] = min(inner[j], tail[j], 1.0 - q.item(j, -1))
             cells[k] = w.shape[1] - 1
     ok = []
     for k, margin in enumerate(margins):
-        ok.append(bool(margin > 0.0))
+        ok.append(margin > 0.0)
         log.debug("edge certificate: %d cells right of %r, smallest margin %.3e, %s",
                   cells[k], hi[k], margin, "accepted" if ok[k] else "fell back to the scan")
     return ok
@@ -280,8 +278,8 @@ def _pole_offset(d1sq: float, c: float, M: int) -> float:
     pole.  Near the pole the root sits at about sqrt(A), so for tiny c_N / M
     the bound falls below the scan's offset _EDGE_EPS d_1^2 and replaces it.
     """
-    bound = float(np.sqrt(c * (2.0 * d1sq + 1.0 - c) / M)) - c
-    return 0.5 * bound if bound > 0.0 else np.inf
+    bound = math.sqrt(c * (2.0 * d1sq + 1.0 - c) / M) - c
+    return 0.5 * bound if bound > 0.0 else math.inf
 
 
 def _cells(dsq: np.ndarray, c: float, ladders: dict) -> dict:
@@ -290,10 +288,10 @@ def _cells(dsq: np.ndarray, c: float, ladders: dict) -> dict:
     The one cell rule of the scan and of a bracket: a ladder's cell
     (a, b, phi'(a), phi'(b)) starts at its last point a where phi' <= 0 (or
     is NaN), so phi' is positive at every point right of a, and a ladder
-    yields a cell only when a is not its last point.  A row without a cell
-    is left out.  The ladders share one length (the scan's grids, the
-    2-point brackets or flow's ladders) and are evaluated together, in runs
-    within the scan's block.
+    yields a cell only when a is not its last point; it and f, f' at b are
+    Python floats.  A row without a cell is left out.  The ladders share one
+    length (the scan's grids, the 2-point brackets or flow's ladders) and
+    are evaluated together, in runs within the scan's block.
     """
     out = {}
     if not ladders:
@@ -307,8 +305,8 @@ def _cells(dsq: np.ndarray, c: float, ladders: dict) -> dict:
         last = size - 1 - positive[:, ::-1].argmin(axis=-1)
         for j, (k, i) in enumerate(zip(block, last.tolist())):
             if i < size - 1:
-                cell = (points[j, i], points[j, i + 1], phip[j, i], phip[j, i + 1])
-                out[k] = (cell, f[j, i + 1], fp[j, i + 1], positive[j])
+                cell = (points.item(j, i), points.item(j, i + 1), phip.item(j, i), phip.item(j, i + 1))
+                out[k] = (cell, f.item(j, i + 1), fp.item(j, i + 1), positive[j])
     return out
 
 
@@ -326,8 +324,8 @@ def _find_roots(dsq: np.ndarray, c: float, brackets: list) -> list:
     bits of its own solve.
     """
     los, ladders = [], {}
-    for k, points in enumerate(brackets):
-        d1sq = float(dsq[k, 0])
+    d1sqs = dsq[:, 0].tolist()
+    for k, (d1sq, points) in enumerate(zip(d1sqs, brackets)):
         los.append(d1sq + min(_EDGE_EPS * max(1.0, d1sq), _pole_offset(d1sq, c, dsq.shape[1])))
         if points is not None:
             points = np.asarray(points, dtype=float)
@@ -345,7 +343,7 @@ def _find_roots(dsq: np.ndarray, c: float, brackets: list) -> list:
         if k not in cells:
             # w_max - d_1^2 exceeds max(4, 2 d_1^2), where _no_root_right_of's bound
             # gives phi' > 0 onwards, so the grid's cell needs no certificate
-            w_max = 4.0 * (float(dsq[k, 0]) + 1.0) * (1.0 + np.sqrt(c)) ** 2
+            w_max = 4.0 * (d1sqs[k] + 1.0) * (1.0 + math.sqrt(c)) ** 2
             grids[k] = np.geomspace(los[k], w_max, _GRID_POINTS)
     scanned = _cells(dsq, c, grids)
     for k in grids:
@@ -364,7 +362,7 @@ def _find_roots(dsq: np.ndarray, c: float, brackets: list) -> list:
                       np.count_nonzero(positive[1:] != positive[:-1]))
         else:
             log.debug("find_edge: bracket path, %d Newton steps, %d bisection fallbacks", newton, bisections)
-        out.append(_Roots(root, tuple(float(x) for x in cells[k][:2]), evaluations))
+        out.append(_Roots(root, cells[k][:2], evaluations))
     return out
 
 
@@ -372,15 +370,13 @@ def _complete(dsq: np.ndarray, c: float, found: list) -> list:
     """EdgeSolution of each row of dsq from its root stage: f and phi at xi_r, from one _family block."""
     out = []
     for block in _blocks(list(range(len(dsq))), 1):
-        xi = [found[k].xi_r for k in block]
-        f, _, phi, _ = _family(_rows(dsq, block), c, np.array(xi))
-        for j, k in enumerate(block):
-            b = 1.0 / (1.0 - c * float(f[j]))
-            lambda_r = float(phi[j])
+        f, _, phi, _ = _family(_rows(dsq, block), c, np.array([found[k].xi_r for k in block]))
+        for k, f_k, lambda_r in zip(block, f.tolist(), phi.tolist()):
+            b = 1.0 / (1.0 - c * f_k)
             tb = lambda_r * b - (1.0 - c)
             h = lambda_r * b + tb
             out.append(EdgeSolution(
-                xi_r=xi[j], lambda_r=lambda_r, b=b, tb=tb, h=h,
+                xi_r=found[k].xi_r, lambda_r=lambda_r, b=b, tb=tb, h=h,
                 bracket=found[k].bracket, iterations=found[k].iterations,
             ))
     return out
@@ -427,9 +423,9 @@ def scaling_sums(dsq: np.ndarray, c: float, N: int, edges: list) -> tuple[list, 
         lift = np.array([(2.0 * e.lambda_r * e.b - (1.0 - c)) ** 2 for e in edges_b])[:, None]
         lam = np.array([e.lambda_r for e in edges_b])[:, None]
         A += (np.add.reduce(bsq / diff2, axis=-1) / N).tolist()
-        cubic = np.add.reduce(lift / (diff2 * diff), axis=-1) / N
-        square = np.add.reduce(lam / diff2, axis=-1) / N
-        B += [float(-1.0 / e.b**3 - cubic[j] - square[j]) for j, e in enumerate(edges_b)]
+        cubic = (np.add.reduce(lift / (diff2 * diff), axis=-1) / N).tolist()
+        square = (np.add.reduce(lam / diff2, axis=-1) / N).tolist()
+        B += [-1.0 / e.b**3 - cu - sq for e, cu, sq in zip(edges_b, cubic, square)]
     return A, B
 
 

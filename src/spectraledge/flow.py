@@ -21,7 +21,7 @@ import numpy as np
 
 from .edge import EdgeSolution, _complete, _find_roots, _scaled, solve_edge
 from .errors import InvalidArgumentError
-from .spectrum import SpectrumModel
+from .spectrum import SpectrumModel, _square_is_finite
 
 DEFAULT_STEP = 1e-4
 DERIVATIVE_KEYS = ("b", "gamma", "E_plus", "xi", "h")
@@ -75,13 +75,14 @@ class FlowState:
 
 
 def _scale(model: SpectrumModel, t: float) -> float:
-    """e^{-t/2}, 0 at t = inf; InvalidArgumentError naming t where it or e^{-t/2} d_1 is not finite."""
+    """e^{-t/2}, 0 at t = inf; InvalidArgumentError naming t where it overflows, or where the
+    square of e^{-t/2} d_1 does (SpectrumModel's rule for d_1)."""
     try:
         scale = math.exp(-t / 2.0)
     except OverflowError:
         raise InvalidArgumentError(f"flow scale e^(-t/2) overflows at t={t!r}") from None
-    if not math.isfinite(scale * float(model.d[0])):
-        raise InvalidArgumentError(f"flow signal e^(-t/2) d_1 is not finite at t={t!r}")
+    if not _square_is_finite(scale * model.d.item(0)):
+        raise InvalidArgumentError(f"flow signal e^(-t/2) d_1 squares past the float range at t={t!r}")
     return scale
 
 

@@ -64,8 +64,7 @@ def sample_matrix(model: SpectrumModel, dist: str, seed: int, trial: int) -> np.
     seed and trial, Python or numpy integers, key the stream (`_trial_rng`);
     a negative one raises InvalidArgumentError.
     """
-    if dist not in NOISE_DISTS:
-        raise InvalidConfigError(f"unknown noise distribution {dist!r}; expected one of {NOISE_DISTS}")
+    _require_dist(dist)
     if seed < 0 or trial < 0:
         raise InvalidArgumentError(f"seed and trial must be nonnegative, got seed={seed}, trial={trial}")
     rng = _trial_rng(seed, trial)
@@ -242,6 +241,12 @@ def _require_count(name: str, value: int) -> None:
         raise InvalidArgumentError(f"{name} must be >= 1, got {value}")
 
 
+def _require_dist(dist: str) -> None:
+    """The one rule for a noise law: a name in NOISE_DISTS, else InvalidConfigError."""
+    if dist not in NOISE_DISTS:
+        raise InvalidConfigError(f"unknown noise distribution {dist!r}; expected one of {NOISE_DISTS}")
+
+
 def pmap(fn, items, threads: int) -> list:
     """[fn(item) for item in items], on a pool of `threads` threads when above 1; below 1 it raises."""
     _require_count("threads", threads)
@@ -287,8 +292,7 @@ def run_ensemble(
     """
     _require_count("n_trials", n_trials)
     _require_count("threads", threads)
-    if dist not in NOISE_DISTS:
-        raise InvalidConfigError(f"unknown noise distribution {dist!r}; expected one of {NOISE_DISTS}")
+    _require_dist(dist)
     sol = solve_edge(model)
     lam, g = sol.lambda_r, sol.gamma0
     N23 = model.N ** (2.0 / 3.0)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -22,13 +21,16 @@ MAX_GRID_POINTS = 10**7
 class SpectrumModel:
     """Signal singular values d_1 >= ... >= d_M >= 0 together with the matrix dimensions.
 
-    Immutable after construction; safe to share across threads.
+    d_sq holds the squares d_i^2, formed once at construction; a d_1 whose
+    square overflows is refused (_square_is_finite).  Immutable after
+    construction; safe to share across threads.
     """
 
     d: np.ndarray
     M: int
     N: int
     config: dict | None = field(default=None, repr=False)
+    d_sq: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=float)
@@ -43,18 +45,25 @@ class SpectrumModel:
         if self.M > self.N:
             raise InvalidConfigError(f"M={self.M} exceeds N={self.N}")
         d = np.sort(d)[::-1].copy()
+        if not _square_is_finite(d.item(0)):
+            raise InvalidConfigError(f"signal value d_1={d.item(0)!r} squares past the float range")
+        dsq = d * d
         d.flags.writeable = False
+        dsq.flags.writeable = False
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d_sq", dsq)
 
     @property
     def c_N(self) -> float:
         return self.M / self.N
 
-    @cached_property
-    def d_sq(self) -> np.ndarray:
-        dsq = self.d ** 2
-        dsq.flags.writeable = False
-        return dsq
+
+def _square_is_finite(x: float) -> bool:
+    """The one rule for a largest signal value x, a Python float: x * x lies in the float range.
+
+    A product of Python floats overflows to inf without a numpy warning
+    (x ** 2 would raise OverflowError instead)."""
+    return math.isfinite(x * x)
 
 
 def _as_number(value, what: str) -> float:

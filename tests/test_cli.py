@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -212,6 +213,17 @@ def test_non_numeric_spectrum_value_is_config_error(tmp_path, capsys, body):
     bad.write_text(body)
     assert run_command(["edge", "--spectrum", str(bad)]) == 2
     assert "must be a number in the float range" in capsys.readouterr().err
+
+
+def test_signal_whose_square_overflows_is_config_error(tmp_path, capsys, recwarn):
+    # refused where the model forms d^2, with no numpy warning and no output file
+    spec = tmp_path / "huge.json"
+    spec.write_text('{"type": "constant", "d": 1e200, "M": 2, "N": 4}')
+    out = tmp_path / "edge.json"
+    assert run_command(["edge", "--spectrum", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: signal value d_1=1e+200 squares past the float range\n"
+    assert len(recwarn) == 0
+    assert list(tmp_path.iterdir()) == [spec]
 
 
 def test_rescale_option_is_gone(const1, tmp_path, capsys):
@@ -677,6 +689,23 @@ def test_emit_json_round_trip(tmp_path):
     assert back["a"] == obj["a"]
     assert back["b"]["c"][2] == -3e-15
     assert back["d"] is None and back["e"] is True and back["f"] == "text"
+
+
+def test_emit_json_writes_non_finite_numbers_and_empty_containers(tmp_path):
+    obj = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "dict": {}, "list": []}
+    path = tmp_path / "obj.json"
+    emit_json(obj, str(path))
+    assert path.read_text() == ('{\n  "nan": NaN,\n  "inf": Infinity,\n  "-inf": -Infinity,\n'
+                                '  "dict": {},\n  "list": []\n}\n')
+
+
+@pytest.mark.parametrize("emit", [lambda value, path: emit_json({"x": value}, path),
+                                  lambda value, path: emit_csv([(value,)], ("x",), path)],
+                         ids=["json", "csv"])
+def test_emitters_refuse_a_value_they_cannot_serialize(tmp_path, emit):
+    with pytest.raises(TypeError):
+        emit(object(), str(tmp_path / "x"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_emit_json_stable_bytes(tmp_path):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import logging
 import math
 import re
@@ -22,7 +23,7 @@ from spectraledge import (
 )
 import spectraledge.edge as edge_module
 from spectraledge.edge import (
-    EdgeSolution, _complete, _find_roots, _no_root_right_of, _phi_newton, _scaled, scaling_sums,
+    EdgeSolution, _complete, _find_roots, _newton_roots, _no_root_right_of, _phi_newton, _scaled, scaling_sums,
 )
 
 from oracles import constant_spectrum_critical_points, mp_constant_spectrum_xi_r
@@ -511,6 +512,38 @@ def test_every_bracket_solve_logs_one_certificate(caplog):
     cells, margin = re.match(r"edge certificate: (\d+) cells right of .*, smallest margin (\S+), accepted$",
                              lines[0]).groups()
     assert int(cells) == edge_module._CERT_FRACTIONS.size and float(margin) > 0.0
+
+
+def test_every_edge_field_is_a_python_float():
+    # the root stage hands floats from stage to stage, so no numpy scalar
+    # reaches a solution, whether its row scanned or started from a bracket
+    # or a ladder
+    model = constant_model(1, 50, 100)
+    scan = solve_edge(model)
+    ladder = _distance_ladder(model, scan.xi_r, 2.0 ** ((np.arange(-8, 8) + 0.5) / 4.0))
+    for sol in (scan, _solved_from_bracket(model, scan.bracket), _solved_from_bracket(model, ladder)):
+        values = [getattr(sol, f.name) for f in dataclasses.fields(sol) if f.name not in ("bracket", "iterations")]
+        assert [type(x) for x in values + [sol.h_resc, *sol.bracket]] == [float] * (len(values) + 3)
+        assert type(sol.iterations) is int
+
+
+def test_certificate_line_prints_its_right_end_as_a_float(caplog):
+    model = constant_model(1, 50, 100)
+    sol = find_edge(model)
+    with caplog.at_level(logging.DEBUG, logger="spectraledge"):
+        _from_bracket(model, sol.bracket)
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("edge certificate")]
+    assert f" cells right of {sol.bracket[1]!r}, smallest margin " in line
+    assert "np.float64" not in line
+
+
+def test_newton_cell_whose_left_end_is_a_root_returns_it():
+    # zero signal with M = 1, N = 4: f = -1/w, so phi'(0.5) = 2.25 - 1.5 - 0.75 = 0
+    # exactly; the secant start is then 0.5, where phi' is 0 again
+    model = zero_model(1, 4)
+    assert phi_family(model, 0.5)[3] == 0.0 and phi_family(model, 1.0)[3] == 0.75
+    roots, _ = _newton_roots(model.d_sq[None], model.c_N, [(0, 0.5, 1.0, 0.0, 0.75)])
+    assert roots == [0.5]
 
 
 @given(

@@ -267,10 +267,10 @@ def test_flow_check_validates_exactly_one_model_per_time(monkeypatch):
     assert not state.model_t.d.flags.writeable
 
 
-@pytest.mark.parametrize("d, step", [(1e300, 50.0), (1.0, math.inf)])
+@pytest.mark.parametrize("d, step", [(1e150, 50.0), (1.0, math.inf)])
 def test_flow_check_refuses_a_step_whose_signal_overflows(d, step):
-    # e^{25} d_1 at t - step = -50 overflows; an infinite step scales d by inf,
-    # without the OverflowError of a finite exponent
+    # e^{25} d_1 at t - step = -50 is finite but its square overflows; an
+    # infinite step scales d by inf, without the OverflowError of a finite exponent
     model = load_spectrum({"type": "constant", "d": d, "M": 3, "N": 4})
     with pytest.raises(InvalidArgumentError, match=re.escape(f"at t={0.0 - step!r}")):
         flow_derivative_checks(model, [0.0], step=step)

@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spectraledge import (
+    FlowState,
+    PoleError,
     SpectrumModel,
     edge_functionals,
     flow_state,
@@ -98,3 +101,11 @@ def test_psi_fields_are_direct_sums():
     u = state.gamma * state.model_t.d_sq
     diff = u - state.xi
     assert fn.psi2 == pytest.approx(float(np.sum(u / diff**2) / state.model_t.N), abs=1e-15)
+
+
+def test_edge_functionals_refuse_a_state_whose_xi_is_on_a_pole():
+    # a hand-built state whose rescaled xi equals gamma d_a^2 for the second value
+    state = flow_state(SpectrumModel(d=np.array([1.0, 0.5]), M=2, N=4), 0.0)
+    on_pole = replace(state.edge_t, xi=state.gamma * state.model_t.d_sq.item(1))
+    with pytest.raises(PoleError, match="xi coincides"):
+        edge_functionals(FlowState(t=0.0, model_t=state.model_t, edge_t=on_pole))

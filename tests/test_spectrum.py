@@ -88,6 +88,7 @@ def test_invalid_configs_rejected(config):
     ([1.0], -1, 4, "does not match M=-1"),
     ([1.0], 1, 0, "M=1 exceeds N=0"),
     ([1.0], 1, -2, "M=1 exceeds N=-2"),
+    ([1.0, 1e200], 2, 4, r"d_1=1e\+200 squares past the float range"),
 ])
 def test_model_refusals_name_their_cause(d, M, N, message):
     with pytest.raises(InvalidConfigError, match=message):
@@ -167,6 +168,17 @@ def test_with_size_names_a_missing_config(model):
     # the model is not explicit: the refusal names the absent config instead
     with pytest.raises(InvalidConfigError, match="load_spectrum did not build: it has no config"):
         with_size(model, 12)
+
+
+@pytest.mark.parametrize("model", [
+    load_spectrum({"type": "uniform_sq", "v_min": 0.5, "v_max": 2.0, "M": 3, "N": 10}),
+    load_spectrum({"type": "explicit", "d": [1.0, 0.5], "M": 2, "N": 4}),
+    SpectrumModel(d=np.ones(3), M=3, N=6),
+], ids=["generated", "explicit", "built_directly"])
+def test_with_size_at_the_same_size_returns_the_model(model):
+    # nothing to regenerate, so neither an explicit list nor a missing config is refused
+    assert with_size(model, model.N) is model
+    assert with_size(model, np.int64(model.N)) is model
 
 
 def test_model_is_immutable():
