@@ -38,7 +38,7 @@ from .errors import InvalidArgumentError, InvalidConfigError, SpectralEdgeError
 from .flow import flow_derivative_checks, flow_state
 from .identities import identity_residuals
 from .locallaw import DEVIATION_CLASSES, check_z, locallaw_deviation
-from .montecarlo import NOISE_DISTS, _require_count, pmap, run_ensemble, sample_matrix
+from .montecarlo import NOISE_DISTS, _require_count, _require_seed, pmap, run_ensemble, sample_matrix
 from .spectrum import grid, load_spectrum, with_size
 from .stieltjes import solve_stieltjes
 from .tracywidom import tw_table
@@ -217,6 +217,7 @@ def _cmd_twtable(args, model) -> None:
 
 def _cmd_locallaw(args, model) -> None:
     _require_count("seeds", args.seeds)
+    _require_seed(args.seed)
     if args.N is not None:
         model = with_size(model, args.N)
     eta = args.eta if args.eta is not None else model.N ** -0.5

@@ -342,7 +342,8 @@ def _find_roots(dsq: np.ndarray, c: float, brackets: list) -> list:
     for k in range(len(dsq)):
         if k not in cells:
             # w_max - d_1^2 exceeds max(4, 2 d_1^2), where _no_root_right_of's bound
-            # gives phi' > 0 onwards, so the grid's cell needs no certificate
+            # gives phi' > 0 onwards, so the grid's cell needs no certificate;
+            # spectrum._in_edge_range keeps w_max and the products formed on it finite
             w_max = 4.0 * (d1sqs[k] + 1.0) * (1.0 + math.sqrt(c)) ** 2
             grids[k] = np.geomspace(los[k], w_max, _GRID_POINTS)
     scanned = _cells(dsq, c, grids)

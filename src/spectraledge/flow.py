@@ -10,6 +10,12 @@ the rows are completed (f and phi at xi_r, the scaling constant) together.
 The stacks are edge's one root-and-completion core, which solves one cell
 per row, the one that holds its rightmost root, and gives each row the bits
 of its own solve.  Only the model at each time is built as a SpectrumModel.
+
+A FlowState is the record (t, model_t, edge_t).  The derivative formulas
+read edge_t's fields under the paper's symbols: g = gamma0, b, E = E_plus,
+tb = tb_resc and h = h_resc, the rescaled values (see EdgeSolution).
+Flow-check's keys b, gamma, E_plus, xi and h name the same fields
+(_EDGE_FIELDS).
 """
 
 from __future__ import annotations
@@ -21,11 +27,11 @@ import numpy as np
 
 from .edge import EdgeSolution, _complete, _find_roots, _scaled, solve_edge
 from .errors import InvalidArgumentError
-from .spectrum import SpectrumModel, _square_is_finite
+from .spectrum import SpectrumModel, _in_edge_range
 
 DEFAULT_STEP = 1e-4
 DERIVATIVE_KEYS = ("b", "gamma", "E_plus", "xi", "h")
-# the EdgeSolution field behind each key, as FlowState reads it
+# the EdgeSolution field behind each key
 _EDGE_FIELDS = dict(zip(DERIVATIVE_KEYS, ("b", "gamma0", "E_plus", "xi", "h_resc")))
 # 1.1% apart within 4.4% of the predicted distance to the pole, 19% apart out to 4x
 _LADDER_RATIOS = np.sort(np.concatenate((2.0 ** (np.arange(-8, 9) / 4.0), 2.0 ** (np.arange(-4, 5) / 64.0))))
@@ -35,54 +41,24 @@ _LADDER_RATIOS = _LADDER_RATIOS[np.concatenate(([True], _LADDER_RATIOS[1:] != _L
 
 @dataclass(frozen=True)
 class FlowState:
-    """Edge and scaling data of the interpolated model at time t.
-
-    The rescaled quantities (gamma, E_plus, xi, tb, h) drive the derivative
-    identities; tb and h here are the rescaled companions, h = E_plus b + tb.
-    """
+    """The record (t, model_t, edge_t): the interpolated model at time t and its solved edge,
+    whose rescaled fields EdgeSolution defines."""
 
     t: float
     model_t: SpectrumModel
     edge_t: EdgeSolution
 
-    @property
-    def b(self) -> float:
-        return self.edge_t.b
-
-    @property
-    def gamma(self) -> float:
-        return self.edge_t.gamma0
-
-    @property
-    def E_plus(self) -> float:
-        return self.edge_t.E_plus
-
-    @property
-    def xi(self) -> float:
-        return self.edge_t.xi
-
-    @property
-    def tb(self) -> float:
-        return self.edge_t.tb_resc
-
-    @property
-    def h(self) -> float:
-        return self.edge_t.h_resc
-
-    @property
-    def c(self) -> float:
-        return self.model_t.c_N
-
 
 def _scale(model: SpectrumModel, t: float) -> float:
-    """e^{-t/2}, 0 at t = inf; InvalidArgumentError naming t where it overflows, or where the
-    square of e^{-t/2} d_1 does (SpectrumModel's rule for d_1)."""
+    """e^{-t/2}, 0 at t = inf; InvalidArgumentError naming t where it overflows, or where
+    e^{-t/2} d_1 fails SpectrumModel's rule for d_1 (_in_edge_range)."""
     try:
         scale = math.exp(-t / 2.0)
     except OverflowError:
         raise InvalidArgumentError(f"flow scale e^(-t/2) overflows at t={t!r}") from None
-    if not _square_is_finite(scale * model.d.item(0)):
-        raise InvalidArgumentError(f"flow signal e^(-t/2) d_1 squares past the float range at t={t!r}")
+    if not _in_edge_range(scale * model.d.item(0)):
+        raise InvalidArgumentError(
+            f"flow signal e^(-t/2) d_1 squares past the float range of the edge solve at t={t!r}")
     return scale
 
 
@@ -115,14 +91,15 @@ def flow_state(model: SpectrumModel, t: float) -> FlowState:
 
 
 def _varphi4(state: FlowState) -> float:
-    rdiff = state.gamma * state.model_t.d_sq - state.xi
+    rdiff = state.edge_t.gamma0 * state.model_t.d_sq - state.edge_t.xi
     rdiff2 = rdiff * rdiff
     return float(np.sum(1.0 / (rdiff2 * rdiff2)) / state.model_t.N)
 
 
 def gamma_time_derivative(state: FlowState) -> float:
     """Analytic d(gamma)/dt along the flow."""
-    g, b, E, tb, h = state.gamma, state.b, state.E_plus, state.tb, state.h
+    e = state.edge_t
+    g, b, E, tb, h = e.gamma0, e.b, e.E_plus, e.tb_resc, e.h_resc
     p4 = _varphi4(state)
     return g**6 * h**4 * E * p4 - g**4 * h**3 * (
         4.0 * E**2 / (g * h**4)
@@ -136,7 +113,8 @@ def gamma_time_derivative(state: FlowState) -> float:
 
 def analytic_derivatives(state: FlowState) -> dict:
     """Closed-form time derivatives of (b, gamma, E_plus, xi, h) at the state."""
-    g, b, E, tb, h = state.gamma, state.b, state.E_plus, state.tb, state.h
+    e = state.edge_t
+    g, b, E, tb, h = e.gamma0, e.b, e.E_plus, e.tb_resc, e.h_resc
     gd = gamma_time_derivative(state)
     bd = g**2 * E + b * (b - 1.0)
     Ed = -(E * b + tb) + E + (E / g) * gd

@@ -1,4 +1,10 @@
-"""Deterministic edge functionals and the exact identities they satisfy."""
+"""Deterministic edge functionals and the exact identities they satisfy.
+
+Each function takes a FlowState (t, model_t, edge_t) and reads the rescaled
+edge under the paper's symbols: g = edge_t.gamma0, b = edge_t.b,
+E = edge_t.E_plus, tb = edge_t.tb_resc and h = edge_t.h_resc, with
+c = model_t.c_N and the squared signal values model_t.d_sq.
+"""
 
 from __future__ import annotations
 
@@ -34,11 +40,12 @@ class EdgeFunctionals:
 
 def edge_functionals(state: FlowState) -> EdgeFunctionals:
     """Evaluate all functionals by direct summation at the given flow state."""
-    g, b, E, tb, h, c = state.gamma, state.b, state.E_plus, state.tb, state.h, state.c
+    e = state.edge_t
+    g, b, E, tb, h, c = e.gamma0, e.b, e.E_plus, e.tb_resc, e.h_resc, state.model_t.c_N
     dsq = state.model_t.d_sq
     N = state.model_t.N
     u = g * dsq
-    diff = u - state.xi
+    diff = u - e.xi
     if np.any(np.abs(diff) < _POLE_EPS):
         raise PoleError("xi coincides with a rescaled squared signal value")
 
@@ -82,7 +89,8 @@ def theta4_closed_form(state: FlowState, functionals: EdgeFunctionals) -> float:
     """theta4 reduced through the varphi identities:
     g^3 h^4 varphi4 - 4E/h - 4 g^2 E / b^3 - 2 g^2 E^2 / (b^2 h) + g^3 (1-c)/b^4.
     """
-    g, b, E, h, c = state.gamma, state.b, state.E_plus, state.h, state.c
+    e = state.edge_t
+    g, b, E, h, c = e.gamma0, e.b, e.E_plus, e.h_resc, state.model_t.c_N
     return (
         g**3 * h**4 * functionals.varphi4
         - 4.0 * E / h
@@ -100,7 +108,8 @@ def identity_residuals(state: FlowState) -> dict:
     vanishing combination of the Green-function-derivative coefficients C1
     and C3, formed here from one evaluation of gamma's time derivative).
     """
-    g, b, E, tb, h, c = state.gamma, state.b, state.E_plus, state.tb, state.h, state.c
+    e = state.edge_t
+    g, b, E, tb, h, c = e.gamma0, e.b, e.E_plus, e.tb_resc, e.h_resc, state.model_t.c_N
     fn = edge_functionals(state)
     gd = gamma_time_derivative(state)
     cm = (b - 1.0) / g

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericError
-from .montecarlo import run_ensemble
+from .montecarlo import _require_real, run_ensemble
 from .spectrum import SpectrumModel, with_size
 from .stieltjes import solve_stieltjes
 
@@ -140,8 +140,7 @@ def locallaw_deviation(model: SpectrumModel, Y: np.ndarray, z: complex) -> Local
     """
     z = check_z(z)
     M, N = model.M, model.N
-    if np.iscomplexobj(Y):
-        raise InvalidArgumentError("Y must be real, got complex entries")
+    _require_real(Y)
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (M, N):
         raise InvalidArgumentError(f"Y has shape {Y.shape}, the model needs ({M}, {N})")

@@ -65,8 +65,7 @@ def sample_matrix(model: SpectrumModel, dist: str, seed: int, trial: int) -> np.
     a negative one raises InvalidArgumentError.
     """
     _require_dist(dist)
-    if seed < 0 or trial < 0:
-        raise InvalidArgumentError(f"seed and trial must be nonnegative, got seed={seed}, trial={trial}")
+    _require_seed(seed, trial)
     rng = _trial_rng(seed, trial)
     M, N = model.M, model.N
     root_n = math.sqrt(N)
@@ -210,8 +209,7 @@ def largest_eigenvalue(Y: np.ndarray) -> float:
     empty or non-matrix Y raises InvalidArgumentError; non-finite input or
     any LAPACK failure raises NumericError.
     """
-    if np.iscomplexobj(Y):
-        raise InvalidArgumentError("Y must be real, got complex entries")
+    _require_real(Y)
     Y = np.ascontiguousarray(Y, dtype=float)
     if Y.ndim != 2 or Y.size == 0:
         raise InvalidArgumentError("Y must be a nonempty matrix")
@@ -239,6 +237,18 @@ def _require_count(name: str, value: int) -> None:
     """The one rule for trial and thread counts: at least 1, else InvalidArgumentError."""
     if value < 1:
         raise InvalidArgumentError(f"{name} must be >= 1, got {value}")
+
+
+def _require_seed(seed: int, trial: int = 0) -> None:
+    """The one rule for a sampling seed and trial: both nonnegative, else InvalidArgumentError."""
+    if seed < 0 or trial < 0:
+        raise InvalidArgumentError(f"seed and trial must be nonnegative, got seed={seed}, trial={trial}")
+
+
+def _require_real(Y) -> None:
+    """The one rule for a sampled matrix Y: real entries, else InvalidArgumentError."""
+    if np.iscomplexobj(Y):
+        raise InvalidArgumentError("Y must be real, got complex entries")
 
 
 def _require_dist(dist: str) -> None:
@@ -287,12 +297,13 @@ def run_ensemble(
     E_plus = gamma0 lambda_r.  Trials are independent (seed, trial)-keyed
     streams, so the result is invariant to the worker count.  The KS distance
     is taken against the tabulated F1, within about 1e-14 of the direct
-    determinant.  n_trials < 1 or threads < 1 raises InvalidArgumentError
-    before the edge is solved.
+    determinant.  n_trials < 1, threads < 1 or a negative seed raises
+    InvalidArgumentError before the edge is solved.
     """
     _require_count("n_trials", n_trials)
     _require_count("threads", threads)
     _require_dist(dist)
+    _require_seed(seed)
     sol = solve_edge(model)
     lam, g = sol.lambda_r, sol.gamma0
     N23 = model.N ** (2.0 / 3.0)

@@ -22,7 +22,7 @@ class SpectrumModel:
     """Signal singular values d_1 >= ... >= d_M >= 0 together with the matrix dimensions.
 
     d_sq holds the squares d_i^2, formed once at construction; a d_1 whose
-    square overflows is refused (_square_is_finite).  Immutable after
+    edge solve would overflow is refused (_in_edge_range).  Immutable after
     construction; safe to share across threads.
     """
 
@@ -45,8 +45,8 @@ class SpectrumModel:
         if self.M > self.N:
             raise InvalidConfigError(f"M={self.M} exceeds N={self.N}")
         d = np.sort(d)[::-1].copy()
-        if not _square_is_finite(d.item(0)):
-            raise InvalidConfigError(f"signal value d_1={d.item(0)!r} squares past the float range")
+        if not _in_edge_range(d.item(0)):
+            raise InvalidConfigError(f"signal value d_1={d.item(0)!r} squares past the float range of the edge solve")
         dsq = d * d
         d.flags.writeable = False
         dsq.flags.writeable = False
@@ -58,12 +58,19 @@ class SpectrumModel:
         return self.M / self.N
 
 
-def _square_is_finite(x: float) -> bool:
-    """The one rule for a largest signal value x, a Python float: x * x lies in the float range.
+def _in_edge_range(x: float) -> bool:
+    """The one rule for a largest signal value x, a Python float: the edge solve forms no inf.
 
-    A product of Python floats overflows to inf without a numpy warning
-    (x ** 2 would raise OverflowError instead)."""
-    return math.isfinite(x * x)
+    The scan ends at 4 (x^2 + 1)(1 + sqrt c)^2 <= 16 (x^2 + 1), as c <= 1
+    (edge._find_roots).  The certificate ends at x^2 + max(4, 2 x^2, 2 (h - x^2))
+    (edge._no_root_right_of), with its cell's right end h left of a scan's end:
+    at most 32 (x^2 + 1), x the largest d_1 of the rows solved together, each
+    one checked here.  Past x^2 + 4, 1 - c f <= 1 + c/4, so the 2 w (1 - c f)
+    that phi' and the certificate form at a point w stays below 2.5 w: the rule
+    keeps 80 (x^2 + 1) finite.  A product of Python floats overflows to inf
+    without a numpy warning (x ** 2 would raise OverflowError instead).
+    """
+    return math.isfinite(80.0 * (x * x + 1.0))
 
 
 def _as_number(value, what: str) -> float:

@@ -178,6 +178,20 @@ def test_negative_seed_is_argument_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_locallaw_refuses_a_negative_seed_before_the_edge_is_solved(monkeypatch, tmp_path, capsys):
+    # refused before the model is resized or its edge solved, not at the first draw
+    calls = []
+    monkeypatch.setattr(cli_module, "with_size", lambda model, N: calls.append("with_size"))
+    monkeypatch.setattr(cli_module, "find_edge", lambda model: calls.append("find_edge"))
+    out = tmp_path / "x.csv"
+    code = run_command(["locallaw", "--spectrum", str(GOLDEN_SPECTRUM), "--seeds", "2", "--seed", "-3",
+                        "--N", "120", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: seed and trial must be nonnegative, got seed=-3, trial=0\n"
+    assert calls == []
+    assert not out.exists()
+
+
 def test_locallaw_on_a_one_by_one_model(tmp_path):
     # at M = N = 1 the off-diagonal class has no entry; it reads 0.0
     spectrum = tmp_path / "one.json"
@@ -215,13 +229,17 @@ def test_non_numeric_spectrum_value_is_config_error(tmp_path, capsys, body):
     assert "must be a number in the float range" in capsys.readouterr().err
 
 
-def test_signal_whose_square_overflows_is_config_error(tmp_path, capsys, recwarn):
-    # refused where the model forms d^2, with no numpy warning and no output file
+@pytest.mark.parametrize("d", ["1e200", "1e154"])
+def test_signal_past_the_edge_range_is_config_error(tmp_path, capsys, recwarn, d):
+    # d_1^2 overflows at 1e200; at 1e154 it is finite but the edge scan's end
+    # 4 (d_1^2 + 1)(1 + sqrt c)^2 is not.  Refused where the model is built,
+    # with no numpy warning and no output file
     spec = tmp_path / "huge.json"
-    spec.write_text('{"type": "constant", "d": 1e200, "M": 2, "N": 4}')
+    spec.write_text(f'{{"type": "constant", "d": {d}, "M": 2, "N": 4}}')
     out = tmp_path / "edge.json"
     assert run_command(["edge", "--spectrum", str(spec), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: signal value d_1=1e+200 squares past the float range\n"
+    message = f"error: signal value d_1={float(d)!r} squares past the float range of the edge solve\n"
+    assert capsys.readouterr().err == message
     assert len(recwarn) == 0
     assert list(tmp_path.iterdir()) == [spec]
 

@@ -33,7 +33,7 @@ def random_model(rng, c):
 def test_state_at_zero_matches_base_edge():
     model = constant_model(100, 100)
     state = flow_state(model, 0.0)
-    assert state.gamma == pytest.approx((729.0 / 16.0) ** (-1.0 / 3.0), abs=1e-12)
+    assert state.edge_t.gamma0 == pytest.approx((729.0 / 16.0) ** (-1.0 / 3.0), abs=1e-12)
     assert state.edge_t.lambda_r == pytest.approx(6.75, abs=1e-11)
     assert np.array_equal(state.model_t.d, model.d)
 
@@ -48,7 +48,7 @@ def test_signal_decays_monotonically():
 def test_infinite_time_limit_is_pure_noise():
     state = flow_state(constant_model(60, 60), math.inf)
     assert state.edge_t.lambda_r == pytest.approx(4.0, abs=1e-10)
-    assert state.gamma == pytest.approx(2.0 ** (-4.0 / 3.0), abs=1e-10)
+    assert state.edge_t.gamma0 == pytest.approx(2.0 ** (-4.0 / 3.0), abs=1e-10)
     assert state.edge_t.xi_r == pytest.approx(1.0, abs=1e-10)
 
 
@@ -58,7 +58,7 @@ def test_long_time_state_near_stationary(N):
     t0 = 2.0 * math.log(N)
     state = flow_state(model, t0)
     limit = flow_state(model, math.inf)
-    assert abs(state.gamma - limit.gamma) <= 10.0 / N**2
+    assert abs(state.edge_t.gamma0 - limit.edge_t.gamma0) <= 10.0 / N**2
     assert abs(state.edge_t.lambda_r - limit.edge_t.lambda_r) <= 10.0 / N**2
 
 
@@ -129,13 +129,14 @@ def test_stationary_point_balances_b_derivative():
     state = flow_state(constant_model(80, 80), math.inf)
     derivs = analytic_derivatives(state)
     assert derivs["b"] == pytest.approx(0.0, abs=1e-10)
-    assert state.gamma**2 * state.E_plus == pytest.approx(-state.b * (state.b - 1.0), abs=1e-10)
+    e = state.edge_t
+    assert e.gamma0**2 * e.E_plus == pytest.approx(-e.b * (e.b - 1.0), abs=1e-10)
 
 
 def test_flow_uses_base_aspect_ratio():
     model = load_spectrum({"type": "constant", "d": 1, "M": 30, "N": 120})
     state = flow_state(model, 1.0)
-    assert state.c == pytest.approx(0.25)
+    assert state.model_t.c_N == pytest.approx(0.25)
     rc = math.sqrt(0.25)
     limit = flow_state(model, math.inf)
     assert limit.edge_t.lambda_r == pytest.approx((1 + rc) ** 2, abs=1e-10)
@@ -274,3 +275,12 @@ def test_flow_check_refuses_a_step_whose_signal_overflows(d, step):
     model = load_spectrum({"type": "constant", "d": d, "M": 3, "N": 4})
     with pytest.raises(InvalidArgumentError, match=re.escape(f"at t={0.0 - step!r}")):
         flow_derivative_checks(model, [0.0], step=step)
+
+
+def test_flow_check_refuses_a_step_past_the_edge_range_before_any_solve(monkeypatch):
+    # e^{1/2} d_1 at t - step = -1 squares to a finite 5.3e306, but the edge core's
+    # largest products, 80 (d_1^2 + 1), overflow: refused before any row is solved
+    model = load_spectrum({"type": "constant", "d": 1.4e153, "M": 3, "N": 4})
+    monkeypatch.setattr(flow_module, "_find_roots", lambda *args: pytest.fail("a row was solved"))
+    with pytest.raises(InvalidArgumentError, match=re.escape("of the edge solve at t=-1.0")):
+        flow_derivative_checks(model, [0.0], step=1.0)

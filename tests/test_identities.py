@@ -37,7 +37,7 @@ def random_states(count, seed=7, times=(0.0,)):
 def test_varphi2_closed_form_constant_spectrum():
     state = constant_state()
     fn = edge_functionals(state)
-    g, b, h = state.gamma, state.b, state.h
+    g, b, h = state.edge_t.gamma0, state.edge_t.b, state.edge_t.h_resc
     assert g == pytest.approx((16.0 / 729.0) ** (1.0 / 3.0), abs=1e-12)
     assert b == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert fn.varphi2 == pytest.approx(1.0 / (g * b**2 * h), abs=1e-12)
@@ -46,7 +46,7 @@ def test_varphi2_closed_form_constant_spectrum():
 def test_varphi1_zero_signal():
     state = flow_state(load_spectrum({"type": "constant", "d": 1, "M": 60, "N": 60}), math.inf)
     fn = edge_functionals(state)
-    assert fn.varphi1 == pytest.approx((state.b - 1.0) / (state.gamma * state.b), abs=1e-10)
+    assert fn.varphi1 == pytest.approx((state.edge_t.b - 1.0) / (state.edge_t.gamma0 * state.edge_t.b), abs=1e-10)
 
 
 def test_even_odd_sign_pattern():
@@ -98,14 +98,14 @@ def test_identities_hold_along_whole_flow():
 def test_psi_fields_are_direct_sums():
     state = constant_state(t=0.4, M=30)
     fn = edge_functionals(state)
-    u = state.gamma * state.model_t.d_sq
-    diff = u - state.xi
+    u = state.edge_t.gamma0 * state.model_t.d_sq
+    diff = u - state.edge_t.xi
     assert fn.psi2 == pytest.approx(float(np.sum(u / diff**2) / state.model_t.N), abs=1e-15)
 
 
 def test_edge_functionals_refuse_a_state_whose_xi_is_on_a_pole():
     # a hand-built state whose rescaled xi equals gamma d_a^2 for the second value
     state = flow_state(SpectrumModel(d=np.array([1.0, 0.5]), M=2, N=4), 0.0)
-    on_pole = replace(state.edge_t, xi=state.gamma * state.model_t.d_sq.item(1))
+    on_pole = replace(state.edge_t, xi=state.edge_t.gamma0 * state.model_t.d_sq.item(1))
     with pytest.raises(PoleError, match="xi coincides"):
         edge_functionals(FlowState(t=0.0, model_t=state.model_t, edge_t=on_pole))

@@ -91,6 +91,14 @@ def test_negative_seed_or_trial_is_refused(seed, trial):
         sample_matrix(constant_model(4, 4), "gaussian", seed=seed, trial=trial)
 
 
+def test_negative_seed_is_refused_before_the_edge_is_solved(monkeypatch):
+    solved = []
+    monkeypatch.setattr(montecarlo, "solve_edge", solved.append)
+    with pytest.raises(InvalidArgumentError, match=re.escape("nonnegative, got seed=-1, trial=0")):
+        run_ensemble(constant_model(4, 4), 3, seed=-1)
+    assert solved == []
+
+
 def test_largest_eigenvalue_deterministic_inputs():
     model = constant_model(6, 9)
     R = np.hstack([np.eye(6), np.zeros((6, 3))])
@@ -281,6 +289,42 @@ def test_missing_openblas_warns_once_and_runs_unpinned(monkeypatch, caplog):
     [record] = [r for r in caplog.records if r.message.startswith("largest_eigenvalue")]
     assert record.message.endswith("scipy's OpenBLAS not pinned: 0 libscipy_openblas*.so files in "
                                    "scipy.libs, expected 1")
+
+
+class _StubLib:
+    """Stands in for scipy's OpenBLAS library: the given symbols and no others."""
+
+    def __init__(self, **symbols):
+        self.__dict__.update(symbols)
+
+
+def _pin_with(monkeypatch, caplog, lib):
+    # one stub library file, opened as `lib`: the real library is never touched
+    monkeypatch.setattr(montecarlo.glob, "glob", lambda pattern: ["scipy.libs/libscipy_openblas-stub.so"])
+    monkeypatch.setattr(montecarlo.ctypes, "CDLL", lambda path: lib)
+    with caplog.at_level(logging.DEBUG, logger="spectraledge"):
+        line = montecarlo._pin_scipy_openblas()
+    [warning] = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert warning.message.startswith("scipy's OpenBLAS is not pinned to one thread (libscipy_openblas-stub.so")
+    return line
+
+
+def test_openblas_without_the_thread_symbols_warns_and_runs_unpinned(monkeypatch, caplog):
+    line = _pin_with(monkeypatch, caplog, _StubLib())
+    assert line == ("scipy's OpenBLAS not pinned: libscipy_openblas-stub.so: "
+                    "'_StubLib' object has no attribute 'scipy_openblas_set_num_threads'")
+
+
+def test_openblas_whose_count_does_not_read_back_warns_and_runs_unpinned(monkeypatch, caplog):
+    counts = []
+
+    def set_count(n):
+        counts.append(n)
+
+    lib = _StubLib(scipy_openblas_set_num_threads=set_count, scipy_openblas_get_num_threads=lambda: 4)
+    line = _pin_with(monkeypatch, caplog, lib)
+    assert counts == [1]
+    assert line == "scipy's OpenBLAS not pinned: libscipy_openblas-stub.so reads 4 threads after being set to 1"
 
 
 def test_capsule_with_unexpected_signature_is_numeric_error(monkeypatch):

@@ -89,6 +89,7 @@ def test_invalid_configs_rejected(config):
     ([1.0], 1, 0, "M=1 exceeds N=0"),
     ([1.0], 1, -2, "M=1 exceeds N=-2"),
     ([1.0, 1e200], 2, 4, r"d_1=1e\+200 squares past the float range"),
+    ([1e154, 1.0], 2, 4, r"d_1=1e\+154 squares past the float range of the edge solve"),
 ])
 def test_model_refusals_name_their_cause(d, M, N, message):
     with pytest.raises(InvalidConfigError, match=message):
