@@ -10,6 +10,16 @@ count, and at one BLAS thread per call neither that count nor the worker count
 can move them.  numpy's own OpenBLAS is a separate library and keeps its count.
 The two capsule modules are loaded from their extension files on the first
 call, never at import, and the scipy.linalg package itself is never imported.
+
+`sample_matrix` and `largest_eigenvalue` allocate their arrays per call unless
+the caller passes its own: `out=` for the M x N draw and `work=` for mu1's
+float workspace (G, w, z and LAPACK's work, `_work_size(M)` entries).
+`run_ensemble` allocates one such pair per worker, min(threads, n_trials) of
+them, in the calling thread; each trial borrows a pair, draws and takes mu1
+in it, and hands it back.  The ensemble's working set is then allocated once
+per call, in the caller's malloc arena, and freed when the call returns: a
+pair allocated per trial in a pool thread would stay cached in that thread's
+arena after the pool exits, on top of what the process allocates later.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ import importlib.util
 import logging
 import math
 import os
+import queue
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -31,7 +42,7 @@ import numpy as np
 
 from .edge import solve_edge
 from .errors import InvalidArgumentError, InvalidConfigError, NumericError
-from .spectrum import SpectrumModel
+from .spectrum import SpectrumModel, _as_integer
 from .tracywidom import f1_cdf_tabulated
 
 NOISE_DISTS = ("gaussian", "rademacher", "uniform")
@@ -58,25 +69,38 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sample_matrix(model: SpectrumModel, dist: str, seed: int, trial: int) -> np.ndarray:
+def sample_matrix(model: SpectrumModel, dist: str, seed: int, trial: int, *,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Draw Y = R + X with iid mean-0 variance-1/N noise entries from dist.
 
     seed and trial, Python or numpy integers, key the stream (`_trial_rng`);
-    a negative one raises InvalidArgumentError.
+    a negative or non-integer one raises InvalidArgumentError.  The draw is
+    written into `out` and returned when given, in numpy's sense: it must be a
+    writeable, aligned, C-contiguous float64 array of shape (M, N), else
+    InvalidArgumentError before anything is drawn.  Its old contents are never
+    read, so the bits equal a fresh draw's.
     """
     _require_dist(dist)
-    _require_seed(seed, trial)
-    rng = _trial_rng(seed, trial)
+    seed, trial = _require_seed(seed, trial)
     M, N = model.M, model.N
-    root_n = math.sqrt(N)
+    if out is None:
+        X = np.empty((M, N))
+    else:
+        _require_buffer("out", out, lambda a: a.shape == (M, N), f"of shape {(M, N)}")
+        X = out
+    rng = _trial_rng(seed, trial)
+    # the scaled noise first, then the signal on the leading diagonal
     if dist == "gaussian":
-        X = rng.standard_normal((M, N))
+        rng.standard_normal(out=X)
     elif dist == "rademacher":
-        X = 2.0 * rng.integers(0, 2, size=(M, N))
+        np.multiply(rng.integers(0, 2, size=(M, N)), 2.0, out=X)
         X -= 1.0
     else:
-        X = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(M, N))
-    X /= root_n
+        # numpy's uniform(-sqrt 3, sqrt 3) is -sqrt 3 + 2 sqrt 3 u on the same stream
+        rng.random(out=X)
+        X *= 2.0 * math.sqrt(3.0)
+        X += -math.sqrt(3.0)
+    X /= math.sqrt(N)
     X[np.arange(M), np.arange(M)] += model.d
     return X
 
@@ -95,6 +119,11 @@ _L, _T, _N, _I = (_FLAGS.ctypes.data + k for k in range(4))
 _ONE, _ZERO = _ONE_ZERO.ctypes.data, _ONE_ZERO.ctypes.data + 8
 # head of the per-call int32 block: M, N, ldz = 1, lwork, liwork, m out, info out
 _HEAD = 7
+
+
+def _work_size(M: int) -> int:
+    """Entries of mu1's float workspace: G (M x M), w (M), z (1) and LAPACK's work (26 M)."""
+    return M * M + 27 * M + 1
 
 
 def _capsule_signature(module: str, kinds: str) -> str:
@@ -199,28 +228,40 @@ def _lapack():
     return routines
 
 
-def largest_eigenvalue(Y: np.ndarray) -> float:
+def largest_eigenvalue(Y: np.ndarray, *, work: np.ndarray | None = None) -> float:
     """mu1, the squared largest singular value of Y: the top eigenvalue of Y Y^T.
 
     `dsyrk` forms the lower triangle of Y Y^T and `dsyevr` takes its top
     eigenvalue alone (index M), both through scipy's C pointers with the GIL
-    released and on scipy's OpenBLAS pinned to one thread.  Every call has its
-    own work arrays, so calls from several threads run at once.  A complex,
-    empty or non-matrix Y raises InvalidArgumentError; non-finite input or
-    any LAPACK failure raises NumericError.
+    released and on scipy's OpenBLAS pinned to one thread.  Each call works in
+    its own float workspace, so calls from several threads run at once: a
+    fresh one, or `work` when given.  `work` is the caller's and must be a
+    writeable, aligned, C-contiguous 1-D float64 array of at least
+    M^2 + 27 M + 1 entries that shares no memory with Y, else
+    InvalidArgumentError before any LAPACK call; its old contents are never
+    read.  A complex, empty or non-matrix Y raises InvalidArgumentError;
+    non-finite input or any LAPACK failure raises NumericError.
     """
     _require_real(Y)
     Y = np.ascontiguousarray(Y, dtype=float)
     if Y.ndim != 2 or Y.size == 0:
         raise InvalidArgumentError("Y must be a nonempty matrix")
     M, N = Y.shape
+    size = _work_size(M)
+    if work is None:
+        work = np.empty(size)
+    else:
+        _require_buffer("work", work, lambda a: a.ndim == 1 and a.size >= size,
+                        f"with one axis of {size} or more entries")
+        if np.may_share_memory(work, Y):
+            raise InvalidArgumentError("work must not share memory with Y")
     dsyrk, dsyevr = _lapack()
     # f2py's workspace sizes: lwork = 26 M, liwork = 10 M; isuppz (2 M) and iwork follow the head
     ints = np.empty(_HEAD + 12 * M, dtype=np.int32)
     ints[:_HEAD] = (M, N, 1, 26 * M, 10 * M, 0, 0)
-    # G (M x M, lower triangle), w (M), z (1), work (26 M)
-    doubles = np.zeros(M * M + 27 * M + 1)
-    i, d = ints.ctypes.data, doubles.ctypes.data
+    # G (M x M, lower triangle), w (M), z (1), work (26 M): dsyrk with beta = 0 writes the
+    # whole lower triangle and dsyevr reads only that triangle, so no entry needs a fill
+    i, d = ints.ctypes.data, work.ctypes.data
     m_, n_, ldz, lwork, liwork, m_found, info = (i + 4 * k for k in range(_HEAD))
     w = d + 8 * M * M
     # a C-ordered Y is Y^T in Fortran order with lda = N: trans='T' forms (Y^T)^T Y^T without a copy
@@ -230,19 +271,43 @@ def largest_eigenvalue(Y: np.ndarray) -> float:
     found, status = ints[5:_HEAD].tolist()
     if status != 0 or found != 1:
         raise NumericError(f"eigenvalue extraction failed: dsyevr info={status}, {found} eigenvalues found")
-    return float(doubles[M * M])
+    return float(work[M * M])
 
 
-def _require_count(name: str, value: int) -> None:
-    """The one rule for trial and thread counts: at least 1, else InvalidArgumentError."""
+def _require_count(name: str, value: int) -> int:
+    """The one rule for trial, thread and seed counts: an integer (`_as_integer`) of at least 1.
+
+    Returns it as a Python int; anything else raises InvalidArgumentError.
+    """
+    value = _as_integer(name, value)
     if value < 1:
         raise InvalidArgumentError(f"{name} must be >= 1, got {value}")
+    return value
 
 
-def _require_seed(seed: int, trial: int = 0) -> None:
-    """The one rule for a sampling seed and trial: both nonnegative, else InvalidArgumentError."""
+def _require_seed(seed: int, trial: int = 0) -> tuple[int, int]:
+    """The one rule for a sampling seed and trial: nonnegative integers (`_as_integer`).
+
+    Returns them as Python ints; anything else raises InvalidArgumentError.
+    """
+    seed, trial = _as_integer("seed", seed), _as_integer("trial", trial)
     if seed < 0 or trial < 0:
         raise InvalidArgumentError(f"seed and trial must be nonnegative, got seed={seed}, trial={trial}")
+    return seed, trial
+
+
+def _require_buffer(name: str, array, fits, wanted: str) -> None:
+    """The one rule for a caller's array: a writeable, aligned, C-contiguous float64 ndarray that fits.
+
+    `fits(array)` says whether its shape is the one the call needs, described
+    by `wanted`; anything else raises InvalidArgumentError.
+    """
+    if not (isinstance(array, np.ndarray) and array.dtype == np.float64 and array.flags.carray
+            and fits(array)):
+        got = (f"{array.dtype} array of shape {array.shape}, C-contiguous {array.flags.c_contiguous}, "
+               f"writeable {array.flags.writeable}, aligned {array.flags.aligned}"
+               if isinstance(array, np.ndarray) else type(array).__name__)
+        raise InvalidArgumentError(f"{name} must be a writeable C-contiguous float64 array {wanted}, got {got}")
 
 
 def _require_real(Y) -> None:
@@ -259,7 +324,7 @@ def _require_dist(dist: str) -> None:
 
 def pmap(fn, items, threads: int) -> list:
     """[fn(item) for item in items], on a pool of `threads` threads when above 1; below 1 it raises."""
-    _require_count("threads", threads)
+    threads = _require_count("threads", threads)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
@@ -295,21 +360,33 @@ def run_ensemble(
     This is the paper's statistic N^{2/3} (mu1_hat - E_plus) of the
     sqrt(gamma0)-scaled matrix, up to rounding: mu1_hat = gamma0 mu1 and
     E_plus = gamma0 lambda_r.  Trials are independent (seed, trial)-keyed
-    streams, so the result is invariant to the worker count.  The KS distance
+    streams, so the result is invariant to the worker count.  Each trial
+    draws and takes mu1 in one of min(threads, n_trials) (Y, work) pairs
+    allocated here, in the calling thread (module docstring).  The KS distance
     is taken against the tabulated F1, within about 1e-14 of the direct
-    determinant.  n_trials < 1, threads < 1 or a negative seed raises
-    InvalidArgumentError before the edge is solved.
+    determinant.  A non-integer or bool count or seed, n_trials < 1,
+    threads < 1 or a negative seed raises InvalidArgumentError before the
+    edge is solved.
     """
-    _require_count("n_trials", n_trials)
-    _require_count("threads", threads)
+    n_trials = _require_count("n_trials", n_trials)
+    threads = _require_count("threads", threads)
     _require_dist(dist)
-    _require_seed(seed)
+    seed, _ = _require_seed(seed)
     sol = solve_edge(model)
     lam, g = sol.lambda_r, sol.gamma0
     N23 = model.N ** (2.0 / 3.0)
 
+    free = queue.SimpleQueue()
+    for _ in range(min(threads, n_trials)):
+        free.put((np.empty((model.M, model.N)), np.empty(_work_size(model.M))))
+
     def one_trial(trial: int) -> float:
-        return largest_eigenvalue(sample_matrix(model, dist, seed, trial))
+        # at most `threads` trials run at once, so a pair is always free
+        Y, work = free.get_nowait()
+        try:
+            return largest_eigenvalue(sample_matrix(model, dist, seed, trial, out=Y), work=work)
+        finally:
+            free.put((Y, work))
 
     _lapack()  # load and pin here, once, before any worker thread calls LAPACK
     mu1s = np.array(pmap(one_trial, range(n_trials), threads), dtype=float)

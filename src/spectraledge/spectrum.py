@@ -145,6 +145,20 @@ def load_spectrum(config: dict) -> SpectrumModel:
     return SpectrumModel(d=d, M=M, N=N, config=dict(config))
 
 
+def _as_integer(name: str, value) -> int:
+    """The one integer rule for sizes, counts and seeds: `value` as a Python int.
+
+    Python and numpy integers pass through `operator.index`; a bool, a float,
+    a string or any other value raises InvalidArgumentError naming `name`.
+    """
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+
+
 def with_size(model: SpectrumModel, N: int) -> SpectrumModel:
     """Regenerate the model at a new noise dimension N, keeping c_N and the spectral shape.
 
@@ -154,13 +168,7 @@ def with_size(model: SpectrumModel, N: int) -> SpectrumModel:
     description.  The new M = c_N N must be a positive integer (to 1e-9
     relative): rounding it would quietly change c_N.
     """
-    try:
-        size = None if isinstance(N, bool) else operator.index(N)
-    except TypeError:
-        size = None
-    if size is None:
-        raise InvalidArgumentError(f"N must be an integer, got {N!r}")
-    N = size
+    N = _as_integer("N", N)
     if N == model.N:
         return model
     config = model.config

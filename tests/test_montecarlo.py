@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -84,10 +85,23 @@ def test_unknown_distribution_rejected():
         sample_matrix(constant_model(4, 4), "cauchy", seed=0, trial=0)
 
 
-@pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1), (np.int64(-3), 0)])
+# not integers, each refused as a seed, a trial or a count: operator.index refuses the
+# first three and the bools are refused by name
+_NOT_INTEGERS = [2.0, "3", np.float64(1.0), True, np.True_]
+
+
+@pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1), (np.int64(-3), 0)]
+                         + [(value, 0) for value in _NOT_INTEGERS] + [(0, value) for value in _NOT_INTEGERS])
 def test_negative_seed_or_trial_is_refused(seed, trial):
-    # the stream key must be nonnegative; numpy's SeedSequence would raise a bare ValueError
-    with pytest.raises(InvalidArgumentError, match="nonnegative"):
+    # the stream key must be a nonnegative integer; numpy's SeedSequence would raise a bare
+    # ValueError or TypeError, and '<' a bare TypeError on a string
+    if any(seed is value for value in _NOT_INTEGERS):
+        match = re.escape(f"seed must be an integer, got {seed!r}")
+    elif any(trial is value for value in _NOT_INTEGERS):
+        match = re.escape(f"trial must be an integer, got {trial!r}")
+    else:
+        match = "nonnegative"
+    with pytest.raises(InvalidArgumentError, match=match):
         sample_matrix(constant_model(4, 4), "gaussian", seed=seed, trial=trial)
 
 
@@ -96,6 +110,9 @@ def test_negative_seed_is_refused_before_the_edge_is_solved(monkeypatch):
     monkeypatch.setattr(montecarlo, "solve_edge", solved.append)
     with pytest.raises(InvalidArgumentError, match=re.escape("nonnegative, got seed=-1, trial=0")):
         run_ensemble(constant_model(4, 4), 3, seed=-1)
+    for seed in _NOT_INTEGERS:
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            run_ensemble(constant_model(4, 4), 3, seed=seed)
     assert solved == []
 
 
@@ -430,6 +447,137 @@ def test_sample_matrix_streams_are_pinned(dist):
     assert np.array_equal(sample_matrix(model, dist, np.int64(21), np.int64(4)), X)
 
 
+# ---------------------------------------------------------------------------
+# caller-owned buffers: the draw's out= and mu1's work=
+# ---------------------------------------------------------------------------
+
+def _buffer_model():
+    return load_spectrum({"type": "uniform_sq", "v_min": 0.5, "v_max": 2.0, "M": 7, "N": 40})
+
+
+@pytest.mark.parametrize("dist", ["gaussian", "rademacher", "uniform"])
+def test_draw_into_out_equals_a_fresh_draw(dist):
+    # out's old contents, NaN here, must never reach the draw
+    model = _buffer_model()
+    buf = np.full((7, 40), np.nan)
+    assert sample_matrix(model, dist, 21, 4, out=buf) is buf
+    assert np.array_equal(buf, sample_matrix(model, dist, 21, 4))
+
+
+@pytest.mark.parametrize("make", _MATRICES + [lambda: np.random.default_rng(18).normal(size=(300, 600))],
+                         ids=_MATRIX_IDS + ["ensemble_size"])
+def test_largest_eigenvalue_in_a_dirty_workspace_equals_a_fresh_call(make):
+    # neither NaN nor a larger matrix's leftovers in work may reach mu1
+    Y = make()
+    M = Y.shape[0]
+    work = np.full(M * M + 27 * M + 1, np.nan)
+    assert largest_eigenvalue(Y, work=work) == largest_eigenvalue(Y)
+    big = np.random.default_rng(25).normal(size=(M + 3, 2 * M + 6))
+    spare = np.empty((M + 3) ** 2 + 27 * (M + 3) + 1)
+    largest_eigenvalue(big, work=spare)
+    assert largest_eigenvalue(Y, work=spare) == largest_eigenvalue(Y)
+
+
+def _read_only(shape):
+    array = np.zeros(shape)
+    array.flags.writeable = False
+    return array
+
+
+_BAD_OUTS = {
+    "shape": lambda: np.zeros((40, 7)),
+    "too_big": lambda: np.zeros((7, 41)),
+    "float32": lambda: np.zeros((7, 40), dtype=np.float32),
+    "int": lambda: np.zeros((7, 40), dtype=np.int64),
+    "big_endian": lambda: np.zeros((7, 40), dtype=">f8"),
+    "fortran_order": lambda: np.zeros((7, 40), order="F"),
+    "strided": lambda: np.zeros((7, 80))[:, ::2],
+    "read_only": lambda: _read_only((7, 40)),
+    "list": lambda: [[0.0] * 40] * 7,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_OUTS))
+def test_wrong_out_is_refused_before_the_draw(monkeypatch, kind):
+    def no_stream(seed, trial):
+        raise AssertionError("a stream was opened for a refused out")
+
+    monkeypatch.setattr(montecarlo, "_trial_rng", no_stream)
+    out = _BAD_OUTS[kind]()
+    with pytest.raises(InvalidArgumentError, match=r"out must be a writeable C-contiguous float64 array "
+                                                   r"of shape \(7, 40\), got "):
+        sample_matrix(_buffer_model(), "gaussian", 0, 0, out=out)
+    assert not np.any(out)
+
+
+_BAD_WORKS = {
+    "too_small": lambda: np.zeros(6 * 6 + 27 * 6),
+    "two_d": lambda: np.zeros((6, 400)),
+    "float32": lambda: np.zeros(400, dtype=np.float32),
+    "strided": lambda: np.zeros(800)[::2],
+    "read_only": lambda: _read_only(400),
+    "list": lambda: [0.0] * 400,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_WORKS) + ["shares_memory_with_Y"])
+def test_wrong_workspace_is_refused_before_lapack(monkeypatch, kind):
+    def no_lapack():
+        raise AssertionError("LAPACK was reached with a refused workspace")
+
+    monkeypatch.setattr(montecarlo, "_lapack", no_lapack)
+    if kind == "shares_memory_with_Y":
+        # a workspace of the right size whose tail holds Y: dsyrk would overwrite Y as it reads it
+        block = np.ones(400 + 6 * 9)
+        work, Y = block, block[400:].reshape(6, 9)
+        match = "work must not share memory with Y"
+    else:
+        Y = np.ones((6, 9))
+        work = _BAD_WORKS[kind]()
+        match = r"work must be a writeable C-contiguous float64 array with one axis of 199 or more entries, got "
+    with pytest.raises(InvalidArgumentError, match=match):
+        largest_eigenvalue(Y, work=work)
+
+
+@pytest.mark.parametrize("n_trials", [3, 9])
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_ensemble_trials_borrow_one_buffer_pair_per_worker(monkeypatch, threads, n_trials):
+    # every trial draws into a caller's (Y, work) pair by the traced names; no
+    # pair serves two trials at once, and there are no more pairs than workers
+    model = constant_model(12, 30)
+    draw, top = montecarlo.sample_matrix, montecarlo.largest_eigenvalue
+    lock, busy, outs, works, trials = threading.Lock(), set(), set(), set(), []
+
+    def spy_draw(model, dist, seed, trial, *, out):
+        with lock:
+            assert out.ctypes.data not in busy, "two trials drew into one buffer at once"
+            busy.add(out.ctypes.data)
+            outs.add(out.ctypes.data)
+            trials.append(trial)
+        time.sleep(0.002)  # hold the buffer so that pooled trials overlap
+        return draw(model, dist, seed, trial, out=out)
+
+    def spy_top(Y, *, work):
+        try:
+            return top(Y, work=work)
+        finally:
+            with lock:
+                works.add(work.ctypes.data)
+                busy.remove(Y.ctypes.data)
+
+    monkeypatch.setattr(montecarlo, "sample_matrix", spy_draw)
+    monkeypatch.setattr(montecarlo, "largest_eigenvalue", spy_top)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so that a lost hand-back would show
+    try:
+        result = run_ensemble(model, n_trials, seed=5, threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(trials) == list(range(n_trials)) and busy == set()
+    assert 1 <= len(outs) <= min(threads, n_trials) and len(works) == len(outs)
+    assert np.array_equal(result.mu1s, [top(draw(model, "gaussian", 5, k)) for k in range(n_trials)])
+
+
 def test_empty_ensemble_is_flagged(monkeypatch):
     # a count below 1 is refused at entry, before the edge is solved
     solves = []
@@ -440,6 +588,11 @@ def test_empty_ensemble_is_flagged(monkeypatch):
     for threads in (0, -1):
         with pytest.raises(InvalidArgumentError, match=f"threads must be >= 1, got {threads}"):
             run_ensemble(model, 4, threads=threads)
+    for value in _NOT_INTEGERS + [2.5]:
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"n_trials must be an integer, got {value!r}")):
+            run_ensemble(model, value)
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"threads must be an integer, got {value!r}")):
+            run_ensemble(model, 3, threads=value)
     assert solves == []
 
 
@@ -456,6 +609,9 @@ def test_pmap_refuses_a_thread_count_below_one():
     calls = []
     with pytest.raises(InvalidArgumentError, match="threads must be >= 1, got 0"):
         montecarlo.pmap(calls.append, range(3), 0)
+    for threads in (2.5, True):
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"threads must be an integer, got {threads!r}")):
+            montecarlo.pmap(calls.append, range(3), threads)
     assert calls == []
 
 
