@@ -20,7 +20,7 @@ from .errors import (
 )
 from .flow import FlowState, analytic_derivatives, flow_derivative_check, flow_derivative_checks, flow_state
 from .identities import EdgeFunctionals, edge_functionals, identity_residuals
-from .locallaw import LocalLawReport, build_linearization, locallaw_deviation, rigidity_scan
+from .locallaw import LocalLawReport, build_linearization, locallaw_deviation
 from .montecarlo import EnsembleResult, ks_distance, largest_eigenvalue, run_ensemble, sample_matrix
 from .spectrum import SpectrumModel, load_spectrum, with_size
 from .stieltjes import StieltjesValue, density, solve_stieltjes
@@ -35,7 +35,7 @@ __all__ = [
     "EdgeFunctionals", "edge_functionals", "identity_residuals",
     "f1_cdf", "f1_pdf", "tw_table",
     "EnsembleResult", "sample_matrix", "largest_eigenvalue", "run_ensemble", "ks_distance",
-    "LocalLawReport", "build_linearization", "locallaw_deviation", "rigidity_scan",
+    "LocalLawReport", "build_linearization", "locallaw_deviation",
     "SpectralEdgeError", "InvalidConfigError", "InvalidArgumentError",
     "PoleError", "SolverFailureError", "EdgeNotFoundError", "DegenerateScalingError",
     "NumericError",

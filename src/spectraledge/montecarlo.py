@@ -47,6 +47,9 @@ from .tracywidom import f1_cdf_tabulated
 
 NOISE_DISTS = ("gaussian", "rademacher", "uniform")
 
+# rows of Rademacher signs per integer draw in sample_matrix
+_SIGN_ROWS = 64
+
 log = logging.getLogger("spectraledge")
 
 
@@ -93,8 +96,11 @@ def sample_matrix(model: SpectrumModel, dist: str, seed: int, trial: int, *,
     if dist == "gaussian":
         rng.standard_normal(out=X)
     elif dist == "rademacher":
-        np.multiply(rng.integers(0, 2, size=(M, N)), 2.0, out=X)
-        X -= 1.0
+        # a block of rows at a time, so no M x N int64 array is held; the generator
+        # keeps its place between calls, so the blocks give one whole draw's bits
+        for r0 in range(0, M, _SIGN_ROWS):
+            rows = X[r0:r0 + _SIGN_ROWS]
+            np.take((-1.0, 1.0), rng.integers(0, 2, size=rows.shape), out=rows, mode="clip")
     else:
         # numpy's uniform(-sqrt 3, sqrt 3) is -sqrt 3 + 2 sqrt 3 u on the same stream
         rng.random(out=X)

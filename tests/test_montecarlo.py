@@ -430,21 +430,23 @@ def test_ensemble_ks_equals_per_sample_table_reads():
 
 @pytest.mark.parametrize("dist", ["gaussian", "rademacher", "uniform"])
 def test_sample_matrix_streams_are_pinned(dist):
-    # the draws rebuilt from the (seed, trial) stream: a faster sample_matrix
-    # may not move them
-    model = load_spectrum({"type": "uniform_sq", "v_min": 0.5, "v_max": 2.0, "M": 7, "N": 40})
-    rng = _trial_rng(21, 4)
-    root_n = math.sqrt(model.N)
-    if dist == "gaussian":
-        X = rng.standard_normal((7, 40)) / root_n
-    elif dist == "rademacher":
-        X = (2.0 * rng.integers(0, 2, size=(7, 40)) - 1.0) / root_n
-    else:
-        X = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(7, 40)) / root_n
-    X[np.arange(7), np.arange(7)] += model.d
-    assert np.array_equal(sample_matrix(model, dist, 21, 4), X)
-    # numpy integers key the same stream (rigidity_scan passes seed + N)
-    assert np.array_equal(sample_matrix(model, dist, np.int64(21), np.int64(4)), X)
+    # the draws rebuilt from the (seed, trial) stream, each as one whole draw: a
+    # faster sample_matrix may not move them.  130 and 65 rows span several of
+    # the row blocks in which Rademacher signs are drawn.
+    for M, N in ((7, 40), (65, 129), (130, 131)):
+        model = load_spectrum({"type": "uniform_sq", "v_min": 0.5, "v_max": 2.0, "M": M, "N": N})
+        rng = _trial_rng(21, 4)
+        root_n = math.sqrt(N)
+        if dist == "gaussian":
+            X = rng.standard_normal((M, N)) / root_n
+        elif dist == "rademacher":
+            X = (2.0 * rng.integers(0, 2, size=(M, N)) - 1.0) / root_n
+        else:
+            X = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(M, N)) / root_n
+        X[np.arange(M), np.arange(M)] += model.d
+        assert np.array_equal(sample_matrix(model, dist, 21, 4), X)
+        # numpy integers key the same stream as Python integers
+        assert np.array_equal(sample_matrix(model, dist, np.int64(21), np.int64(4)), X)
 
 
 # ---------------------------------------------------------------------------
